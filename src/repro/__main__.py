@@ -32,9 +32,9 @@ left behind in the process-default context).
 [--format {prometheus,json}] [--output PATH] [--journal PATH]
 [--input PATH]``
     Run the E3 sweep workload under a fresh correlated context and
-    export the unified telemetry snapshot — labeled metrics, perf
-    counters, cache hit-rates and peaks, span percentiles, journal
-    depth — as Prometheus text exposition or JSON.  ``--journal``
+    export the unified telemetry snapshot — perf counters, cache
+    hit-rates and peaks, span percentiles, journal depth — as
+    Prometheus text exposition or JSON.  ``--journal``
     additionally dumps the flight-recorder ring as JSONL; ``--input``
     re-exports a previously saved JSON snapshot instead of running a
     workload.
@@ -233,12 +233,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         measurements[f"sweep_cold_{engine}_s"] = round(cold.seconds, 6)
         measurements[f"sweep_warm_{engine}_s"] = round(warm.seconds, 6)
         if report is None:
-            # The first engine listed is the adopted default; its
-            # numbers also fill the legacy keys so BENCH trajectories
-            # stay comparable across records.
+            # The first engine listed is the adopted default.
             report = engine_report
-            measurements["sweep_cold_s"] = round(cold.seconds, 6)
-            measurements["sweep_warm_s"] = round(warm.seconds, 6)
         print(
             f"[{engine}] sweep (cold) {cold.seconds:.3f}s | "
             f"sweep (warm) {warm.seconds:.3f}s"
@@ -262,10 +258,7 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             with perf.Stopwatch() as watch:
                 for system, assumptions in workloads:
                     construct_good_runs(system, assumptions, engine=engine)
-        context.current().absorb(
-            engine_ctx.counter_delta(), engine_ctx.span_delta(),
-            engine_ctx.journal_delta(), engine_ctx.metrics_delta(),
-        )
+        context.current().absorb(engine_ctx.telemetry())
         # The grouped summary splits ``goodruns.stage`` into
         # per-engine rows directly; no manual filtering of the raw
         # span buffer.

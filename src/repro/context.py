@@ -32,7 +32,8 @@ operational:
   with wholesale-clear eviction (``<layer>.evict`` counters), so a
   long-lived serving process cannot accumulate unbounded state.
 * **Honest telemetry** — a worker shard runs in a fresh context and
-  ships the *whole* context's counters and spans home; no mark/delta
+  ships the *whole* context's :meth:`EngineContext.telemetry` home for
+  the parent to :meth:`EngineContext.absorb`; no mark/delta
   bookkeeping against a shared table.
 
 Cross-context terms stay correct by construction: canonical instances
@@ -56,7 +57,7 @@ from __future__ import annotations
 import contextvars
 import threading
 import weakref
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 #: Default entry cap for each context-owned memo dict.  On overflow the
 #: memo is cleared wholesale (O(1) amortized, no LRU bookkeeping on the
@@ -124,8 +125,6 @@ class EngineContext:
       (:class:`repro.obs.spans.SpanRecorder`), created lazily;
     * ``journal`` — the bounded flight-recorder ring buffer
       (:class:`repro.obs.journal.Journal`), created lazily;
-    * ``metrics`` — the labeled-instrument registry
-      (:class:`repro.obs.metrics.MetricsRegistry`), created lazily;
     * ``corr_id`` — the session's correlation ID (stamped onto journal
       events and span attributes; the per-request ID a serving layer
       threads through shards and ephemeral contexts);
@@ -152,7 +151,6 @@ class EngineContext:
         "cache_peaks",
         "_spans",
         "_journal",
-        "_metrics",
         "_backends",
         "__weakref__",
     )
@@ -180,7 +178,6 @@ class EngineContext:
         self.cache_peaks: dict[str, int] = {}
         self._spans = None
         self._journal = None
-        self._metrics = None
         self._backends = None
 
     # -- lazily-built members --------------------------------------------------
@@ -219,17 +216,6 @@ class EngineContext:
         return ring
 
     @property
-    def metrics(self):
-        """The context's labeled-metrics registry (built on first use)."""
-        registry = self._metrics
-        if registry is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            registry = MetricsRegistry()
-            self._metrics = registry
-        return registry
-
-    @property
     def backends(self):
         """The context's semantics-backend registry (built on first use).
 
@@ -250,60 +236,46 @@ class EngineContext:
 
     # -- telemetry transport ---------------------------------------------------
 
-    def counter_delta(self) -> dict[str, int]:
-        """The context's counters as a plain dict (for shipping home).
+    def telemetry(self) -> dict[str, Any]:
+        """Everything observable about this context, as plain picklable data.
 
-        An ephemeral context starts from zero, so its whole table *is*
-        the delta — this replaces the mark/`delta_since` bookkeeping
-        worker shards used to do against the shared global table.
+        ``counters``, ``spans``, ``journal`` (events) and ``cache_peaks``
+        (the current cache sizes are maxed in first).  An ephemeral
+        context starts empty, so its whole telemetry *is* the delta a
+        worker shard, fuzz iteration or serve batch ships home to the
+        parent's :meth:`absorb`.
         """
-        return dict(self.counters)
+        from repro import perf
 
-    def span_delta(self) -> list[dict[str, Any]]:
-        """The context's span samples as plain picklable data."""
-        if self._spans is None:
-            return []
-        return [dict(sample) for sample in self._spans.snapshot()]
+        with use(self):
+            perf.observe_cache_peaks()
+        spans, ring = self._spans, self._journal
+        return {
+            "counters": dict(self.counters),
+            "spans": [] if spans is None else list(spans.snapshot()),
+            "journal": [] if ring is None else list(ring.snapshot()),
+            "cache_peaks": dict(self.cache_peaks),
+        }
 
-    def journal_delta(self) -> list[dict[str, Any]]:
-        """The context's journal events as plain picklable data."""
-        if self._journal is None:
-            return []
-        return self._journal.delta_since(0)
+    def absorb(self, telemetry: Mapping[str, Any]) -> None:
+        """Merge another context's :meth:`telemetry` into this one.
 
-    def metrics_delta(self) -> dict[str, Any]:
-        """The context's metric instruments as a plain-data snapshot."""
-        if self._metrics is None:
-            return {}
-        return self._metrics.snapshot()
-
-    def absorb(self, counters: Mapping[str, int] | None = None,
-               spans: Sequence[Mapping[str, Any]] | None = None,
-               journal: Sequence[Mapping[str, Any]] | None = None,
-               metrics: Mapping[str, Any] | None = None) -> None:
-        """Merge another context's telemetry into this one.
-
-        Counters add, spans and journal events append, and metric
-        instruments merge by kind (counters/histograms add, gauges
-        max).  Cache contents are deliberately *not* merged: they are
-        private to their context.  Only the observable accounting flows
-        upward.
+        Counters add, spans and journal events append, and cache peaks
+        take the max.  Cache contents are deliberately *not* merged:
+        they are private to their context.  Only the observable
+        accounting flows upward.
         """
-        if counters:
-            mine = self.counters
-            for event, n in counters.items():
-                mine[event] = mine.get(event, 0) + n
-        if spans:
-            self.spans.merge(spans)
-        if journal:
-            self.journal.merge(journal)
-        if metrics:
-            self.metrics.merge(metrics)
-
-    def absorb_context(self, other: "EngineContext") -> None:
-        """Shorthand: absorb everything observable about ``other``."""
-        self.absorb(other.counter_delta(), other.span_delta(),
-                    other.journal_delta(), other.metrics_delta())
+        counters = self.counters
+        for event, n in telemetry.get("counters", {}).items():
+            counters[event] = counters.get(event, 0) + n
+        if telemetry.get("spans"):
+            self.spans.merge(telemetry["spans"])
+        if telemetry.get("journal"):
+            self.journal.merge(telemetry["journal"])
+        peaks = self.cache_peaks
+        for name, size in telemetry.get("cache_peaks", {}).items():
+            if size > peaks.get(name, 0):
+                peaks[name] = size
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -375,7 +347,7 @@ class use:
         shard = context.fresh("shard-3")
         with context.use(shard):
             ...                      # every cache/counter/span is shard's
-        parent.absorb_context(shard)  # ship the telemetry home
+        parent.absorb(shard.telemetry())  # ship the telemetry home
     """
 
     __slots__ = ("ctx", "_token")

@@ -32,7 +32,7 @@ from repro.logic.certify import CertificationError, certify
 from repro.logic.engine import Derivation, Rule
 from repro.logic.proof import Proof
 from repro.model.system import System
-from repro.obs import journal, metrics, run_metadata, spans
+from repro.obs import journal, run_metadata, spans
 from repro.obs.spans import summarize
 from repro.obs.trace import render_why, trace_evaluation
 from repro.semantics.backend import get_backend
@@ -547,27 +547,25 @@ def run_fuzz(
         command="fuzz", seed=config.seed, iterations=config.iterations,
         oracles=sorted(enabled), backend=config.backend,
     )
-    iteration_seconds = metrics.registry().histogram(
-        "fuzz_iteration_seconds", "Wall-clock per fuzz iteration."
-    )
     span_mark = spans.mark()
     started = time.perf_counter()
     for iteration in range(config.iterations):
         # Each iteration runs in an ephemeral engine context: its
         # interned terms, kernel memos, and evaluator registrations are
         # dropped wholesale when the workload ends (bounding memory for
-        # long campaigns), while its counters, spans, journal events,
-        # and metrics are absorbed into the caller's context so
-        # campaign telemetry stays whole.  The deterministic
+        # long campaigns), while its telemetry (counters, spans,
+        # journal events, cache peaks) is absorbed into the caller's
+        # context so campaign telemetry stays whole.  The deterministic
         # correlation ID ties an iteration's journal events, span
         # attributes, and counterexamples together — and keeps reports
         # bit-reproducible per seed.
         corr_id = f"fuzz-{config.seed}-{iteration}"
         iter_ctx = context.fresh(f"fuzz-iter-{iteration}", corr_id=corr_id)
-        iteration_started = time.perf_counter()
         with context.use(iter_ctx):
             before = len(report.counterexamples)
-            _fuzz_iteration(config, enabled, report, iteration, replay_rules)
+            with spans.span("fuzz.iteration"):
+                _fuzz_iteration(config, enabled, report, iteration,
+                                replay_rules)
             fresh_examples = report.counterexamples[before:]
             if fresh_examples:
                 # Attach the iteration's flight-recorder tail: the
@@ -577,11 +575,7 @@ def run_fuzz(
                 for example in fresh_examples:
                     example.corr_id = corr_id
                     example.journal = events
-        iteration_seconds.observe(time.perf_counter() - iteration_started)
-        context.current().absorb(
-            iter_ctx.counter_delta(), iter_ctx.span_delta(),
-            iter_ctx.journal_delta(), iter_ctx.metrics_delta(),
-        )
+        context.current().absorb(iter_ctx.telemetry())
         report.iterations += 1
         if progress is not None:
             progress(report)
@@ -780,10 +774,7 @@ def _fuzz_iteration(
                         goodruns_assumptions,
                         optimality_cap=config.goodruns_optimality_cap,
                     )
-        context.current().absorb(
-            goodruns_ctx.counter_delta(), goodruns_ctx.span_delta(),
-            goodruns_ctx.journal_delta(), goodruns_ctx.metrics_delta(),
-        )
+        context.current().absorb(goodruns_ctx.telemetry())
         if goodruns_assumptions is not None:
             report.count_check("goodruns_construction")
             journal.record("oracle_verdict", oracle="goodruns_construction",

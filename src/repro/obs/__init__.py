@@ -1,18 +1,17 @@
-"""Observability: spans, metrics, journal, traces, and run metadata.
+"""Observability: spans, the unified snapshot, journal, traces, metadata.
 
-Five layers, complementing the flat hit/miss counters of
-:mod:`repro.perf`:
+Five layers around the one counter model — the flat ``"layer.event"
+-> int`` table on each :class:`~repro.context.EngineContext`, written
+through :mod:`repro.perf`:
 
 * :mod:`repro.obs.spans` — named wall-clock spans with percentile
-  summaries; buffered per context, shipped across worker processes as
-  deltas and merged losslessly (the ``spans`` section of
-  ``BENCH_sweep.json``);
-* :mod:`repro.obs.metrics` — the labeled-metrics registry (typed
-  counters/gauges/histograms on the :class:`~repro.context.
-  EngineContext`) and the *unified snapshot* that folds perf counters,
-  cache peaks/hit-rates, span percentiles, and journal depth into one
-  document with Prometheus and JSON exporters (``python -m repro
-  obs``);
+  summaries; buffered per context, shipped across worker processes in
+  ``EngineContext.telemetry()`` and absorbed losslessly (the ``spans``
+  section of ``BENCH_sweep.json``);
+* :mod:`repro.obs.metrics` — the *unified snapshot* that folds perf
+  counters, cache peaks/hit-rates, span percentiles, and journal depth
+  into one document, with Prometheus and JSON exporters (``python -m
+  repro obs``, the daemon's ``/metrics``);
 * :mod:`repro.obs.journal` — the flight recorder: a bounded ring of
   structured events (compilations, cache evictions, fallbacks, stage
   skips, oracle verdicts, shard merges) carrying correlation IDs that

@@ -19,9 +19,10 @@ Design points, mirroring ``spans``:
 * **Plain data** — events are dicts (``seq``/``ts``/``kind``/``corr``
   plus free-form attributes), so they pickle, merge across processes,
   and serialize to JSONL without machinery.
-* **Process-safe by delta shipping** — a worker shard records into its
-  ephemeral context's journal and ships ``delta_since(mark)`` home;
-  the parent ``merge()``s, exactly like spans and counters.
+* **Process-safe by shipping** — a worker shard records into its
+  ephemeral context's journal, whose events travel home in
+  ``EngineContext.telemetry()`` with its counters and spans; the
+  parent's ``absorb()`` appends them to its own ring.
 
 **Correlation IDs.**  Every event carries ``corr``: the correlation ID
 of the context that recorded it (``EngineContext.corr_id``).  The
@@ -146,6 +147,13 @@ class Journal:
         with self._lock:
             return self._dropped
 
+    def depth(self) -> dict[str, int]:
+        """Retained events, drop count and capacity (the ``journal``
+        section of a unified snapshot)."""
+        with self._lock:
+            return {"events": len(self._ring), "dropped": self._dropped,
+                    "capacity": self.capacity}
+
     def reset(self) -> None:
         with self._lock:
             self._ring.clear()
@@ -165,7 +173,7 @@ class Journal:
 
 
 #: The module-level functions below delegate to the *current engine
-#: context's* journal, mirroring ``spans`` and ``perf.counters``: one
+#: context's* journal, mirroring ``spans`` and ``perf.count``: one
 #: shared ring per process by default, a private ring per session when
 #: a workload runs under :func:`repro.context.use`.
 
@@ -184,24 +192,8 @@ def tail(n: int) -> list[dict[str, Any]]:
     return journal().tail(n)
 
 
-def mark() -> int:
-    return journal().mark()
-
-
-def delta_since(position: int) -> list[dict[str, Any]]:
-    return journal().delta_since(position)
-
-
-def merge(events: Iterable[Mapping[str, Any]]) -> None:
-    journal().merge(events)
-
-
 def snapshot() -> tuple[dict[str, Any], ...]:
     return journal().snapshot()
-
-
-def reset() -> None:
-    journal().reset()
 
 
 def write_jsonl(path: str) -> int:

@@ -1,37 +1,22 @@
-"""Labeled metrics: typed instruments, one unified snapshot, exporters.
+"""One unified telemetry snapshot and its two exporters.
 
-The engine already measures itself three ways — flat hit/miss counters
-(:mod:`repro.perf`), wall-clock spans (:mod:`repro.obs.spans`), and the
-flight-recorder journal (:mod:`repro.obs.journal`).  This module adds
-the missing *labeled* view and, more importantly, unifies all of them
-into one snapshot with two machine formats:
+The engine measures itself three ways — the flat ``"layer.event" ->
+int`` counter table on the :class:`~repro.context.EngineContext`
+(written through :mod:`repro.perf`; the library's only counter model),
+wall-clock spans (:mod:`repro.obs.spans`), and the flight-recorder
+journal (:mod:`repro.obs.journal`).  This module folds them into one
+document and renders it:
 
-* :class:`MetricsRegistry` — a context-owned registry (every
-  :class:`~repro.context.EngineContext` carries one, like its span
-  buffer and counter table) of typed, labeled instruments:
-
-  - :class:`CounterHandle` — monotone counts (``.inc()``);
-  - :class:`GaugeHandle` — levels and peaks (``.set()`` / ``.set_max()``);
-  - :class:`HistogramHandle` — distributions (``.observe()``), with
-    fixed bucket edges so shards merge exactly.
-
-  Instruments are cheap plain-data holders; ``.labels(k=v)`` returns a
-  handle bound to one label combination.  Snapshots are plain dicts,
-  so they pickle and ship across the same delta transport as counters
-  and spans; :meth:`MetricsRegistry.merge` folds a shard's snapshot
-  home (counters and histograms add, gauges max — a shard's gauge is a
-  peak observation, not a level to average away).
-
-* :func:`unified_snapshot` — one plain dict covering the registry's
-  instruments, the perf counters / cache sizes / peaks / hit-rates,
-  the span percentiles, and the journal's depth — the "one snapshot
-  shows everything" contract ``repro.serve`` responses will embed.
+* :func:`unified_snapshot` — one plain dict covering the perf counters
+  / cache sizes / peaks / hit-rates, the span percentiles, and the
+  journal's depth (what ``/metrics`` of ``repro serve`` and ``python
+  -m repro obs`` export).
 
 * :func:`to_prometheus` / :func:`to_json` — render a unified snapshot
-  as Prometheus exposition text (``# HELP``/``# TYPE`` + samples,
-  histogram ``_bucket``/``_sum``/``_count``, span summaries as
-  ``quantile`` samples) or as a JSON document.  Both are pure
-  functions of the snapshot, so exports are testable byte-for-byte.
+  as Prometheus exposition text (``# HELP``/``# TYPE`` + samples, span
+  summaries as ``quantile`` samples) or as a JSON document.  Both are
+  pure functions of the snapshot, so exports are testable
+  byte-for-byte.
 
 Stdlib only, like the rest of the observability layer.
 """
@@ -41,317 +26,9 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro import context as _context
-
-#: Default histogram bucket upper edges (seconds-flavoured: the hot
-#: paths this library times run microseconds to tens of seconds).
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-_KINDS = ("counter", "gauge", "histogram")
-
-
-class MetricsError(ValueError):
-    """An instrument was re-registered with a conflicting shape."""
-
-
-class _Instrument:
-    """One named family: kind, help text, label names, per-label state."""
-
-    __slots__ = ("name", "kind", "help", "label_names", "buckets", "samples")
-
-    def __init__(self, name: str, kind: str, help_text: str,
-                 label_names: tuple[str, ...],
-                 buckets: tuple[float, ...] | None) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help_text
-        self.label_names = label_names
-        self.buckets = buckets
-        #: label-values tuple -> number (counter/gauge) or histogram
-        #: state ``[bucket_counts, overflow, sum, count]``.
-        self.samples: dict[tuple, Any] = {}
-
-    def blank(self):
-        if self.kind == "histogram":
-            assert self.buckets is not None
-            return [[0] * len(self.buckets), 0, 0.0, 0]
-        return 0
-
-
-class _Handle:
-    """An instrument bound to one label combination."""
-
-    __slots__ = ("_registry", "_instrument", "_key")
-
-    def __init__(self, registry: "MetricsRegistry",
-                 instrument: _Instrument, key: tuple) -> None:
-        self._registry = registry
-        self._instrument = instrument
-        self._key = key
-
-
-class CounterHandle(_Handle):
-    def inc(self, amount: int | float = 1) -> None:
-        if amount < 0:
-            raise MetricsError(
-                f"counter {self._instrument.name!r} cannot decrease"
-            )
-        with self._registry._lock:
-            samples = self._instrument.samples
-            samples[self._key] = samples.get(self._key, 0) + amount
-
-
-class GaugeHandle(_Handle):
-    def set(self, value: int | float) -> None:
-        with self._registry._lock:
-            self._instrument.samples[self._key] = value
-
-    def set_max(self, value: int | float) -> None:
-        """High-water-mark update (what cache peaks do)."""
-        with self._registry._lock:
-            samples = self._instrument.samples
-            if value > samples.get(self._key, float("-inf")):
-                samples[self._key] = value
-
-
-class HistogramHandle(_Handle):
-    def observe(self, value: int | float) -> None:
-        instrument = self._instrument
-        buckets = instrument.buckets
-        assert buckets is not None
-        with self._registry._lock:
-            state = instrument.samples.get(self._key)
-            if state is None:
-                state = instrument.blank()
-                instrument.samples[self._key] = state
-            counts, _overflow, _total, _n = state
-            for index, edge in enumerate(buckets):
-                if value <= edge:
-                    counts[index] += 1
-                    break
-            else:
-                state[1] += 1
-            state[2] += value
-            state[3] += 1
-
-
-_HANDLE_TYPES = {
-    "counter": CounterHandle,
-    "gauge": GaugeHandle,
-    "histogram": HistogramHandle,
-}
-
-
-class MetricsRegistry:
-    """A context-owned table of labeled instruments.
-
-    Creation is idempotent per name — re-declaring an instrument with
-    the same shape returns the existing family (so hot paths can
-    declare at use sites without import-order choreography); declaring
-    the same name with a different kind, label set, or bucket layout
-    raises :class:`MetricsError`.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._instruments: dict[str, _Instrument] = {}
-
-    # -- declaration -----------------------------------------------------------
-
-    def _declare(self, name: str, kind: str, help_text: str,
-                 labels: Iterable[str],
-                 buckets: tuple[float, ...] | None = None) -> _Instrument:
-        label_names = tuple(labels)
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = _Instrument(name, kind, help_text,
-                                         label_names, buckets)
-                self._instruments[name] = instrument
-                return instrument
-        if instrument.kind != kind or instrument.label_names != label_names:
-            raise MetricsError(
-                f"instrument {name!r} already registered as "
-                f"{instrument.kind}{instrument.label_names}, not "
-                f"{kind}{label_names}"
-            )
-        if kind == "histogram" and instrument.buckets != buckets:
-            raise MetricsError(
-                f"histogram {name!r} already registered with buckets "
-                f"{instrument.buckets}, not {buckets}"
-            )
-        return instrument
-
-    def _handle(self, instrument: _Instrument, values: Mapping[str, Any]):
-        if set(values) != set(instrument.label_names):
-            raise MetricsError(
-                f"instrument {instrument.name!r} takes labels "
-                f"{instrument.label_names}, got {tuple(sorted(values))}"
-            )
-        key = tuple(str(values[name]) for name in instrument.label_names)
-        return _HANDLE_TYPES[instrument.kind](self, instrument, key)
-
-    def counter(self, name: str, help_text: str = "",
-                labels: Iterable[str] = ()) -> "_Family":
-        return _Family(self, self._declare(name, "counter", help_text, labels))
-
-    def gauge(self, name: str, help_text: str = "",
-              labels: Iterable[str] = ()) -> "_Family":
-        return _Family(self, self._declare(name, "gauge", help_text, labels))
-
-    def histogram(self, name: str, help_text: str = "",
-                  labels: Iterable[str] = (),
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> "_Family":
-        edges = tuple(sorted(float(edge) for edge in buckets))
-        if not edges:
-            raise MetricsError(f"histogram {name!r} needs at least one bucket")
-        return _Family(
-            self, self._declare(name, "histogram", help_text, labels, edges)
-        )
-
-    # -- views and transport ---------------------------------------------------
-
-    def snapshot(self) -> dict[str, Any]:
-        """Every family and sample, as one plain (picklable) dict."""
-        out: dict[str, Any] = {}
-        with self._lock:
-            for name in sorted(self._instruments):
-                instrument = self._instruments[name]
-                samples = []
-                for key in sorted(instrument.samples):
-                    label_map = dict(zip(instrument.label_names, key))
-                    state = instrument.samples[key]
-                    if instrument.kind == "histogram":
-                        counts, overflow, total, n = state
-                        samples.append({
-                            "labels": label_map,
-                            "buckets": [
-                                [edge, count] for edge, count in
-                                zip(instrument.buckets, counts)
-                            ],
-                            "overflow": overflow,
-                            "sum": total,
-                            "count": n,
-                        })
-                    else:
-                        samples.append({"labels": label_map, "value": state})
-                out[name] = {
-                    "kind": instrument.kind,
-                    "help": instrument.help,
-                    "labels": list(instrument.label_names),
-                    "samples": samples,
-                }
-                if instrument.kind == "histogram":
-                    out[name]["buckets"] = list(instrument.buckets)
-        return out
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold another registry's snapshot into this one, losslessly.
-
-        Counters and histograms add; gauges take the max (a shipped
-        gauge is a shard's peak, and peaks combine by max, exactly like
-        ``perf.merge_cache_peaks``).
-        """
-        for name, family in snapshot.items():
-            kind = family["kind"]
-            if kind not in _KINDS:
-                raise MetricsError(f"unknown instrument kind {kind!r}")
-            buckets = (
-                tuple(family["buckets"]) if kind == "histogram" else None
-            )
-            instrument = self._declare(
-                name, kind, family.get("help", ""),
-                family.get("labels", ()), buckets,
-            )
-            with self._lock:
-                for sample in family["samples"]:
-                    key = tuple(
-                        str(sample["labels"][label])
-                        for label in instrument.label_names
-                    )
-                    if kind == "histogram":
-                        state = instrument.samples.get(key)
-                        if state is None:
-                            state = instrument.blank()
-                            instrument.samples[key] = state
-                        for index, (_edge, count) in enumerate(
-                            sample["buckets"]
-                        ):
-                            state[0][index] += count
-                        state[1] += sample["overflow"]
-                        state[2] += sample["sum"]
-                        state[3] += sample["count"]
-                    elif kind == "counter":
-                        instrument.samples[key] = (
-                            instrument.samples.get(key, 0) + sample["value"]
-                        )
-                    else:  # gauge: peaks combine by max
-                        current = instrument.samples.get(key, float("-inf"))
-                        instrument.samples[key] = max(current, sample["value"])
-
-    def reset(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._instruments)
-
-
-class _Family:
-    """A declared instrument family: label it to get a writable handle."""
-
-    __slots__ = ("_registry", "_instrument")
-
-    def __init__(self, registry: MetricsRegistry,
-                 instrument: _Instrument) -> None:
-        self._registry = registry
-        self._instrument = instrument
-
-    def labels(self, **values: Any):
-        return self._registry._handle(self._instrument, values)
-
-    # Unlabeled families write through a single implicit sample.
-
-    def inc(self, amount: int | float = 1) -> None:
-        self.labels().inc(amount)
-
-    def set(self, value: int | float) -> None:
-        self.labels().set(value)
-
-    def set_max(self, value: int | float) -> None:
-        self.labels().set_max(value)
-
-    def observe(self, value: int | float) -> None:
-        self.labels().observe(value)
-
-
-# -- module-level conveniences (the current context's registry) ---------------
-
-
-def registry() -> MetricsRegistry:
-    return _context.current().metrics
-
-
-def counter(name: str, help_text: str = "",
-            labels: Iterable[str] = ()) -> _Family:
-    return registry().counter(name, help_text, labels)
-
-
-def gauge(name: str, help_text: str = "",
-          labels: Iterable[str] = ()) -> _Family:
-    return registry().gauge(name, help_text, labels)
-
-
-def histogram(name: str, help_text: str = "", labels: Iterable[str] = (),
-              buckets: Iterable[float] = DEFAULT_BUCKETS) -> _Family:
-    return registry().histogram(name, help_text, labels, buckets)
 
 
 # -- the unified snapshot ------------------------------------------------------
@@ -360,27 +37,20 @@ def histogram(name: str, help_text: str = "", labels: Iterable[str] = (),
 def unified_snapshot(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
     """Everything the current context knows about itself, in one dict.
 
-    Sections: ``instruments`` (this registry), ``perf`` (counters,
-    cache sizes, peaks, hit rates — :func:`repro.perf.snapshot`),
-    ``spans`` (per-name percentiles), ``journal`` (ring depth and drop
-    count), and optionally ``meta`` (a caller-supplied
-    :func:`repro.obs.runmeta.run_metadata` fingerprint).  This is the
-    input contract of :func:`to_prometheus` / :func:`to_json`.
+    Sections: ``perf`` (counters, cache sizes, peaks, hit rates —
+    :func:`repro.perf.snapshot`), ``spans`` (per-name percentiles),
+    ``journal`` (ring depth and drop count), and optionally ``meta`` (a
+    caller-supplied :func:`repro.obs.runmeta.run_metadata`
+    fingerprint).  This is the input contract of :func:`to_prometheus`
+    / :func:`to_json`.
     """
     from repro import perf
     from repro.obs import spans
 
-    ctx = _context.current()
-    ring = ctx.journal
     snapshot: dict[str, Any] = {
-        "instruments": ctx.metrics.snapshot(),
         "perf": perf.snapshot(),
         "spans": spans.summary(),
-        "journal": {
-            "events": len(ring),
-            "dropped": ring.dropped,
-            "capacity": ring.capacity,
-        },
+        "journal": _context.current().journal.depth(),
     }
     if meta is not None:
         snapshot["meta"] = dict(meta)
@@ -389,15 +59,7 @@ def unified_snapshot(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
 
 # -- exporters ------------------------------------------------------------------
 
-_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_NAME_FIX = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_FIX = re.compile(r"[^a-zA-Z0-9_]")
-
-
-def _metric_name(raw: str, prefix: str = "repro_") -> str:
-    name = prefix + _NAME_FIX.sub("_", raw)
-    assert _NAME_OK.match(name)
-    return name
 
 
 def _escape(value: Any) -> str:
@@ -435,10 +97,7 @@ def _value_text(value: Any) -> str:
 def _family_lines(name: str, kind: str, help_text: str,
                   samples: list[tuple[str, Mapping[str, Any], Any]]) -> list[str]:
     """``# HELP``/``# TYPE`` plus one line per (suffix, labels, value)."""
-    lines = []
-    if help_text:
-        lines.append(f"# HELP {name} {_escape(help_text)}")
-    lines.append(f"# TYPE {name} {kind}")
+    lines = [f"# HELP {name} {_escape(help_text)}", f"# TYPE {name} {kind}"]
     for suffix, labels, value in samples:
         lines.append(
             f"{name}{suffix}{_labels_text(labels)} {_value_text(value)}"
@@ -533,32 +192,6 @@ def to_prometheus(snapshot: Mapping[str, Any]) -> str:
             "Flight-recorder ring capacity.",
             [("", {}, journal_section["capacity"])],
         )
-
-    for raw_name, family in sorted(snapshot.get("instruments", {}).items()):
-        kind = family["kind"]
-        name = _metric_name(raw_name)
-        if kind == "counter" and not name.endswith("_total"):
-            name += "_total"
-        samples = []
-        for sample in family["samples"]:
-            labels = sample["labels"]
-            if kind == "histogram":
-                cumulative = 0
-                for edge, count in sample["buckets"]:
-                    cumulative += count
-                    samples.append(
-                        ("_bucket", {**labels, "le": _value_text(edge)},
-                         cumulative)
-                    )
-                samples.append(
-                    ("_bucket", {**labels, "le": "+Inf"},
-                     cumulative + sample["overflow"])
-                )
-                samples.append(("_sum", labels, sample["sum"]))
-                samples.append(("_count", labels, sample["count"]))
-            else:
-                samples.append(("", labels, sample["value"]))
-        lines += _family_lines(name, kind, family.get("help", ""), samples)
 
     return "\n".join(lines) + "\n"
 

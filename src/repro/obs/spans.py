@@ -12,26 +12,22 @@ Design points, mirroring ``perf``:
 * **Zero dependencies** — stdlib only, importable from anywhere.
 * **Thread-safe** — buffer appends take a lock; the timing itself is
   lock-free (``time.perf_counter`` before/after).
-* **Process-safe by delta shipping** — a worker records spans locally,
-  computes ``delta_since(mark)``, and ships the plain-data delta home;
-  the parent ``merge()``s it.  Executor processes are reused across
-  shards, so deltas (not raw buffers) are the unit of transport,
-  exactly like ``perf`` counter deltas.
+* **Process-safe by shipping** — a worker records spans into its
+  ephemeral context's buffer, which travels home as plain data in
+  ``EngineContext.telemetry()``; the parent's ``absorb()`` appends it.
 * **Coarse-grained by convention** — spans wrap phases (a schema sweep,
   a good-runs stage, a fuzz iteration), not individual ``_eval`` calls;
   buffers stay small and summaries stay meaningful.  The per-formula
   story belongs to :mod:`repro.obs.trace`.
 
 ``summary()`` reduces the buffer to per-name count/total/min/max plus
-p50/p95/p99 percentiles (nearest-rank); ``histogram()`` buckets the
-durations on a log scale.  Both are derived views — the buffer of raw
-samples remains the single source of truth, which is what makes the
-parallel-sweep merge lossless.
+p50/p95/p99 percentiles (nearest-rank).  It is a derived view — the
+buffer of raw samples remains the single source of truth, which is
+what makes the parallel-sweep merge lossless.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
@@ -92,7 +88,7 @@ class SpanRecorder:
             return [dict(sample) for sample in self._buffer[mark:]]
 
     def merge(self, samples: Iterable[Mapping[str, Any]]) -> None:
-        """Fold another process's span delta into this buffer."""
+        """Append another context's span samples (copied) to this buffer."""
         with self._lock:
             for sample in samples:
                 self._buffer.append(dict(sample))
@@ -122,31 +118,6 @@ class SpanRecorder:
         """
         return summarize(self.snapshot(), group_by=group_by)
 
-    def histogram(self, name: str, base: float = 2.0) -> list[tuple[float, int]]:
-        """Log-bucketed duration counts for one span name.
-
-        Buckets are ``(upper_edge_seconds, count)`` with edges at
-        integer powers of ``base`` (micro-second floor); zero-duration
-        events land in the first bucket.
-        """
-        durations = [
-            sample["seconds"] for sample in self.snapshot()
-            if sample["name"] == name
-        ]
-        if not durations:
-            return []
-        counts: dict[int, int] = {}
-        for seconds in durations:
-            exponent = (
-                math.ceil(math.log(seconds, base)) if seconds > 1e-6 else
-                math.ceil(math.log(1e-6, base))
-            )
-            counts[exponent] = counts.get(exponent, 0) + 1
-        return [
-            (base ** exponent, counts[exponent])
-            for exponent in sorted(counts)
-        ]
-
     def render(self, group_by: str | None = None) -> str:
         """Human-readable span table (the ``perf`` CLI companion)."""
         summary = self.summary(group_by=group_by)
@@ -164,14 +135,6 @@ class SpanRecorder:
                 f"{row['p99_s']:>9.4f} {row['max_s']:>9.4f}"
             )
         return "\n".join(lines)
-
-    def write_jsonl(self, path: str) -> int:
-        """Dump the buffer as JSONL (one span per line); returns count."""
-        samples = self.snapshot()
-        with open(path, "w", encoding="utf-8") as handle:
-            for sample in samples:
-                handle.write(json.dumps(sample, sort_keys=True) + "\n")
-        return len(samples)
 
 
 def percentile(durations: list[float], q: float) -> float:
@@ -216,7 +179,7 @@ def summarize(
 
 
 #: The module-level functions below delegate to the *current engine
-#: context's* recorder, mirroring ``perf.counters``: one shared buffer
+#: context's* recorder, mirroring ``perf.count``: one shared buffer
 #: per process by default (the default context), a private buffer per
 #: session when a workload runs under :func:`repro.context.use`.
 
@@ -259,10 +222,6 @@ def delta_since(position: int) -> list[dict[str, Any]]:
     return recorder().delta_since(position)
 
 
-def merge(samples: Iterable[Mapping[str, Any]]) -> None:
-    recorder().merge(samples)
-
-
 def snapshot() -> tuple[dict[str, Any], ...]:
     return recorder().snapshot()
 
@@ -275,13 +234,6 @@ def summary(group_by: str | None = None) -> dict[str, dict[str, Any]]:
     return recorder().summary(group_by=group_by)
 
 
-def histogram(name: str, base: float = 2.0) -> list[tuple[float, int]]:
-    return recorder().histogram(name, base)
-
-
 def render(group_by: str | None = None) -> str:
     return recorder().render(group_by=group_by)
 
-
-def write_jsonl(path: str) -> int:
-    return recorder().write_jsonl(path)

@@ -13,12 +13,13 @@ The module sits near the bottom of the stack (it depends only on
 :mod:`repro.context`) and the counters are plain dict increments:
 cheap enough to leave on permanently.
 
-Counter *storage* lives on the current :class:`repro.context.EngineContext`
-— two workloads under separate contexts keep disjoint tables — while
-this module stays the one API every layer talks to.  ``perf.counters``
-is a live view of the current context's table, so existing reads
-(``perf.counters.get(...)``) and test fixtures (``.update``, ``.clear``)
-keep working unchanged.
+Counter *storage* is the flat ``"layer.event" -> int`` dict
+:attr:`repro.context.EngineContext.counters` of the current context —
+the library's one counter model; two workloads under separate contexts
+keep disjoint tables — while this module stays the one API every layer
+writes through.  Read a table directly (``context.current().counters``)
+and move it between contexts with ``EngineContext.telemetry()`` /
+``absorb()``.
 
 Usage::
 
@@ -36,48 +37,10 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import MutableMapping
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro import context as _context
 
-
-class _CountersView(MutableMapping):
-    """A live, mutable view of the *current* context's counter table.
-
-    ``"layer.event" -> count``; layers use ``hit``/``miss`` suffixes so
-    :func:`hit_rates` can pair them up.  Every operation resolves
-    :func:`repro.context.current` at call time, so the same
-    ``perf.counters`` name always denotes the table of whichever
-    context is active.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, event: str) -> int:
-        return _context.current().counters[event]
-
-    def __setitem__(self, event: str, n: int) -> None:
-        _context.current().counters[event] = n
-
-    def __delitem__(self, event: str) -> None:
-        del _context.current().counters[event]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_context.current().counters)
-
-    def __len__(self) -> int:
-        return len(_context.current().counters)
-
-    def __contains__(self, event: object) -> bool:
-        return event in _context.current().counters
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(_context.current().counters)
-
-
-#: The current context's flat counter table (a live view).
-counters: MutableMapping = _CountersView()
 
 #: Registered cache-clearing callbacks, keyed by cache name.  The
 #: registry itself is process-global — a layer registers once at import
@@ -99,18 +62,6 @@ def reset_counters() -> None:
     """Zero every counter (of the current context) without touching the
     caches themselves."""
     _context.current().counters.clear()
-
-
-def merge_counters(extra: Mapping[str, int]) -> None:
-    """Add another process's counter deltas into this process's table.
-
-    The parallel soundness sweep ships each worker shard's counter delta
-    back to the parent (see :mod:`repro.soundness.sweep`); merging here
-    keeps ``report()``/``snapshot()`` complete for parallel workloads.
-    """
-    table = _context.current().counters
-    for event, n in extra.items():
-        table[event] = table.get(event, 0) + n
 
 
 def register_cache(
@@ -147,23 +98,9 @@ def observe_cache_peaks() -> dict[str, int]:
     system); :func:`snapshot` reports the marks alongside the live
     sizes.
     """
-    peaks = _context.current().cache_peaks
-    for name, size in cache_sizes().items():
-        if size > peaks.get(name, 0):
-            peaks[name] = size
-    return dict(peaks)
-
-
-def merge_cache_peaks(extra: Mapping[str, int]) -> None:
-    """Max another context's cache high-water marks into this one's.
-
-    The parallel sweep ships each worker shard's peaks home: the shard's
-    evaluators die with the shard, so only the recorded marks survive.
-    """
-    peaks = _context.current().cache_peaks
-    for name, size in extra.items():
-        if size > peaks.get(name, 0):
-            peaks[name] = size
+    ctx = _context.current()
+    ctx.absorb({"cache_peaks": cache_sizes()})
+    return dict(ctx.cache_peaks)
 
 
 def snapshot() -> dict[str, Any]:

@@ -32,7 +32,7 @@ plus capability flags so callers can keep their fast paths honest:
   stage compiled path (still correct, just not incremental).
 
 The registry is **context-owned** (``EngineContext.backends``, built
-lazily like ``ctx.metrics``): no module-level mutable registry, per the
+lazily like ``ctx.journal``): no module-level mutable registry, per the
 ``tools/lint_globals.py`` discipline.  Duplicate registration is a
 conflict (:class:`~repro.errors.EngineError`) unless ``replace=True``
 is passed explicitly — which is also the sanctioned hook for tests that

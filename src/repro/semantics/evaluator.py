@@ -124,7 +124,7 @@ class Evaluator:
     def cache_stats(self) -> dict[str, int]:
         """Sizes of this evaluator's internal memo tables.
 
-        Hit/miss counts live in :data:`repro.perf.counters` under
+        Hit/miss counts live in the context's counter table under
         ``eval_memo.hit``/``eval_memo.miss`` — the one canonical
         accounting, shared with every other memoization layer (the
         evaluator registers its memos with ``perf`` like the rest; see

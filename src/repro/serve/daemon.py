@@ -26,7 +26,7 @@ telemetry slice.  The concurrency story, end to end:
 * **Graceful shutdown** — ``POST /shutdown`` (or SIGINT) stops
   accepting, drains queued work within a grace period, fails the
   remainder with 503, and merges every surviving batch context's
-  telemetry into the daemon root via ``absorb_context`` so nothing
+  ``telemetry()`` into the daemon root via ``absorb()`` so nothing
   observable is lost.
 
 Endpoints: ``POST /analyze``, ``GET /healthz``, ``GET /stats``,
@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro import context
+from repro import context, perf
 from repro.obs import journal as journal_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import spans as spans_mod
@@ -291,6 +291,11 @@ class AnalysisDaemon:
         )
         self._shutdown_event.set()
 
+    def _count(self, event: str, n: int = 1) -> None:
+        """Add ``n`` to one of the daemon root's counters."""
+        counters = self.root.counters
+        counters[event] = counters.get(event, 0) + n
+
     def _fail(self, job: _Job, status: int, message: str) -> None:
         if not job.future.done():
             job.future.set_result((status, {
@@ -310,12 +315,9 @@ class AnalysisDaemon:
                 f"serve-batch-{self._batch_serial}",
                 corr_id=batch[0].corr_id,
             )
-            self.root.counters["serve.batches"] = (
-                self.root.counters.get("serve.batches", 0) + 1)
+            self._count("serve.batches")
             if len(batch) > 1:
-                self.root.counters["serve.batched_requests"] = (
-                    self.root.counters.get("serve.batched_requests", 0)
-                    + len(batch))
+                self._count("serve.batched_requests", len(batch))
             for position, job in enumerate(batch):
                 if job.future.done():
                     continue
@@ -328,13 +330,11 @@ class AnalysisDaemon:
                 except asyncio.TimeoutError:
                     self._fail(job, 408, "analysis exceeded "
                                f"{self.config.request_timeout_s}s")
-                    self.root.counters["serve.timeouts"] = (
-                        self.root.counters.get("serve.timeouts", 0) + 1)
+                    self._count("serve.timeouts")
                     # The abandoned thread may still be writing into
                     # batch_ctx: forfeit its telemetry instead of merging
                     # a context that is not quiescent.
-                    self.root.counters["serve.context_abandoned"] = (
-                        self.root.counters.get("serve.context_abandoned", 0) + 1)
+                    self._count("serve.context_abandoned")
                     remaining = batch[position + 1:]
                     if remaining:
                         batch_ctx = context.fresh(
@@ -347,7 +347,7 @@ class AnalysisDaemon:
                 if not job.future.done():
                     job.future.set_result((status, payload))
             if batch_ctx is not None:
-                self.root.absorb_context(batch_ctx)
+                self.root.absorb(batch_ctx.telemetry())
 
     def _run_one(self, batch_ctx: context.EngineContext,
                  job: _Job) -> tuple[int, dict[str, Any]]:
@@ -391,7 +391,6 @@ class AnalysisDaemon:
             if count != counters_before.get(event, 0)
         }
         own_spans = batch_ctx.spans.delta_since(span_mark)
-        snapshot = metrics_mod.unified_snapshot(meta={"corr_id": job.corr_id})
         return {
             "corr_id": job.corr_id,
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
@@ -401,8 +400,8 @@ class AnalysisDaemon:
             "journal_tail": batch_ctx.journal.delta_since(
                 journal_mark)[-TELEMETRY_JOURNAL_TAIL:],
             "snapshot": {
-                "perf": snapshot["perf"],
-                "journal": snapshot["journal"],
+                "perf": perf.snapshot(),
+                "journal": batch_ctx.journal.depth(),
             },
         }
 
@@ -485,8 +484,7 @@ class AnalysisDaemon:
         except http.HttpError as exc:
             return exc.status, {"error": exc.message}
         except req_mod.RequestError as exc:
-            self.root.counters["serve.bad_requests"] = (
-                self.root.counters.get("serve.bad_requests", 0) + 1)
+            self._count("serve.bad_requests")
             return 400, {"error": str(exc)}
         # Satellite 3: every request gets a *fresh* correlation ID here —
         # sibling requests must never share one (fresh() would inherit).
@@ -499,19 +497,15 @@ class AnalysisDaemon:
         try:
             await self._queue.put(job)
         except QueueFull:
-            self.root.counters["serve.rejected"] = (
-                self.root.counters.get("serve.rejected", 0) + 1)
+            self._count("serve.rejected")
             return 429, {"error": "queue full; retry later",
                          "queued": len(self._queue),
                          "corr_id": corr_id}
         except QueueClosed:
             return 503, {"error": "daemon is draining; not accepting work"}
-        self.root.counters["serve.accepted"] = (
-            self.root.counters.get("serve.accepted", 0) + 1)
+        self._count("serve.accepted")
         if parsed.kind == "system":
-            backend_counter = f"serve.backend.{parsed.backend}"
-            self.root.counters[backend_counter] = (
-                self.root.counters.get(backend_counter, 0) + 1)
+            self._count(f"serve.backend.{parsed.backend}")
         self.root.journal.record(
             "serve_accept", corr=corr_id, request_kind=parsed.kind,
             queued=len(self._queue),

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from repro import context, perf
 from repro.logic.axioms import AXIOMS, InstancePool, Schema
-from repro.obs import journal, metrics, spans
+from repro.obs import journal, spans
 from repro.logic.rules import transparent
 from repro.model.actions import Send
 from repro.model.system import System
@@ -307,17 +307,6 @@ def _sweep_in_process(
     pool = pool_from_system(system)
     report = SweepReport()
     points = tuple(system.points())
-    # Labeled instruments (context-owned, so shard registries merge
-    # home losslessly); incremented once per schema, off the hot loop.
-    registry = metrics.registry()
-    instances_metric = registry.counter(
-        "sweep_instances", "Schema instances checked by the sweep.",
-        labels=("schema", "engine"),
-    )
-    violations_metric = registry.counter(
-        "sweep_violations", "Axiom violations found by the sweep.",
-        labels=("schema", "engine"),
-    )
     for schema in schemas:
         schema_report = report.schema_report(schema.name)
         instances = itertools.islice(
@@ -363,13 +352,6 @@ def _sweep_in_process(
                         )
             attrs["instances"] = schema_report.instances
             attrs["points"] = schema_report.points_checked
-        instances_metric.labels(schema=schema.name, engine=engine).inc(
-            schema_report.instances
-        )
-        if schema_report.violations:
-            violations_metric.labels(schema=schema.name, engine=engine).inc(
-                len(schema_report.violations)
-            )
     perf.observe_cache_peaks()
     return report
 
@@ -486,27 +468,23 @@ def _sweep_shard(
     engine: str = DEFAULT_ENGINE,
     backend: str = DEFAULT_BACKEND,
     corr_id: str | None = None,
-) -> tuple[SweepReport, dict[str, int], list[dict], dict[str, int],
-           list[dict], dict]:
+) -> tuple[SweepReport, dict]:
     """Worker entry point: one system, one contiguous slice of schemas.
 
     The shard runs under an **ephemeral engine context**: its caches,
-    counters, spans, journal, and metrics are born empty and die with
-    the shard, so executor-process reuse cannot bleed one shard's state
-    into the next, and the shard's whole telemetry *is* the delta to
-    ship home — no mark/``delta_since`` bookkeeping against a shared
-    global table.  The parent's correlation ID rides along, so every
-    journal event and span the shard records stays attributable to the
-    request that spawned the pool.
+    counters, spans, and journal are born empty and die with the shard,
+    so executor-process reuse cannot bleed one shard's state into the
+    next, and the shard's whole telemetry *is* the delta to ship home —
+    no mark/``delta_since`` bookkeeping against a shared global table.
+    The parent's correlation ID rides along, so every journal event and
+    span the shard records stays attributable to the request that
+    spawned the pool.
 
-    Returns the shard report, the perf-counter delta, the span delta,
-    the shard's cache high-water marks, the journal delta, and the
-    metrics snapshot, so the parent can merge worker cache statistics,
-    wall-clock spans, peak memo footprints, flight-recorder events, and
-    labeled instruments into its own context (``BENCH_sweep.json``
-    would otherwise under-report hits/misses, lose per-schema timings,
-    and show ``eval_memo: 0`` for parallel runs whose evaluators die
-    with their shard).
+    Returns the shard report and the shard context's
+    :meth:`~repro.context.EngineContext.telemetry`, which the parent
+    absorbs: without it ``BENCH_sweep.json`` would under-report
+    hits/misses, lose per-schema timings, and show ``eval_memo: 0`` for
+    parallel runs whose evaluators die with their shard.
     """
     shard_ctx = context.fresh(f"sweep-shard:{schema_names[0]}",
                               corr_id=corr_id)
@@ -516,9 +494,7 @@ def _sweep_shard(
             system, schemas, goodruns, max_instances_per_schema,
             pattern_hide, max_violations_per_schema, engine, backend,
         )
-    return (report, shard_ctx.counter_delta(), shard_ctx.span_delta(),
-            dict(shard_ctx.cache_peaks), shard_ctx.journal_delta(),
-            shard_ctx.metrics_delta())
+    return report, shard_ctx.telemetry()
 
 
 def _sweep_parallel(
@@ -589,22 +565,18 @@ def _sweep_parallel(
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
     total = SweepReport()
+    parent = context.current()
     # Merge in submission order: (system, schema-slice) order matches
     # the sequential sweep, so totals, violation lists, and renders are
     # identical to workers=1.
-    for index, shard_result in enumerate(results):
-        (report, counter_delta, span_delta, peaks,
-         journal_delta, metrics_delta) = shard_result
+    for index, (report, telemetry) in enumerate(results):
         total.merge(report)
-        perf.merge_counters(counter_delta)
-        spans.merge(span_delta)
-        perf.merge_cache_peaks(peaks)
-        journal.merge(journal_delta)
-        metrics.registry().merge(metrics_delta)
+        parent.absorb(telemetry)
         journal.record(
             "shard_merge", shard=index,
             schemas=",".join(shards[index][1]),
-            events=len(journal_delta),
-            counters=len(counter_delta), spans=len(span_delta),
+            events=len(telemetry["journal"]),
+            counters=len(telemetry["counters"]),
+            spans=len(telemetry["spans"]),
         )
     return total

@@ -20,14 +20,13 @@ import bench_gate  # noqa: E402
 
 def make_bench(cold=0.10, sha="aaa111", **parameter_overrides):
     parameters = {"systems": 3, "instances": 60, "seed": 0,
-                  "workers": 1, "engine": "both"}
+                  "workers": 1, "engine": "both", "backend": "belief"}
     parameters.update(parameter_overrides)
     return {
         "meta": {"git_sha": sha, "timestamp": "2026-08-08T00:00:00+00:00"},
         "parameters": parameters,
         "measurements": {
             "sweep_cold_compiled_s": cold,
-            "sweep_cold_s": cold,
             "sweep_warm_compiled_s": cold / 4,
             "total_instances": 2307,
         },
@@ -166,6 +165,36 @@ class TestComparability:
             "--bench", str(bigger), "--history", str(history_path)
         ])
         assert code == 0
+
+    def test_epistemic_record_never_gates_against_belief_history(
+            self, tmp_path):
+        code, history_path = run_gate(tmp_path, make_bench(cold=0.10))
+        assert code == 0
+        epistemic = write_bench(
+            tmp_path, "epistemic.json",
+            make_bench(cold=10.0, backend="epistemic"),
+        )
+        code = bench_gate.main([
+            "--bench", str(epistemic), "--history", str(history_path)
+        ])
+        assert code == 0
+
+    def test_pre_backend_history_entry_gates_belief_records(self, tmp_path):
+        # History written before ``backend`` was a comparability key
+        # carries no backend; those runs were all belief runs.
+        history_path = tmp_path / "history.jsonl"
+        old = bench_gate.history_entry(make_bench(cold=0.10), "local")
+        del old["parameters"]["backend"]
+        bench_gate.append_history(history_path, old)
+        assert bench_gate.read_history(history_path)[0]["parameters"][
+            "backend"] == "belief"
+        regressed = write_bench(
+            tmp_path, "regressed.json", make_bench(cold=0.15)
+        )
+        code = bench_gate.main([
+            "--bench", str(regressed), "--history", str(history_path)
+        ])
+        assert code == 1
 
     def test_committed_seed_history_passes_for_real_record(self):
         """The repo's own BENCH_history.jsonl must gate BENCH_sweep.json

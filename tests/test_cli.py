@@ -139,8 +139,7 @@ class TestCLI:
             "--journal", str(journal_path),
         ]) == 0
         snapshot = json.loads(snap_path.read_text())
-        assert {"instruments", "perf", "spans", "journal",
-                "meta"} <= set(snapshot)
+        assert {"perf", "spans", "journal", "meta"} <= set(snapshot)
         events = [
             json.loads(line)
             for line in journal_path.read_text().splitlines()

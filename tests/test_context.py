@@ -86,10 +86,10 @@ class TestStateRouting:
         with context.scoped() as ctx:
             with spans.span("routing.span"):
                 pass
-            assert [s["name"] for s in ctx.span_delta()] == ["routing.span"]
+            assert [s["name"] for s in ctx.spans.snapshot()] == ["routing.span"]
         assert not any(
             s["name"] == "routing.span"
-            for s in context.DEFAULT.span_delta()
+            for s in context.DEFAULT.spans.snapshot()
         )
 
     def test_pickle_reinterns_into_the_receiving_context(self):
@@ -115,11 +115,16 @@ class TestStateRouting:
         with context.use(child):
             perf.count("shared.hit", 2)
             perf.count("only.miss", 5)
-            Key("CTXK2")
-        parent.absorb_context(child)
+            key = Key("CTXK2")
+        parent.absorb(child.telemetry())
         assert parent.counters["shared.hit"] == 3
         assert parent.counters["only.miss"] == 5
         assert len(parent.intern_table) == 0
+        # Cache high-water marks travel too, and combine by max.
+        assert key in child.intern_table.values()
+        assert parent.cache_peaks["intern"] == len(child.intern_table) > 0
+        parent.absorb({"cache_peaks": {"intern": 0}})
+        assert parent.cache_peaks["intern"] == len(child.intern_table)
 
 
 class TestBoundedMemo:
@@ -178,7 +183,7 @@ class TestSweepIsolation:
         from repro.logic.axioms import AXIOMS
 
         for ctx in (ctx_a, ctx_b):
-            names = [s["name"] for s in ctx.span_delta()]
+            names = [s["name"] for s in ctx.spans.snapshot()]
             assert names.count("sweep.schema") == len(AXIOMS)
         keys_a = set(ctx_a.intern_table.keys())
         values_a = {id(v) for v in ctx_a.intern_table.values()}
@@ -226,14 +231,16 @@ class TestDefaultCompatibility:
         value = evaluator.evaluate(formula, run, max(run.times))
         assert isinstance(value, bool)
 
-    def test_perf_module_counters_view_is_live(self):
-        before = perf.counters.get("view.hit", 0)
+    def test_perf_count_writes_the_current_table(self):
+        table = context.DEFAULT.counters
+        before = table.get("view.hit", 0)
         perf.count("view.hit")
-        assert perf.counters["view.hit"] == before + 1
-        with context.scoped():
-            assert perf.counters.get("view.hit", 0) == 0
-        assert perf.counters["view.hit"] == before + 1
-        del perf.counters["view.hit"]
+        assert table["view.hit"] == before + 1
+        with context.scoped() as ctx:
+            perf.count("view.hit")
+            assert ctx.counters == {"view.hit": 1}
+        assert table["view.hit"] == before + 1
+        del table["view.hit"]
 
 
 class TestAsyncSiblingIsolation:
@@ -279,8 +286,8 @@ class TestAsyncSiblingIsolation:
                     "corr_id": ctx.corr_id,
                     "verdicts": verdicts,
                     "counters": dict(ctx.counters),
-                    "journal": ctx.journal_delta(),
-                    "spans": ctx.span_delta(),
+                    "journal": ctx.journal.snapshot(),
+                    "spans": ctx.spans.snapshot(),
                 }
 
         async def main(results):

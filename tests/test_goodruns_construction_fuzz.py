@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import perf
+from repro import context
 from repro.fuzz import (
     check_goodruns_construction,
     deep_assumptions,
@@ -150,9 +150,10 @@ class TestEarlyExit:
         assumptions = InitialAssumptions.of(
             {p1: [Believes(p1, Believes(p3, Believes(p1, example.tails)))]}
         )
-        before = perf.counters["goodruns.stage_skipped"]
+        counters = context.current().counters
+        before = counters.get("goodruns.stage_skipped", 0)
         worklist = construct_good_runs(example.system, assumptions)
-        skipped = perf.counters["goodruns.stage_skipped"] - before
+        skipped = counters["goodruns.stage_skipped"] - before
         assert skipped == 2  # depths 1 and 2 are gaps
         assert worklist.stages[1] == worklist.stages[0]
         assert worklist.stages[2] == worklist.stages[0]
@@ -176,9 +177,10 @@ class TestEarlyExit:
                 p3: [Believes(p3, absurd)],
             }
         )
-        before = perf.counters["goodruns.stage_skipped"]
+        counters = context.current().counters
+        before = counters.get("goodruns.stage_skipped", 0)
         worklist = construct_good_runs(example.system, assumptions)
-        skipped = perf.counters["goodruns.stage_skipped"] - before
+        skipped = counters["goodruns.stage_skipped"] - before
         assert skipped == 1  # the post-bottom depth-2 stage
         empty = GoodRunVector.of({p1: [], p2: [], p3: []})
         assert worklist.vector == empty

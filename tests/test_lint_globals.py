@@ -45,9 +45,9 @@ class TestRepoIsClean:
         assert not removed & lint_globals.ALLOWLIST
 
     def test_telemetry_modules_have_no_module_level_instances(self):
-        # ``ctx.metrics`` / ``ctx.journal`` are the only owners; the
-        # modules themselves must hold nothing but classes, constants,
-        # and context-delegating functions.
+        # ``ctx.journal`` and the context's counter table are the only
+        # owners; the modules themselves must hold nothing but classes,
+        # constants, and context-delegating functions.
         src = REPO_ROOT / "src"
         for rel in ("repro/obs/metrics.py", "repro/obs/journal.py"):
             violations, _used = lint_globals.check(src_root=src)

@@ -182,18 +182,17 @@ class TestContextTransport:
             shard = context.fresh("shard")
             with context.use(shard):
                 jr.record("cache_evict", layer="hide")
-            home.absorb(journal=shard.journal_delta(),
-                        metrics=shard.metrics_delta())
+            home.absorb({"journal": shard.telemetry()["journal"]})
             (event,) = jr.snapshot()
             assert event["kind"] == "cache_evict"
             assert event["corr"] == "req-ship"
 
-    def test_absorb_context_ships_journal(self):
+    def test_absorb_telemetry_ships_journal(self):
         with context.scoped("home") as home:
             shard = context.fresh("shard")
             with context.use(shard):
                 jr.record("stage_skip", depth=2)
-            home.absorb_context(shard)
+            home.absorb(shard.telemetry())
             assert [e["kind"] for e in jr.snapshot()] == ["stage_skip"]
 
 

@@ -8,7 +8,6 @@ same per-schema spans at ``workers=4`` as at ``workers=1``.
 
 from __future__ import annotations
 
-import json
 import threading
 
 import pytest
@@ -128,30 +127,12 @@ class TestViews:
         assert summary["a"]["total_s"] == 0.4
         assert summary["b"]["p50_s"] == 1.0
 
-    def test_histogram_buckets_log_scale(self):
-        recorder = SpanRecorder()
-        for seconds in (0.001, 0.002, 0.5, 0.0):
-            recorder.record("h", seconds)
-        buckets = recorder.histogram("h")
-        assert sum(count for _edge, count in buckets) == 4
-        edges = [edge for edge, _count in buckets]
-        assert edges == sorted(edges)
-        assert recorder.histogram("missing") == []
-
     def test_render_mentions_every_name(self):
         recorder = SpanRecorder()
         recorder.record("alpha", 0.1)
         recorder.record("beta", 0.2)
         table = recorder.render()
         assert "alpha" in table and "beta" in table and "p95_s" in table
-
-    def test_write_jsonl(self, tmp_path):
-        recorder = SpanRecorder()
-        recorder.record("io", 0.1, path="x")
-        out = tmp_path / "spans.jsonl"
-        assert recorder.write_jsonl(str(out)) == 1
-        lines = out.read_text().splitlines()
-        assert json.loads(lines[0])["name"] == "io"
 
 
 class TestSweepSpans:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import perf
+from repro import context, perf
 from repro.soundness import GeneratorConfig, generate_system, sweep_system
 from repro.soundness.sweep import _schema_names, _slice_names, _sweep_shard
 from repro.logic.axioms import AXIOMS
@@ -21,11 +21,11 @@ from repro.logic.axioms import AXIOMS
 
 @pytest.fixture(autouse=True)
 def _clean_counters():
-    saved = dict(perf.counters)
+    saved = dict(context.current().counters)
     perf.reset_counters()
     yield
     perf.reset_counters()
-    perf.counters.update(saved)
+    context.current().counters.update(saved)
 
 
 class TestHitRates:
@@ -57,9 +57,10 @@ class TestHitRates:
 class TestMergeCounters:
     def test_merge_adds_and_creates(self):
         perf.count("layer.hit", 2)
-        perf.merge_counters({"layer.hit": 3, "other.miss": 1})
-        assert perf.counters["layer.hit"] == 5
-        assert perf.counters["other.miss"] == 1
+        ctx = context.current()
+        ctx.absorb({"counters": {"layer.hit": 3, "other.miss": 1}})
+        assert ctx.counters["layer.hit"] == 5
+        assert ctx.counters["other.miss"] == 1
 
 
 class TestParallelSweepCounters:
@@ -86,20 +87,21 @@ class TestParallelSweepCounters:
 
         # Expected: the same shards executed in-process, sequentially.
         # Each shard runs in its own ephemeral context and *returns*
-        # its counter delta (no side effect on the caller's table), so
-        # the expected totals are the merged deltas.
+        # its telemetry (no side effect on the caller's table), so the
+        # expected totals are the absorbed shard counters.
+        ctx = context.current()
         perf.reset_counters()
         for shard_system, group in shards:
-            _report, delta, _spans, _peaks, _journal, _metrics = (
-                _sweep_shard(shard_system, group, None, 12, False, 25)
+            _report, telemetry = _sweep_shard(
+                shard_system, group, None, 12, False, 25
             )
-            perf.merge_counters(delta)
-        expected = self._eval_memo_events(perf.counters)
+            ctx.absorb({"counters": telemetry["counters"]})
+        expected = self._eval_memo_events(ctx.counters)
 
         perf.reset_counters()
         sweep_system(system, max_instances_per_schema=12, workers=2)
-        assert perf.counters.get("sweep.parallel_shards") == len(shards)
-        merged = self._eval_memo_events(perf.counters)
+        assert ctx.counters.get("sweep.parallel_shards") == len(shards)
+        merged = self._eval_memo_events(ctx.counters)
 
         # Identical totals for the same workload: nothing from the
         # workers is lost, nothing double-counted on process reuse.
@@ -110,9 +112,10 @@ class TestParallelSweepCounters:
         system = generate_system(GeneratorConfig(seed=11))
         (shard_system, group) = self._shards(system, 1)[0]
         perf.count("preexisting.hit", 99)
-        _report, delta, span_delta, _peaks, _journal, _metrics = (
-            _sweep_shard(shard_system, group, None, 5, False, 25)
+        _report, telemetry = _sweep_shard(
+            shard_system, group, None, 5, False, 25
         )
+        delta, span_delta = telemetry["counters"], telemetry["spans"]
         assert "preexisting.hit" not in delta
         assert any(event.startswith("compiled_eval.") for event in delta)
         # The span delta is likewise shard-local: one sweep.schema span

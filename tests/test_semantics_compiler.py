@@ -363,9 +363,7 @@ class TestCompiledCacheKeying:
                 gc.collect()
 
     def test_serial_collision_verifies_identity_on_hit(self):
-        from repro import perf
-
-        with _context.scoped("serial-collision"):
+        with _context.scoped("serial-collision") as ctx:
             a = generate_system(
                 GeneratorConfig(seed=33, runs=2, steps_per_run=6)
             )
@@ -376,12 +374,12 @@ class TestCompiledCacheKeying:
             # Simulate the cross-process channel: an unpickled system
             # arriving with a serial some local system already holds.
             object.__setattr__(b, "serial", a.serial)
-            before = perf.counters.get("compiled_eval.serial_collision", 0)
+            before = ctx.counters.get("compiled_eval.serial_collision", 0)
             compiled_b = compiled_for(b, None)
             assert compiled_b is not compiled_a
             assert compiled_b.system is b
             assert (
-                perf.counters["compiled_eval.serial_collision"] == before + 1
+                ctx.counters["compiled_eval.serial_collision"] == before + 1
             )
             # The colliding slot now belongs to the live object.
             assert compiled_for(b, None) is compiled_b

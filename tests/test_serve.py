@@ -22,7 +22,7 @@ import asyncio
 import pytest
 
 from repro.serve import AnalysisDaemon, ServeConfig
-from repro.serve import client
+from repro.serve import client, http
 
 SMALL_SYSTEM = {
     "kind": "system",
@@ -239,9 +239,16 @@ class TestGracefulShutdown:
                     expected[event] = expected.get(event, 0) + count
         assert absorbed == expected
         assert sum(absorbed.values()) > 0
+        # The batch contexts' cache high-water marks came home too, and
+        # the root's Prometheus export reports them.
+        assert daemon.root.cache_peaks["compiled_eval"] > 0
+        status, text = asyncio.run(
+            daemon._dispatch(http.Request("GET", "/metrics")))
+        assert status == 200
+        assert 'repro_cache_peak_entries{cache="compiled_eval"}' in text
 
         # And the journal kept the story, under per-request corr IDs.
-        events = daemon.root.journal_delta()
+        events = daemon.root.journal.snapshot()
         kinds = [event["kind"] for event in events]
         assert "serve_start" in kinds
         assert "serve_stop" in kinds

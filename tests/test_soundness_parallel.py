@@ -212,13 +212,13 @@ class TestCrashSurfacing:
 
         # All-or-nothing merge: the healthy A1 shard's telemetry must
         # NOT have been folded in before the crash surfaced.
-        merged = ctx.journal_delta()
+        merged = ctx.journal.snapshot()
         assert not any(e["kind"] == "shard_merge" for e in merged)
         assert not any(
             event.startswith("compiled_eval.") for event in ctx.counters
         )
         assert not any(
-            s["name"] == "sweep.schema" for s in ctx.span_delta()
+            s["name"] == "sweep.schema" for s in ctx.spans.snapshot()
         )
 
     def test_healthy_parent_enumerator_is_harmless(self):

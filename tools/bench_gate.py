@@ -8,11 +8,12 @@ against the best *comparable* prior entry.  Exit status 1 on any
 regression beyond the noise threshold; 0 otherwise.
 
 Comparability is strict on purpose: an entry is a baseline candidate
-only if its sweep *parameters* (systems/instances/seed/workers/engine)
-and its *environment* label match the current record's.  CI runners set
-``--environment github-actions``; local runs default to ``local``.
-Without this split the committed history of a fast dev machine would
-permanently fail the gate on slower shared runners (and vice versa).
+only if its sweep *parameters* (systems/instances/seed/workers/engine/
+backend) and its *environment* label match the current record's.  CI
+runners set ``--environment github-actions``; local runs default to
+``local``.  Without this split the committed history of a fast dev
+machine would permanently fail the gate on slower shared runners (and
+vice versa).
 
 The baseline is the **minimum** over comparable prior entries within
 ``--window`` (best-known performance, so slow-then-slow does not ratchet
@@ -33,14 +34,13 @@ import json
 import sys
 from pathlib import Path
 
-#: Headline measurements gated by default.  ``sweep_cold_compiled_s``
-#: is the adopted-engine cold E3 sweep (the tentpole measurement);
-#: ``sweep_cold_s`` is its legacy alias kept for old-history
-#: comparability.
-DEFAULT_KEYS = ("sweep_cold_compiled_s", "sweep_cold_s")
+#: Headline measurements gated by default: the adopted-engine cold E3
+#: sweep.
+DEFAULT_KEYS = ("sweep_cold_compiled_s",)
 
 #: Parameters that must match for two entries to be comparable.
-PARAMETER_KEYS = ("systems", "instances", "seed", "workers", "engine")
+PARAMETER_KEYS = ("systems", "instances", "seed", "workers", "engine",
+                  "backend")
 
 
 def load_bench(path: Path) -> dict:
@@ -76,7 +76,10 @@ def read_history(path: Path) -> list[dict]:
         for line in handle:
             line = line.strip()
             if line:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
+                # Entries from before the backend knob are belief runs.
+                entry["parameters"].setdefault("backend", "belief")
+                entries.append(entry)
     return entries
 
 
