@@ -75,27 +75,7 @@ import argparse
 import sys
 
 from repro.analysis import analyze, compare_corpus
-from repro.protocols import (
-    andrew_rpc,
-    forwarding,
-    kerberos,
-    needham_schroeder,
-    otway_rees,
-    wide_mouth_frog,
-    x509,
-    yahalom,
-)
-
-_PROTOCOLS = {
-    "kerberos": kerberos,
-    "needham-schroeder": needham_schroeder,
-    "otway-rees": otway_rees,
-    "yahalom": yahalom,
-    "wide-mouth-frog": wide_mouth_frog,
-    "andrew-rpc": andrew_rpc,
-    "courier": forwarding,
-    "ccitt-x509": x509,
-}
+from repro.protocols import PROTOCOLS
 
 
 def _cmd_corpus(_args: argparse.Namespace) -> int:
@@ -105,10 +85,10 @@ def _cmd_corpus(_args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    module = _PROTOCOLS.get(args.name)
+    module = PROTOCOLS.get(args.name)
     if module is None:
         print(f"unknown protocol {args.name!r}; choose from: "
-              f"{', '.join(sorted(_PROTOCOLS))}", file=sys.stderr)
+              f"{', '.join(sorted(PROTOCOLS))}", file=sys.stderr)
         return 2
     protocol = (
         module.ban_protocol() if args.logic == "ban" else module.at_protocol()
@@ -527,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("corpus", help="render the E10 findings table")
 
     analyze_parser = sub.add_parser("analyze", help="analyze one protocol")
-    analyze_parser.add_argument("name", choices=sorted(_PROTOCOLS))
+    analyze_parser.add_argument("name", choices=sorted(PROTOCOLS))
     analyze_parser.add_argument("--logic", choices=["ban", "at"],
                                 default="at")
     analyze_parser.add_argument("--explain", metavar="GOAL", default=None)
@@ -547,8 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_parser.add_argument(
         "--backend", default="belief",
-        help="semantics backend from the context registry "
-             "(belief, epistemic; default: belief)",
+        help="semantics backend (belief, epistemic; default: belief)",
     )
     _add_isolated(sweep_parser)
 

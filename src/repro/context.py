@@ -28,9 +28,11 @@ operational:
   share no counters, spans, or cache entries (``--isolated`` on the
   CLI; per-shard contexts in the parallel sweep).
 * **Memory bounds** — an ephemeral context is dropped wholesale when
-  its workload ends, and the context-owned memos carry an entry cap
-  with wholesale-clear eviction (``<layer>.evict`` counters), so a
-  long-lived serving process cannot accumulate unbounded state.
+  its workload ends, the context-owned memos carry an entry cap with
+  wholesale-clear eviction (``<layer>.evict`` counters), and the span
+  buffer and the journal are rings that drop (and count) their oldest
+  entries, so a long-lived serving process — whose root context absorbs
+  every request's telemetry — cannot accumulate unbounded state.
 * **Honest telemetry** — a worker shard runs in a fresh context and
   ships the *whole* context's :meth:`EngineContext.telemetry` home for
   the parent to :meth:`EngineContext.absorb`; no mark/delta
@@ -46,6 +48,9 @@ The structural-op memos of :mod:`repro.terms.ops` (``_submsgs``,
 themselves and are context-independent structural facts; they are owned
 transitively — they die with the context whose intern table kept their
 node alive.
+
+Semantics backends are not session state: the two built-ins are a
+fixed pair resolved by :func:`repro.semantics.backend.get_backend`.
 
 The module sits at the very bottom of the import stack (stdlib only;
 the span recorder class is imported lazily) so every layer can depend
@@ -151,7 +156,6 @@ class EngineContext:
         "cache_peaks",
         "_spans",
         "_journal",
-        "_backends",
         "__weakref__",
     )
 
@@ -178,7 +182,6 @@ class EngineContext:
         self.cache_peaks: dict[str, int] = {}
         self._spans = None
         self._journal = None
-        self._backends = None
 
     # -- lazily-built members --------------------------------------------------
 
@@ -214,25 +217,6 @@ class EngineContext:
             ring = Journal()
             self._journal = ring
         return ring
-
-    @property
-    def backends(self):
-        """The context's semantics-backend registry (built on first use).
-
-        Context-owned for the same reason as every other registry: two
-        workloads in one process must be able to register experimental
-        backends without seeing each other's, and a module-level
-        registry would be exactly the mutable global state the
-        ``lint_globals`` check bans.  The built-in backends (``belief``,
-        ``epistemic``) are registered when the registry is first built.
-        """
-        registry = self._backends
-        if registry is None:
-            from repro.semantics.backend import default_registry
-
-            registry = default_registry()
-            self._backends = registry
-        return registry
 
     # -- telemetry transport ---------------------------------------------------
 

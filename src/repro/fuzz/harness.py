@@ -28,6 +28,7 @@ from typing import Sequence
 
 from repro import context, perf
 from repro.errors import ProofError
+from repro.goodruns.construction import construct_good_runs
 from repro.logic.certify import CertificationError, certify
 from repro.logic.engine import Derivation, Rule
 from repro.logic.proof import Proof
@@ -252,14 +253,17 @@ def _shrunk_counterexample(
     )
 
 
-def _failure_trace(system: System, failure: OracleFailure) -> list[str]:
-    """Best-effort "why" proof-tree for a differential-oracle failure.
+def _failure_trace(
+    system: System, failure: OracleFailure, vector=None
+) -> list[str]:
+    """Best-effort "why" proof-tree for an oracle failure.
 
     The failure records the violated instance as a string; when it
     round-trips through the parser against the system's vocabulary, a
-    fresh traced evaluation explains the verdict the oracle objected
-    to.  Anything unparseable (or un-evaluable) yields no trace rather
-    than masking the original failure.
+    fresh traced belief evaluation (relative to ``vector``, if given)
+    explains the verdict the oracle objected to.  Anything unparseable
+    (or un-evaluable) yields no trace rather than masking the original
+    failure.
     """
     if (
         failure.formula is None
@@ -272,7 +276,9 @@ def _failure_trace(system: System, failure: OracleFailure) -> list[str]:
 
         formula = parse_formula(failure.formula, system.vocabulary)
         run = system.run(failure.run_name)
-        _verdict, root = trace_evaluation(system, formula, run, failure.time)
+        _verdict, root = trace_evaluation(
+            system, formula, run, failure.time, goodruns=vector
+        )
         return render_why(root).splitlines()
     except Exception:  # pragma: no cover - diagnostics must not throw
         return []
@@ -353,32 +359,6 @@ def _shrunk_proof_counterexample(
     )
 
 
-def _goodruns_trace(
-    system: System, assumptions, failure: OracleFailure
-) -> list[str]:
-    """A why-false proof tree for a support failure, relative to the
-    vector constructed from the (shrunk) assumptions."""
-    if (
-        failure.formula is None
-        or failure.run_name is None
-        or failure.time is None
-    ):
-        return []
-    try:
-        from repro.goodruns.construction import construct_good_runs
-        from repro.terms.parser import parse_formula
-
-        vector = construct_good_runs(system, assumptions).vector
-        formula = parse_formula(failure.formula, system.vocabulary)
-        run = system.run(failure.run_name)
-        _verdict, root = trace_evaluation(
-            system, formula, run, failure.time, goodruns=vector
-        )
-        return render_why(root).splitlines()
-    except Exception:  # pragma: no cover - diagnostics must not throw
-        return []
-
-
 def _shrunk_goodruns_counterexample(
     iteration: int,
     failure: OracleFailure,
@@ -407,40 +387,18 @@ def _shrunk_goodruns_counterexample(
         if candidate_failure.oracle == kind
     ]
     witness = shrunk[0] if shrunk else failure
+    try:
+        trace = _failure_trace(
+            system, witness, construct_good_runs(system, minimal).vector
+        )
+    except Exception:  # pragma: no cover - diagnostics must not throw
+        trace = []
     return Counterexample(
         iteration=iteration,
         failure=witness,
         script=describe_assumptions(minimal),
-        trace=_goodruns_trace(system, minimal, witness),
+        trace=trace,
     )
-
-
-def _cross_backend_trace(
-    system: System, vector, failure: OracleFailure
-) -> list[str]:
-    """A belief-side why tree for a cross-backend disagreement.
-
-    Wrong-direction failures are exactly the points where the belief
-    semantics says *false* while the epistemic backend says *true*, so
-    the belief trace (relative to the shrunk vector) explains the side
-    the containment theorem claims should have held."""
-    if (
-        failure.formula is None
-        or failure.run_name is None
-        or failure.time is None
-    ):
-        return []
-    try:
-        from repro.terms.parser import parse_formula
-
-        formula = parse_formula(failure.formula, system.vocabulary)
-        run = system.run(failure.run_name)
-        _verdict, root = trace_evaluation(
-            system, formula, run, failure.time, goodruns=vector
-        )
-        return render_why(root).splitlines()
-    except Exception:  # pragma: no cover - diagnostics must not throw
-        return []
 
 
 def _shrunk_cross_backend_counterexample(
@@ -497,7 +455,7 @@ def _shrunk_cross_backend_counterexample(
         iteration=iteration,
         failure=witness,
         script=script,
-        trace=_cross_backend_trace(system, minimal, witness),
+        trace=_failure_trace(system, witness, minimal),
     )
 
 

@@ -442,8 +442,6 @@ def check_cross_backend(
     points: Sequence[tuple[Run, int]],
     goodruns=None,
     pattern_hide: bool = False,
-    belief_backend: str = "belief",
-    epistemic_backend: str = "epistemic",
 ) -> list[OracleFailure]:
     """Belief vs. epistemic backends, mapped against the containment.
 
@@ -467,10 +465,10 @@ def check_cross_backend(
     from repro.semantics.backend import get_backend
 
     failures = []
-    belief = get_backend(belief_backend).compile(
+    belief = get_backend("belief").compile(
         system, goodruns, pattern_hide=pattern_hide
     )
-    epistemic = get_backend(epistemic_backend).compile(
+    epistemic = get_backend("epistemic").compile(
         system, goodruns, pattern_hide=pattern_hide
     )
     for formula in formulas:

@@ -17,20 +17,22 @@ assumptions hold at all time-0 points relative to it).
 Theorem 3: if I also satisfies I2, the constructed vector is *optimum*
 (the maximum of all supporting vectors).
 
-Two engines compute the same stages (held byte-identical by
-``tests/test_goodruns_construction_fuzz.py`` and the
-``goodruns_construction`` fuzz family):
+Two engines compute the same stages under either semantics backend
+(held byte-identical by ``tests/test_goodruns_construction_fuzz.py``
+and the ``goodruns_construction`` fuzz family):
 
 * ``naive`` — the literal definition: compile the system against
   ``G^{j-1}`` at every stage and re-evaluate every stratum formula.
+  It is the reference the worklist engine is checked against.
 * ``worklist`` (default) — one :class:`~repro.semantics.vector_eval.
-  VectorTruth` checker for the whole construction.  Belief-free bodies
-  and hidden-view classes are computed once; a body is re-evaluated at
-  stage j only if some principal its beliefs reference had its good set
-  change since the body was last evaluated (the checker's dependency
-  signature); stages whose strata are empty, and every stage after the
-  vector hits bottom, are skipped outright (``goodruns.stage_skipped``).
-  See DESIGN.md §12 for the invariants and the soundness argument.
+  VectorTruth` checker for the whole construction, compiled through
+  the backend.  Belief-free bodies and hidden-view classes are
+  computed once; a body is re-evaluated at stage j only if some
+  principal its beliefs reference had its good set change since the
+  body was last evaluated (the checker's dependency signature); stages
+  whose strata are empty, and every stage after the vector hits
+  bottom, are skipped outright (``goodruns.stage_skipped``).  See
+  DESIGN.md §12 for the invariants and the soundness argument.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from repro.semantics.backend import (
     SemanticsBackend,
     get_backend,
 )
-from repro.semantics.compiler import compiled_for
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.vector_eval import VectorTruth
 from repro.terms.atoms import Principal
@@ -101,22 +102,14 @@ def construct_good_runs(
 ) -> ConstructionResult:
     """Run the paper's iterative construction over a finite system.
 
-    ``backend`` names a semantics backend in the current context's
-    registry.  The ``worklist`` engine's :class:`VectorTruth` bitset
-    algebra encodes the *belief* clause, so a backend that does not
-    advertise ``supports_vector_eval`` is demoted to the ``naive``
-    stage-by-stage engine (compiling through the backend's own
-    ``compile``), counted under ``goodruns.backend_forced_naive``.
+    ``backend`` names a semantics backend; both engines compile through
+    it, so the belief bodies are judged by that backend's clause.
     """
     _validate_assumptions(system, assumptions)
     resolved = get_backend(backend)
-    if engine == "worklist" and not resolved.supports_vector_eval:
-        perf.count("goodruns.backend_forced_naive")
-        journal.record("construction_demoted", backend=resolved.name,
-                       engine=engine)
-        engine = "naive"
     if engine == "worklist":
-        return _construct_worklist(system, assumptions, pattern_hide)
+        return _construct_worklist(system, assumptions, pattern_hide,
+                                   resolved)
     if engine == "naive":
         return _construct_naive(system, assumptions, pattern_hide, resolved)
     raise AssumptionError(
@@ -128,13 +121,9 @@ def _construct_naive(
     system: System,
     assumptions: InitialAssumptions,
     pattern_hide: bool,
-    backend: SemanticsBackend | None = None,
+    backend: SemanticsBackend,
 ) -> ConstructionResult:
     """The literal G^j loop: a fresh per-vector compilation per stage."""
-    compile_for = (
-        backend.compile if backend is not None
-        else get_backend(DEFAULT_BACKEND).compile
-    )
     all_names = frozenset(run.name for run in system.runs)
     current: dict[Principal, frozenset[str]] = {
         principal: all_names for principal in system.principals()
@@ -143,8 +132,8 @@ def _construct_naive(
 
     for depth in range(1, assumptions.max_depth + 1):
         previous_vector = stages[-1]
-        evaluator = compile_for(system, previous_vector,
-                                pattern_hide=pattern_hide)
+        evaluator = backend.compile(system, previous_vector,
+                                    pattern_hide=pattern_hide)
         updated: dict[Principal, frozenset[str]] = {}
         with spans.span("goodruns.stage", depth=depth,
                         engine="naive") as attrs:
@@ -168,19 +157,18 @@ def _construct_naive(
 
 def _filter_good(
     checker: VectorTruth,
-    system: System,
     vector: GoodRunVector,
     body: Formula,
     good: frozenset[str],
-    pattern_hide: bool,
 ) -> tuple[frozenset[str], bool]:
     """``{ r ∈ good : (r, 0) |= body rel vector }`` plus a reused flag.
 
     The bitset fast path serves any body the vector-truth checker can
     analyze, provided every candidate run has a compiled time-0 point;
-    otherwise the per-run compiled evaluator takes over — including its
-    error behaviour (missing time 0, unassigned parameters), in the
-    same ``sorted(good)`` order as the naive engine.
+    otherwise the checker's backend compiles the system at ``vector``
+    and evaluates per run — including its error behaviour (missing
+    time 0, unassigned parameters), in the same ``sorted(good)`` order
+    as the naive engine.
     """
     reused = checker.is_cached(body, vector)
     bits = checker.truth_bits(body, vector)
@@ -193,7 +181,10 @@ def _filter_good(
         )
         return kept, reused
     perf.count("goodruns.body_fallback")
-    evaluator = compiled_for(system, vector, pattern_hide=pattern_hide)
+    system = checker.system
+    evaluator = checker.backend.compile(
+        system, vector, pattern_hide=checker.pattern_hide
+    )
     kept = frozenset(
         name for name in sorted(good)
         if evaluator.evaluate(body, system.run(name), 0)
@@ -205,9 +196,10 @@ def _construct_worklist(
     system: System,
     assumptions: InitialAssumptions,
     pattern_hide: bool,
+    backend: SemanticsBackend,
 ) -> ConstructionResult:
     """The incremental G^j loop: one checker, work only where truth moves."""
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
+    checker = VectorTruth(system, pattern_hide=pattern_hide, backend=backend)
     all_names = frozenset(run.name for run in system.runs)
     principals = system.principals()
     current: dict[Principal, frozenset[str]] = {
@@ -245,8 +237,7 @@ def _construct_worklist(
                 for formula in strata[principal]:
                     assert isinstance(formula, Believes)
                     good, was_cached = _filter_good(
-                        checker, system, previous_vector,
-                        formula.body, good, pattern_hide,
+                        checker, previous_vector, formula.body, good
                     )
                     if was_cached:
                         reused += 1
@@ -283,11 +274,8 @@ def refine_once(
     ``goodruns_construction`` fuzz family checks this mechanically.
     """
     _validate_assumptions(system, assumptions)
-    resolved = get_backend(backend)
-    checker = (
-        VectorTruth(system, pattern_hide=pattern_hide)
-        if resolved.supports_vector_eval else None
-    )
+    checker = VectorTruth(system, pattern_hide=pattern_hide,
+                          backend=get_backend(backend))
     all_names = frozenset(run.name for run in system.runs)
     updated: dict[Principal, frozenset[str]] = {}
     for principal in system.principals():
@@ -295,18 +283,7 @@ def refine_once(
         good = all_names if good is None else good
         for formula in assumptions.normalized.get(principal, ()):
             assert isinstance(formula, Believes)
-            if checker is not None:
-                good, _ = _filter_good(
-                    checker, system, vector, formula.body, good, pattern_hide
-                )
-            else:
-                evaluator = resolved.compile(
-                    system, vector, pattern_hide=pattern_hide
-                )
-                good = frozenset(
-                    name for name in sorted(good)
-                    if evaluator.evaluate(formula.body, system.run(name), 0)
-                )
+            good, _ = _filter_good(checker, vector, formula.body, good)
         updated[principal] = good
     return GoodRunVector.of(updated)
 

@@ -8,9 +8,9 @@ journal (:mod:`repro.obs.journal`).  This module folds them into one
 document and renders it:
 
 * :func:`unified_snapshot` — one plain dict covering the perf counters
-  / cache sizes / peaks / hit-rates, the span percentiles, and the
-  journal's depth (what ``/metrics`` of ``repro serve`` and ``python
-  -m repro obs`` export).
+  / cache sizes / peaks / hit-rates, the span percentiles and the span
+  buffer's drop count, and the journal's depth (what ``/metrics`` of
+  ``repro serve`` and ``python -m repro obs`` export).
 
 * :func:`to_prometheus` / :func:`to_json` — render a unified snapshot
   as Prometheus exposition text (``# HELP``/``# TYPE`` + samples, span
@@ -39,7 +39,8 @@ def unified_snapshot(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
 
     Sections: ``perf`` (counters, cache sizes, peaks, hit rates —
     :func:`repro.perf.snapshot`), ``spans`` (per-name percentiles),
-    ``journal`` (ring depth and drop count), and optionally ``meta`` (a
+    ``spans_dropped`` (spans the bounded buffer discarded), ``journal``
+    (ring depth and drop count), and optionally ``meta`` (a
     caller-supplied :func:`repro.obs.runmeta.run_metadata`
     fingerprint).  This is the input contract of :func:`to_prometheus`
     / :func:`to_json`.
@@ -50,6 +51,7 @@ def unified_snapshot(meta: Mapping[str, Any] | None = None) -> dict[str, Any]:
     snapshot: dict[str, Any] = {
         "perf": perf.snapshot(),
         "spans": spans.summary(),
+        "spans_dropped": spans.recorder().dropped,
         "journal": _context.current().journal.depth(),
     }
     if meta is not None:
@@ -173,6 +175,12 @@ def to_prometheus(snapshot: Mapping[str, Any]) -> str:
             "repro_span_duration_seconds", "summary",
             "Wall-clock span percentiles (nearest-rank).",
             samples,
+        )
+    if "spans_dropped" in snapshot:
+        lines += _family_lines(
+            "repro_spans_dropped_total", "counter",
+            "Spans discarded by the bounded span buffer.",
+            [("", {}, snapshot["spans_dropped"])],
         )
 
     journal_section = snapshot.get("journal")

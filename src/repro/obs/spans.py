@@ -19,11 +19,15 @@ Design points, mirroring ``perf``:
   a good-runs stage, a fuzz iteration), not individual ``_eval`` calls;
   buffers stay small and summaries stay meaningful.  The per-formula
   story belongs to :mod:`repro.obs.trace`.
+* **Bounded by construction** — like the journal's ring, the buffer
+  keeps the newest :data:`CAPACITY` spans and counts the ones it
+  dropped, so a long-lived process that absorbs every request's spans
+  (the serve daemon's root context) holds a fixed amount of them.
 
 ``summary()`` reduces the buffer to per-name count/total/min/max plus
 p50/p95/p99 percentiles (nearest-rank).  It is a derived view — the
 buffer of raw samples remains the single source of truth, which is
-what makes the parallel-sweep merge lossless.
+what makes the parallel-sweep merge lossless (below the capacity).
 """
 
 from __future__ import annotations
@@ -31,18 +35,38 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
+from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro import context as _context
 
+#: Spans a recorder retains.  Sized so one seeded fuzz campaign (the
+#: all-family, 200-iteration CI run records ~3,000) stays whole.
+CAPACITY = 4096
+
 
 class SpanRecorder:
-    """A buffer of completed spans, safe to share across threads."""
+    """A bounded buffer of completed spans, safe to share across threads.
+
+    Past :data:`CAPACITY` the oldest spans are dropped first and counted
+    in :attr:`dropped`.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._buffer: list[dict[str, Any]] = []
+        self._buffer: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
+        #: Spans ever appended: the sequence number of the newest one.
+        self._seq = 0
+        self.dropped = 0
+
+    def _append(self, sample: dict[str, Any]) -> None:
+        """Append under the lock, dropping (and counting) the oldest."""
+        if len(self._buffer) == CAPACITY:
+            self.dropped += 1
+        self._buffer.append(sample)
+        self._seq += 1
 
     # -- recording -----------------------------------------------------------
 
@@ -52,7 +76,7 @@ class SpanRecorder:
         if attrs:
             sample["attrs"] = attrs
         with self._lock:
-            self._buffer.append(sample)
+            self._append(sample)
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
@@ -78,20 +102,27 @@ class SpanRecorder:
     # -- transport (the parallel-sweep contract) ------------------------------
 
     def mark(self) -> int:
-        """A position in the buffer; pair with :meth:`delta_since`."""
+        """A sequence number; pair with :meth:`delta_since`.
+
+        Sequence numbers, not buffer indices, so a mark stays meaningful
+        after the buffer drops spans from its front.
+        """
         with self._lock:
-            return len(self._buffer)
+            return self._seq
 
     def delta_since(self, mark: int) -> list[dict[str, Any]]:
-        """Every span recorded after ``mark``, as plain picklable data."""
+        """Every *retained* span recorded after ``mark``, as plain
+        picklable data (spans dropped since are gone)."""
         with self._lock:
-            return [dict(sample) for sample in self._buffer[mark:]]
+            newer = min(self._seq - mark, len(self._buffer))
+            start = len(self._buffer) - newer
+            return [dict(sample) for sample in islice(self._buffer, start, None)]
 
     def merge(self, samples: Iterable[Mapping[str, Any]]) -> None:
         """Append another context's span samples (copied) to this buffer."""
         with self._lock:
             for sample in samples:
-                self._buffer.append(dict(sample))
+                self._append(dict(sample))
 
     # -- views ----------------------------------------------------------------
 
@@ -102,6 +133,7 @@ class SpanRecorder:
     def reset(self) -> None:
         with self._lock:
             self._buffer.clear()
+            self.dropped = 0
 
     def __len__(self) -> int:
         with self._lock:

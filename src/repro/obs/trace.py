@@ -216,30 +216,15 @@ def trace_evaluation(
 
     A fresh evaluator is used so the tree is complete — nothing is
     flattened into ``[cached]`` stubs by an earlier, untraced
-    evaluation.  ``backend`` names a semantics backend in the current
-    context's registry (``None`` means the belief interpreter); only
-    backends advertising ``supports_tracing`` can be traced.
+    evaluation.  ``backend`` names a semantics backend (``None`` means
+    the default, the paper's belief interpreter).
     """
+    from repro.semantics.backend import DEFAULT_BACKEND, get_backend
+
     tracer = Tracer()
-    if backend is None:
-        from repro.semantics.evaluator import Evaluator
-
-        evaluator = Evaluator(
-            system, goodruns, pattern_hide=pattern_hide, tracer=tracer
-        )
-    else:
-        from repro.errors import EngineError
-        from repro.semantics.backend import get_backend
-
-        resolved = get_backend(backend)
-        if not resolved.supports_tracing:
-            raise EngineError(
-                f"semantics backend {resolved.name!r} does not support "
-                "tracing"
-            )
-        evaluator = resolved.interpreter(
-            system, goodruns, pattern_hide=pattern_hide, tracer=tracer
-        )
+    evaluator = get_backend(backend or DEFAULT_BACKEND).interpreter(
+        system, goodruns, pattern_hide=pattern_hide, tracer=tracer
+    )
     verdict = evaluator.evaluate(formula, run, k)
     assert tracer.roots, "traced evaluation produced no root"
     return verdict, tracer.roots[-1]

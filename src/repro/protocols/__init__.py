@@ -24,6 +24,19 @@ from repro.protocols.base import (
     Step,
 )
 
+#: Protocol name -> module: the choices of ``repro analyze`` and of the
+#: serve daemon's ``kind: protocol`` requests.
+PROTOCOLS = {
+    "kerberos": kerberos,
+    "needham-schroeder": needham_schroeder,
+    "otway-rees": otway_rees,
+    "yahalom": yahalom,
+    "wide-mouth-frog": wide_mouth_frog,
+    "andrew-rpc": andrew_rpc,
+    "courier": forwarding,
+    "ccitt-x509": x509,
+}
+
 
 def corpus() -> tuple[IdealizedProtocol, ...]:
     """Every idealized protocol in the library, both logics, all variants."""
@@ -58,6 +71,7 @@ __all__ = [
     "IdealizedProtocol",
     "MessageStep",
     "NewKeyStep",
+    "PROTOCOLS",
     "Step",
     "andrew_rpc",
     "corpus",

@@ -7,7 +7,6 @@ ciphertexts with :func:`hide_message`.
 
 from repro.semantics.backend import (
     DEFAULT_BACKEND,
-    BackendRegistry,
     BeliefBackend,
     SemanticsBackend,
     backend_names,
@@ -17,7 +16,6 @@ from repro.semantics.epistemic import (
     CompiledEpistemicSystem,
     EpistemicBackend,
     EpistemicEvaluator,
-    compiled_epistemic_for,
 )
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
@@ -42,7 +40,6 @@ from repro.semantics.properties import (
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "BackendRegistry",
     "BeliefBackend",
     "SemanticsBackend",
     "backend_names",
@@ -50,7 +47,6 @@ __all__ = [
     "CompiledEpistemicSystem",
     "EpistemicBackend",
     "EpistemicEvaluator",
-    "compiled_epistemic_for",
     "Evaluator",
     "GoodRunVector",
     "OPAQUE",

@@ -20,7 +20,11 @@ of closures whose unit of evaluation is the *whole system*:
   are grouped by hidden view, every view class is a bitset, and the
   belief check collapses to one subset test per class
   (``class & body == class``) — the per-(formula, viewclass) memo the
-  interpreter's per-point loop could never amortize.
+  interpreter's per-point loop could never amortize.  That check is
+  one method, :meth:`CompiledSystem.belief_bits`, with the possibility
+  sets masked by a good-run mask: compiled nodes pass ``full_mask``,
+  :class:`~repro.semantics.vector_eval.VectorTruth` the mask of its
+  query vector, and the epistemic engine overrides only this method.
 * ``ForAll`` expands over the vocabulary at compile time.
 
 Compiled nodes are cached per *interned* formula, so schema instances
@@ -31,9 +35,10 @@ anything it cannot compile with byte-identical behaviour — a formula
 mentioning a principal without local state in some run (where the
 interpreter's error behaviour is point- and order-dependent), an
 unknown connective, a malformed ``pk(...)`` — falls back to a private
-interpreter ``Evaluator`` sharing the same parameters.  Tracing always
-takes the interpreter (:meth:`CompiledSystem.evaluate_traced`): trace
-fidelity is cheaper to inherit than to re-emit.  The
+interpreter (``interpreter_class``) sharing the same parameters.
+Tracing always takes the interpreter
+(:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
+inherit than to re-emit.  The
 ``compiled_vs_interpreted`` fuzz oracle (:mod:`repro.fuzz.oracles`)
 holds the two engines byte-identical across campaigns.
 
@@ -112,6 +117,10 @@ class CompiledSystem:
     context.
     """
 
+    #: The recursive evaluator with this engine's truth definition: the
+    #: fallback for unsupported shapes and foreign points, and the tracer.
+    interpreter_class: type[Evaluator] = Evaluator
+
     def __init__(
         self,
         system: System,
@@ -157,7 +166,7 @@ class CompiledSystem:
         semantics by construction.
         """
         if self._interpreter is None:
-            self._interpreter = Evaluator(
+            self._interpreter = self.interpreter_class(
                 self.system, self.goodruns, pattern_hide=self.pattern_hide
             )
         return self._interpreter
@@ -205,7 +214,7 @@ class CompiledSystem:
         interpreted engine's by construction (cheaper than teaching
         every compiled closure to emit them).
         """
-        traced = Evaluator(
+        traced = self.interpreter_class(
             self.system, self.goodruns,
             pattern_hide=self.pattern_hide, tracer=tracer,
         )
@@ -245,16 +254,6 @@ class CompiledSystem:
     def run_mask(self, name: str) -> int:
         """The point mask of one run (0 for a name not in the system)."""
         return self._run_masks.get(name, 0)
-
-    def belief_groups(
-        self, principal: Principal
-    ) -> tuple[tuple[int, int], ...]:
-        """The principal's (members, possible) view-class bit pairs."""
-        return self._belief_groups_for(principal)
-
-    def can_compile(self, formula: Formula) -> bool:
-        """Whether :meth:`truth_bits` can answer for this formula."""
-        return self._supported(formula)
 
     def uniform_principal(self, term: Message) -> bool:
         """Whether ``term`` is a principal with state in every run."""
@@ -614,22 +613,27 @@ class CompiledSystem:
         self._belief_groups[principal] = groups
         return groups
 
+    def belief_bits(self, principal: Principal, body_bits: int,
+                    mask: int) -> int:
+        """The points where ``principal`` believes a body true on
+        ``body_bits``, each possibility set restricted to ``mask``.
+
+        The paper's clause: per view class, the body holds on every
+        point of the possibility set (vacuously when it is empty).
+        """
+        bits = 0
+        for members, possible in self._belief_groups_for(principal):
+            possible &= mask
+            if possible & body_bits == possible:
+                bits |= members
+        return bits
+
     def _build_believes(self, formula: Believes) -> Callable[[], int]:
         principal = formula.principal
         assert isinstance(principal, Principal)
         body = self._compile(formula.body)
-
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for member_bits, possible_bits in self._belief_groups_for(principal):
-                # The belief check per view class: the compiled body
-                # holds on every set bit of the possibility set.
-                if possible_bits & body_bits == possible_bits:
-                    bits |= member_bits
-            return bits
-
-        return compute
+        full = self.full_mask
+        return lambda: self.belief_bits(principal, body(), full)
 
     # -- quantification -------------------------------------------------------
 
@@ -656,8 +660,13 @@ def compiled_for(
     system: System,
     goodruns: GoodRunVector | None = None,
     pattern_hide: bool = False,
+    engine: type[CompiledSystem] = CompiledSystem,
 ) -> CompiledSystem:
     """The session's compiled view of a system (cached per context).
+
+    ``engine`` is the compiled-engine class — :class:`CompiledSystem`
+    for the paper's belief clause, a subclass for another backend's —
+    and part of the cache key, so backends never alias.
 
     The cache key is the system's process-unique monotonic
     :attr:`~repro.model.system.System.serial` — **not** ``id()``.  The
@@ -673,7 +682,7 @@ def compiled_for(
     empty the cache (the ``compiled_eval`` layer).
     """
     ctx = _context.current()
-    key = (system.serial, goodruns, pattern_hide)
+    key = (system.serial, goodruns, pattern_hide, engine)
     compiled = ctx.compiled_systems.get(key)
     if compiled is not None:
         if compiled.system is system:
@@ -681,7 +690,7 @@ def compiled_for(
             return compiled
         perf.count("compiled_eval.serial_collision")
     perf.count("compiled_eval.system_miss")
-    compiled = CompiledSystem(system, goodruns, pattern_hide=pattern_hide)
+    compiled = engine(system, goodruns, pattern_hide=pattern_hide)
     ctx.compiled_systems[key] = compiled
     from repro.obs import journal
 

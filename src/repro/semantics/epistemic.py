@@ -53,32 +53,32 @@ disagreement; *epistemic-true/belief-false* on a belief-positive
 formula is a counterexample.
 
 **Engineering shape.**  :class:`EpistemicEvaluator` subclasses the
-interpreter and overrides only ``_believes`` (plus a second possibility
-index over *all* runs for the knowledge guard).
-:class:`CompiledEpistemicSystem` subclasses the bitset compiler and
-overrides only ``_build_believes``: the compiler's per-view-class
+interpreter and overrides only ``_believes``; its knowledge set comes
+from the inherited view-index builder over *all* runs.
+:class:`CompiledEpistemicSystem` subclasses the bitset compiler,
+overrides only :meth:`~repro.semantics.compiler.CompiledSystem.belief_bits`
+and names its interpreter class.  The compiler's per-view-class
 ``(members, possible)`` pairs already carry both sets — ``members`` is
 the knowledge set (under the compiler's uniform-principal support gate
 every member point is indistinguishable to P), ``possible`` is the
 good-run subset — so the guarded clause is *still one subset test per
-view class*, and the sweep's whole-system ``truth_bits`` fast path
-works for this backend unchanged.
+view class*.  Every caller of the belief check gets the guarded clause
+with it: the sweep's whole-system ``truth_bits`` fast path, and
+:class:`~repro.semantics.vector_eval.VectorTruth`, which compiles its
+top system through this backend, so the good-runs worklist engine
+serves it too.
 """
 
 from __future__ import annotations
 
-from repro import context as _context
-from repro import perf
-from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import Point, System
 from repro.semantics.backend import SemanticsBackend
-from repro.semantics.compiler import CompiledSystem
+from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
-from repro.semantics.hide import HiddenView
 from repro.terms.atoms import Principal
-from repro.terms.formulas import Believes, Formula
+from repro.terms.formulas import Formula
 
 
 class EpistemicEvaluator(Evaluator):
@@ -86,62 +86,14 @@ class EpistemicEvaluator(Evaluator):
 
     Everything except the ``Believes`` clause — hiding, seeing, saying,
     freshness, key goodness, quantification, memoization, tracing — is
-    inherited byte-for-byte from :class:`Evaluator`.  The override
-    keeps a second possibility index over *all* runs (the knowledge
-    relation) beside the inherited good-runs index.
+    inherited byte-for-byte from :class:`Evaluator`.
     """
-
-    def __init__(
-        self,
-        system: System,
-        goodruns: GoodRunVector | None = None,
-        pattern_hide: bool = False,
-        tracer=None,
-    ) -> None:
-        super().__init__(
-            system, goodruns, pattern_hide=pattern_hide, tracer=tracer
-        )
-        self._knowledge: dict[Principal, dict[HiddenView, list[Point]]] = {}
-
-    def clear_memos(self) -> None:
-        super().clear_memos()
-        self._knowledge.clear()
-
-    # -- the knowledge relation ------------------------------------------------
-
-    def _knowledge_index(
-        self, principal: Principal
-    ) -> dict[HiddenView, list[Point]]:
-        """Bucket *every* run's points by hidden view (the K_P relation)."""
-        cached = self._knowledge.get(principal)
-        if cached is None:
-            cached = {}
-            for run in self.system.runs:
-                if (
-                    principal != run.environment
-                    and not run.is_system_principal(principal)
-                ):
-                    continue
-                for k in run.times:
-                    view = self._hidden_view(principal, run, k)
-                    cached.setdefault(view, []).append((run, k))
-            self._knowledge[principal] = cached
-        return cached
 
     def knowledge_points(
         self, principal: Principal, run: Run, k: int
     ) -> tuple[Point, ...]:
         """The points (r', k') with (r, k) ~_P (r', k'), all runs."""
-        if principal != run.environment and not run.is_system_principal(
-            principal
-        ):
-            raise SemanticsError(
-                f"{principal} has no local state in run {run.name!r}"
-            )
-        view = self._hidden_view(principal, run, k)
-        return tuple(self._knowledge_index(principal).get(view, ()))
-
-    # -- the guarded belief clause ----------------------------------------------
+        return self._view_class(principal, run, k, None)
 
     def _believes(
         self, principal: Principal, body: Formula, run: Run, k: int
@@ -153,13 +105,10 @@ class EpistemicEvaluator(Evaluator):
         and the clause coincides with the paper's.  When it is empty
         the paper's clause is vacuous and the guard demands knowledge.
         """
-        good_possible = self.possible_points(principal, run, k)
-        if good_possible:
-            for other_run, other_k in good_possible:
-                if not self._eval(body, other_run, other_k):
-                    return False
-            return True
-        for other_run, other_k in self.knowledge_points(principal, run, k):
+        points = self.possible_points(principal, run, k) or (
+            self.knowledge_points(principal, run, k)
+        )
+        for other_run, other_k in points:
             if not self._eval(body, other_run, other_k):
                 return False
         return True
@@ -170,124 +119,45 @@ class CompiledEpistemicSystem(CompiledSystem):
 
     A :class:`CompiledSystem` subclass on purpose: the soundness
     sweep's fast path (``isinstance(engine, CompiledSystem)`` →
-    ``truth_bits`` against ``full_mask``) applies to this backend
-    without a special case, which is what keeps ``--backend epistemic``
-    sweeps at bitset speed.
-
-    Only the belief builder and the interpreter hooks differ.  The
-    per-view-class ``(members, possible)`` pairs computed by the base
-    class already contain both sets the guarded clause needs: under the
-    ``_supported`` uniform-principal gate, ``members`` is exactly the
-    principal's knowledge set for that view class, and ``possible`` its
-    good-run (α) subset.
+    ``truth_bits`` against ``full_mask``) and ``VectorTruth`` apply to
+    this backend without a special case.
     """
 
-    @property
-    def interpreter(self) -> EpistemicEvaluator:
-        """The fallback interpreter — the *epistemic* one, so unsupported
-        shapes and foreign points keep this backend's semantics."""
-        if self._interpreter is None:
-            self._interpreter = EpistemicEvaluator(
-                self.system, self.goodruns, pattern_hide=self.pattern_hide
-            )
-        return self._interpreter
+    interpreter_class = EpistemicEvaluator
 
-    def evaluate_traced(self, formula: Formula, run: Run, k: int, tracer) -> bool:
-        traced = EpistemicEvaluator(
-            self.system, self.goodruns,
-            pattern_hide=self.pattern_hide, tracer=tracer,
-        )
-        return traced.evaluate(formula, run, k)
-
-    def _build_believes(self, formula: Believes):
-        principal = formula.principal
-        assert isinstance(principal, Principal)
-        body = self._compile(formula.body)
-
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for member_bits, possible_bits in self._belief_groups_for(principal):
-                # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
-                # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
-                # whole view class (the knowledge set) instead.
-                target = possible_bits if possible_bits else member_bits
-                if target & body_bits == target:
-                    bits |= member_bits
-            return bits
-
-        return compute
+    def belief_bits(self, principal: Principal, body_bits: int,
+                    mask: int) -> int:
+        """The guarded clause per view class: under ``_supported``'s
+        uniform-principal gate ``members`` is the principal's knowledge
+        set, and ``possible & mask`` its good-run (α) subset."""
+        bits = 0
+        for members, possible in self._belief_groups_for(principal):
+            # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
+            # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
+            # whole view class (the knowledge set) instead.
+            target = possible & mask or members
+            if target & body_bits == target:
+                bits |= members
+        return bits
 
 
 class EpistemicBackend(SemanticsBackend):
-    """Registry packaging of the epistemic semantics.
+    """The epistemic semantics, packaged for every consumer.
 
     Compiled engines are cached on the same context-owned
-    ``ctx.compiled_systems`` memo as the belief backend's, under a
-    4-tuple key ``(serial, goodruns, pattern_hide, "epistemic")`` — the
-    belief cache keys are 3-tuples, so the two can never alias.
-
-    ``supports_vector_eval`` is ``False``: the worklist construction's
-    :class:`~repro.semantics.vector_eval.VectorTruth` algebra encodes
-    the *paper's* belief clause (subset test against the good-run
-    possibility set only), which diverges from the guarded clause
-    exactly on empty α-subsets, so the good-runs engine must take the
-    stage-by-stage compiled path under this backend.
+    ``ctx.compiled_systems`` memo as the belief backend's; the engine
+    class is part of the cache key, so the two never alias.
     """
 
     name = "epistemic"
-    supports_tracing = True
-    supports_vector_eval = False
+    engine = CompiledEpistemicSystem
 
     def compile(
         self,
         system: System,
         goodruns: GoodRunVector | None = None,
         pattern_hide: bool = False,
-    ) -> CompiledEpistemicSystem:
-        return compiled_epistemic_for(
-            system, goodruns, pattern_hide=pattern_hide
+    ) -> CompiledSystem:
+        return compiled_for(
+            system, goodruns, pattern_hide=pattern_hide, engine=self.engine
         )
-
-    def interpreter(
-        self,
-        system: System,
-        goodruns: GoodRunVector | None = None,
-        pattern_hide: bool = False,
-        tracer=None,
-    ) -> EpistemicEvaluator:
-        return EpistemicEvaluator(
-            system, goodruns, pattern_hide=pattern_hide, tracer=tracer
-        )
-
-
-def compiled_epistemic_for(
-    system: System,
-    goodruns: GoodRunVector | None = None,
-    pattern_hide: bool = False,
-) -> CompiledEpistemicSystem:
-    """The session's compiled epistemic view of a system (context-cached).
-
-    Mirrors :func:`repro.semantics.compiler.compiled_for` — serial-keyed
-    with an identity check against cross-process serial recurrence —
-    with the backend name folded into the key.
-    """
-    ctx = _context.current()
-    key = (system.serial, goodruns, pattern_hide, EpistemicBackend.name)
-    compiled = ctx.compiled_systems.get(key)
-    if compiled is not None:
-        if compiled.system is system:
-            perf.count("compiled_eval.system_hit")
-            return compiled
-        perf.count("compiled_eval.serial_collision")
-    perf.count("compiled_eval.system_miss")
-    compiled = CompiledEpistemicSystem(system, goodruns, pattern_hide=pattern_hide)
-    ctx.compiled_systems[key] = compiled
-    from repro.obs import journal
-
-    journal.record(
-        "compile", backend=EpistemicBackend.name, runs=len(system.runs),
-        points=len(compiled.point_index),
-        goodruns=goodruns is not None, pattern_hide=pattern_hide,
-    )
-    return compiled

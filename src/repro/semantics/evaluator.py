@@ -103,7 +103,7 @@ class Evaluator:
         self.tracer = tracer
         self._memo: dict[tuple[Formula, str, int], bool] = {}
         self._hidden: dict[tuple[Principal, str, int], HiddenView] = {}
-        self._possible: dict[Principal, dict[HiddenView, list[Point]]] = {}
+        self._possible: dict[tuple, dict[HiddenView, list[Point]]] = {}
         self._said: dict[tuple[Principal, str], tuple[tuple[int, frozenset], ...]] = {}
         self._seen: dict[tuple[Principal, str, int], frozenset] = {}
         self._past: dict[str, frozenset] = {}
@@ -432,14 +432,15 @@ class Evaluator:
             self._hidden[key] = cached
         return cached
 
-    def _possible_index(
-        self, principal: Principal
+    def _view_index(
+        self, principal: Principal, good: frozenset[str] | None
     ) -> dict[HiddenView, list[Point]]:
-        """Bucket the points of the principal's good runs by hidden view."""
-        cached = self._possible.get(principal)
+        """Bucket the points of the principal's runs in ``good`` (every
+        run when ``None``) by hidden view."""
+        key = (principal, good)
+        cached = self._possible.get(key)
         if cached is None:
             cached = {}
-            good = self.goodruns.good_runs(principal)
             for run in self.system.runs:
                 if good is not None and run.name not in good:
                     continue
@@ -451,19 +452,29 @@ class Evaluator:
                 for k in run.times:
                     view = self._hidden_view(principal, run, k)
                     cached.setdefault(view, []).append((run, k))
-            self._possible[principal] = cached
+            self._possible[key] = cached
         return cached
 
-    def possible_points(
-        self, principal: Principal, run: Run, k: int
+    def _view_class(
+        self, principal: Principal, run: Run, k: int,
+        good: frozenset[str] | None,
     ) -> tuple[Point, ...]:
-        """The points (r', k') with (r, k) ~_P (r', k')."""
+        """The points of ``_view_index(principal, good)`` sharing the
+        principal's hidden view at (r, k)."""
         if principal != run.environment and not run.is_system_principal(principal):
             raise SemanticsError(
                 f"{principal} has no local state in run {run.name!r}"
             )
         view = self._hidden_view(principal, run, k)
-        return tuple(self._possible_index(principal).get(view, ()))
+        return tuple(self._view_index(principal, good).get(view, ()))
+
+    def possible_points(
+        self, principal: Principal, run: Run, k: int
+    ) -> tuple[Point, ...]:
+        """The points (r', k') with (r, k) ~_P (r', k') in P's good runs."""
+        return self._view_class(
+            principal, run, k, self.goodruns.good_runs(principal)
+        )
 
     def _believes(
         self, principal: Principal, body: Formula, run: Run, k: int

@@ -14,16 +14,17 @@ the work that does not depend on the vector at all:
   property of the system, not of the vector; only the *possibility*
   mask (``class ∩ good runs``) moves.
 
-:class:`VectorTruth` compiles the system **once** (at the top vector,
-where every run is good) and answers ``truth_bits(formula, vector)``
-for arbitrary vectors by re-masking:
-
-    ``Believes(P, φ)`` holds on a view class iff
-    ``(class_possible & good_mask(P)) ⊆ bits(φ)``
-
-where ``class_possible`` comes from the top compilation (all matching
-points) and ``good_mask(P)`` is the union of the run masks of ``P``'s
-good runs under the query vector.  Results are cached per
+:class:`VectorTruth` compiles the system **once**, through the
+semantics backend it is given (at the top vector, where every run is
+good), and answers ``truth_bits(formula, vector)`` for arbitrary
+vectors by re-masking: ``Believes(P, φ)`` is the top compilation's own
+belief check, :meth:`~repro.semantics.compiler.CompiledSystem.belief_bits`,
+with each view class's possibility set masked by ``good_mask(P)`` — the
+union of the run masks of ``P``'s good runs under the query vector.
+Under the ``belief`` backend a class holds iff
+``(class_possible & good_mask(P)) ⊆ bits(φ)``; the ``epistemic``
+engine's override of the same method supplies its guarded clause, so
+one checker serves both backends.  Results are cached per
 ``(formula, dependency signature)`` where the signature records only
 the good sets of principals whose beliefs actually occur in the
 formula — so a stage of the fixpoint that shrank ``P``'s good set
@@ -32,19 +33,19 @@ invalidates only the formulas that mention ``P``'s beliefs.
 **Fidelity.**  Like the compiled engine this is a fast path, not a
 second semantics: a formula the compiled engine cannot handle
 (non-uniform principals, parameters, unknown shapes) yields ``None``
-and the caller falls back to the interpreter with the actual vector.
-The algebra above is exactly
-:meth:`CompiledSystem._build_believes` with the possibility mask made a
-parameter, so verdicts are byte-identical by construction; the
-``goodruns_construction`` fuzz family holds the fast and slow paths
-together across campaigns.
+and the caller falls back to the backend's compiled engine at the
+actual vector.  The compiled ``Believes`` nodes call the same
+``belief_bits`` with ``full_mask``, so verdicts are byte-identical by
+construction; the ``goodruns_construction`` fuzz family holds the fast
+and slow paths together across campaigns.
 """
 
 from __future__ import annotations
 
 from repro import perf
 from repro.model.system import System
-from repro.semantics.compiler import CompiledSystem, compiled_for
+from repro.semantics.backend import SemanticsBackend, get_backend
+from repro.semantics.compiler import CompiledSystem
 from repro.semantics.goodvectors import GoodRunVector
 from repro.terms.atoms import Principal
 from repro.terms.formulas import (
@@ -66,17 +67,24 @@ _MISSING = object()
 class VectorTruth:
     """Truth bitsets over one system, parameterized by good-run vector.
 
-    Obtain per ``(system, pattern_hide)``; query with any number of
-    vectors.  The underlying compiled system is the context-cached top
-    compilation, so two ``VectorTruth`` instances in one session share
-    the belief-free bitsets and view classes.
+    Obtain per ``(system, pattern_hide, backend)``; query with any
+    number of vectors.  The underlying compiled system is the
+    backend's context-cached top compilation, so two ``VectorTruth``
+    instances in one session share the belief-free bitsets and view
+    classes.
     """
 
-    def __init__(self, system: System, pattern_hide: bool = False) -> None:
+    def __init__(
+        self,
+        system: System,
+        pattern_hide: bool = False,
+        backend: SemanticsBackend | None = None,
+    ) -> None:
         self.system = system
         self.pattern_hide = pattern_hide
+        self.backend = backend if backend is not None else get_backend()
         #: The top compilation: every run good for every principal.
-        self.compiled: CompiledSystem = compiled_for(
+        self.compiled: CompiledSystem = self.backend.compile(
             system, None, pattern_hide=pattern_hide
         )
         #: ``(formula, dep signature) -> bits | None``.
@@ -217,13 +225,9 @@ class VectorTruth:
             body_bits = self.truth_bits(formula.body, vector)
             if body_bits is None:
                 return None
-            mask = self.good_mask(principal, vector)
-            bits = 0
-            for members, possible in self.compiled.belief_groups(principal):
-                restricted = possible & mask
-                if restricted & body_bits == restricted:
-                    bits |= members
-            return bits
+            return self.compiled.belief_bits(
+                principal, body_bits, self.good_mask(principal, vector)
+            )
         if isinstance(formula, And):
             left = self.truth_bits(formula.left, vector)
             right = self.truth_bits(formula.right, vector)

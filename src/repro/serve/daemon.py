@@ -46,6 +46,7 @@ from repro import context, perf
 from repro.obs import journal as journal_mod
 from repro.obs import metrics as metrics_mod
 from repro.obs import spans as spans_mod
+from repro.semantics.backend import backend_names
 from repro.serve import http
 from repro.serve import requests as req_mod
 
@@ -211,11 +212,13 @@ class AnalysisDaemon:
             cached = self._reports.get(key)
         if cached is not None:
             return cached
-        module = _protocol_modules().get(name)
+        from repro.protocols import PROTOCOLS
+
+        module = PROTOCOLS.get(name)
         if module is None:
             raise req_mod.RequestError(
                 f"unknown protocol {name!r}; choose from: "
-                f"{', '.join(sorted(_protocol_modules()))}"
+                f"{', '.join(sorted(PROTOCOLS))}"
             )
         from repro.analysis import analyze
 
@@ -523,32 +526,8 @@ class AnalysisDaemon:
             "cached_reports": len(self._reports),
             "corr_id": self.root.corr_id,
             "default_backend": self.config.default_backend,
-            "backends": list(self.root.backends.names()),
+            "backends": list(backend_names()),
         }
-
-
-def _protocol_modules() -> dict[str, Any]:
-    from repro.protocols import (
-        andrew_rpc,
-        forwarding,
-        kerberos,
-        needham_schroeder,
-        otway_rees,
-        wide_mouth_frog,
-        x509,
-        yahalom,
-    )
-
-    return {
-        "kerberos": kerberos,
-        "needham-schroeder": needham_schroeder,
-        "otway-rees": otway_rees,
-        "yahalom": yahalom,
-        "wide-mouth-frog": wide_mouth_frog,
-        "andrew-rpc": andrew_rpc,
-        "courier": forwarding,
-        "ccitt-x509": x509,
-    }
 
 
 async def run_daemon(config: ServeConfig | None = None) -> None:

@@ -119,8 +119,8 @@ def parse_request(payload: Any,
     ``default_backend`` is the daemon's configured backend; a request
     may override it with the ``backend`` field.  Only the field's
     *shape* is checked here — whether the name resolves is decided at
-    execution time against the batch context's registry, whose
-    :class:`~repro.errors.EngineError` the daemon maps to a 400.
+    execution time by :func:`~repro.semantics.backend.get_backend`,
+    whose :class:`~repro.errors.EngineError` the daemon maps to a 400.
     """
     _require(isinstance(payload, Mapping), "request body must be a JSON object")
     kind = payload.get("kind", "system")

@@ -242,10 +242,11 @@ def _resolve_engine(
     engine: str,
     backend: str = DEFAULT_BACKEND,
 ):
-    """The sweep's evaluation engine: one registry lookup per sweep.
+    """The sweep's evaluation engine: one backend lookup per sweep.
 
-    ``backend`` names a :class:`~repro.semantics.backend.SemanticsBackend`
-    in the current context's registry (unknown names raise
+    ``backend`` names one of the built-in
+    :class:`~repro.semantics.backend.SemanticsBackend` pair (unknown
+    names raise
     :class:`~repro.errors.EngineError`); ``engine`` picks its compiled
     or interpreted shape.  Resolution happens once here — never on the
     per-instance hot loop.

@@ -40,6 +40,9 @@ from repro.semantics.compiler import compiled_for
 from repro.soundness import GeneratorConfig, generate_system
 from repro.terms import Believes, Not, Truth
 
+#: Every engine-agreement case runs under both semantics backends.
+BACKENDS = ("belief", "epistemic")
+
 _SYSTEMS: dict[int, object] = {}
 
 
@@ -95,21 +98,25 @@ class TestMonotoneIdempotentProperty:
 
 
 class TestEngineAgreement:
-    """Worklist and naive stages are byte-identical on the corpus."""
+    """Worklist and naive stages are byte-identical on the corpus, under
+    both semantics backends (the worklist engine serves each)."""
 
     def test_cointoss_examples(self):
         for example in (
             build_cointoss_example(),
             build_corrected_cointoss_example(),
         ):
-            worklist = construct_good_runs(
-                example.system, example.assumptions, engine="worklist"
-            )
-            naive = construct_good_runs(
-                example.system, example.assumptions, engine="naive"
-            )
-            assert worklist.stages == naive.stages
-            assert worklist.vector == naive.vector
+            for backend in BACKENDS:
+                worklist = construct_good_runs(
+                    example.system, example.assumptions, engine="worklist",
+                    backend=backend,
+                )
+                naive = construct_good_runs(
+                    example.system, example.assumptions, engine="naive",
+                    backend=backend,
+                )
+                assert worklist.stages == naive.stages, backend
+                assert worklist.vector == naive.vector, backend
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_sampled_vectors(self, seed):
@@ -117,27 +124,35 @@ class TestEngineAgreement:
         if workload is None:
             pytest.skip("formula pool yielded no run-constant bodies")
         system, assumptions = workload
-        worklist = construct_good_runs(system, assumptions)
-        naive = construct_good_runs(system, assumptions, engine="naive")
-        assert worklist.stages == naive.stages
+        for backend in BACKENDS:
+            worklist = construct_good_runs(system, assumptions,
+                                           backend=backend)
+            naive = construct_good_runs(system, assumptions, engine="naive",
+                                        backend=backend)
+            assert worklist.stages == naive.stages, backend
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_deep_benchmark_vectors(self, seed):
         system = system_for(seed, runs=2, steps=6)
         assumptions = deep_assumptions(system, depth=3)
         assert assumptions.max_depth == 3
-        worklist = construct_good_runs(system, assumptions)
-        naive = construct_good_runs(system, assumptions, engine="naive")
-        assert worklist.stages == naive.stages
+        for backend in BACKENDS:
+            worklist = construct_good_runs(system, assumptions,
+                                           backend=backend)
+            naive = construct_good_runs(system, assumptions, engine="naive",
+                                        backend=backend)
+            assert worklist.stages == naive.stages, backend
 
     def test_pattern_hide_agrees_too(self):
         system = system_for(0)
         assumptions = deep_assumptions(system, depth=2)
-        worklist = construct_good_runs(system, assumptions,
-                                       pattern_hide=True)
-        naive = construct_good_runs(system, assumptions,
-                                    pattern_hide=True, engine="naive")
-        assert worklist.stages == naive.stages
+        for backend in BACKENDS:
+            worklist = construct_good_runs(system, assumptions,
+                                           pattern_hide=True, backend=backend)
+            naive = construct_good_runs(system, assumptions,
+                                        pattern_hide=True, engine="naive",
+                                        backend=backend)
+            assert worklist.stages == naive.stages, backend
 
 
 class TestEarlyExit:

@@ -125,12 +125,11 @@ class TestServeCoverage:
 
 
 class TestBackendCoverage:
-    """The semantics-backend seam stays context-owned.
+    """The semantics-backend seam holds no module-level mutable state.
 
-    PR 10's :class:`~repro.semantics.backend.BackendRegistry` lives on
-    ``EngineContext.backends``; pin that the backend modules scan clean
-    and that a module-level registry — the obvious regression — is
-    flagged.
+    The two built-in backends are a fixed pair resolved by
+    ``get_backend``; pin that the backend modules scan clean and that a
+    module-level registry — the obvious regression — is flagged.
     """
 
     def test_backend_modules_are_clean(self):
@@ -159,9 +158,3 @@ class TestBackendCoverage:
             "repro/semantics/bad_backend.py" in v and "_BACKENDS" in v
             for v in violations
         )
-
-    def test_registry_is_per_context(self):
-        from repro import context
-
-        first, second = context.fresh("lint-a"), context.fresh("lint-b")
-        assert first.backends is not second.backends

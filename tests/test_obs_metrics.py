@@ -31,6 +31,7 @@ GOLDEN_SNAPSHOT = {
             "p50_s": 0.125, "p95_s": 0.2, "p99_s": 0.2,
         },
     },
+    "spans_dropped": 2,
     "journal": {"events": 3, "dropped": 1, "capacity": 4096},
 }
 
@@ -58,6 +59,9 @@ repro_span_duration_seconds{quantile="0.95",span="sweep.schema"} 0.2
 repro_span_duration_seconds{quantile="0.99",span="sweep.schema"} 0.2
 repro_span_duration_seconds_sum{span="sweep.schema"} 0.5
 repro_span_duration_seconds_count{span="sweep.schema"} 4
+# HELP repro_spans_dropped_total Spans discarded by the bounded span buffer.
+# TYPE repro_spans_dropped_total counter
+repro_spans_dropped_total 2
 # HELP repro_journal_events Events currently retained in the flight-recorder ring.
 # TYPE repro_journal_events gauge
 repro_journal_events 3
@@ -115,7 +119,9 @@ class TestExporters:
         assert snapshot["journal"] == {"events": 1, "dropped": 0,
                                        "capacity": 4096}
         assert snapshot["meta"] == {"command": "test"}
-        assert set(snapshot) == {"perf", "spans", "journal", "meta"}
+        assert snapshot["spans_dropped"] == 0
+        assert set(snapshot) == {"perf", "spans", "spans_dropped", "journal",
+                                 "meta"}
         # And the whole thing exports without error.
         assert metrics.to_prometheus(snapshot).startswith("# HELP")
 

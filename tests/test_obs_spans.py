@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.obs.spans import SpanRecorder, percentile, summarize
+from repro.obs.spans import CAPACITY, SpanRecorder, percentile, summarize
 from repro.obs import spans as global_spans
 
 
@@ -102,6 +102,48 @@ class TestTransport:
         sink.merge(delta)
         delta[0]["seconds"] = 99.0
         assert sink.snapshot()[0]["seconds"] == 1.0
+
+
+class TestBound:
+    """The buffer keeps the newest ``CAPACITY`` spans and counts the rest."""
+
+    def test_recorder_past_capacity_keeps_newest(self):
+        recorder = SpanRecorder()
+        for index in range(CAPACITY + 5):
+            recorder.record("s", 0.0, index=index)
+        snap = recorder.snapshot()
+        assert len(snap) == CAPACITY
+        assert recorder.dropped == 5
+        assert snap[0]["attrs"]["index"] == 5
+        assert snap[-1]["attrs"]["index"] == CAPACITY + 4
+
+    def test_delta_since_across_a_wrap(self):
+        recorder = SpanRecorder()
+        for index in range(10):
+            recorder.record("before", 0.0, index=index)
+        mark = recorder.mark()
+        for index in range(CAPACITY + 3):
+            recorder.record("after", 0.0, index=index)
+        # Only retained spans come back, and only those after the mark.
+        assert recorder.delta_since(mark) == [
+            sample for sample in recorder.snapshot()
+            if sample["name"] == "after"
+        ]
+        late = recorder.mark()
+        recorder.record("last", 0.0)
+        assert [s["name"] for s in recorder.delta_since(late)] == ["last"]
+
+    def test_absorb_past_capacity_leaves_root_at_capacity(self):
+        from repro import context
+
+        root = context.fresh("span-root")
+        for batch in range(3):
+            shard = context.fresh(f"span-shard-{batch}")
+            for _ in range(CAPACITY // 2 + 1):
+                shard.spans.record("serve.request", 0.001)
+            root.absorb(shard.telemetry())
+        assert len(root.spans) == CAPACITY
+        assert root.spans.dropped == 3 * (CAPACITY // 2 + 1) - CAPACITY
 
 
 class TestViews:

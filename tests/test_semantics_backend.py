@@ -1,17 +1,17 @@
-"""The semantics-backend seam: registry, parity, and the containment.
+"""The semantics-backend seam: resolution, parity, and the containment.
 
 Three layers of confidence in ``repro.semantics.backend``:
 
-* the registry's error paths (unknown name, duplicate registration,
-  deliberate shadowing, per-context isolation);
+* name resolution against the two built-in backends (and its error
+  path for an unknown name);
 * backend parity on the full protocol corpus — belief interpreted,
   belief compiled, epistemic interpreted, and epistemic compiled must
   agree wherever the theory says they must (exactly on belief-free
   formulas, compiled==interpreted within each backend, and never
   epistemic-true/belief-false on belief-positive formulas);
 * the ``cross_backend`` fuzz oracle demonstrably catches a planted
-  wrong-direction bug (a shadowed ``epistemic`` whose Believes clause
-  is always true).
+  wrong-direction bug (an ``epistemic`` compile patched to a Believes
+  clause that is always true).
 """
 
 import random
@@ -38,22 +38,21 @@ from repro.protocols import (
 )
 from repro.semantics.backend import (
     DEFAULT_BACKEND,
-    BackendRegistry,
-    BeliefBackend,
-    SemanticsBackend,
     backend_names,
     get_backend,
 )
-from repro.semantics.compiler import compiled_for
+from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.epistemic import (
     CompiledEpistemicSystem,
     EpistemicBackend,
     EpistemicEvaluator,
-    compiled_epistemic_for,
 )
 from repro.semantics.evaluator import Evaluator
+from repro.semantics.goodvectors import GoodRunVector
+from repro.semantics.vector_eval import VectorTruth
 from repro.soundness import GeneratorConfig, generate_system
 from repro.soundness.audit import assumptions_vector
+from repro.terms.formulas import Believes
 from repro.terms.ops import has_belief_under_negation
 
 SYSTEM_CASES = [
@@ -80,46 +79,7 @@ class TestRegistry:
             assert backend_names() == ("belief", "epistemic")
             assert get_backend().name == DEFAULT_BACKEND
             assert get_backend("epistemic").name == "epistemic"
-            registry = context.current().backends
-            assert "belief" in registry and len(registry) == 2
-
-    def test_duplicate_registration_conflicts(self):
-        registry = BackendRegistry()
-        registry.register(BeliefBackend())
-        with pytest.raises(EngineError, match="already registered"):
-            registry.register(BeliefBackend())
-        assert len(registry) == 1
-
-    def test_replace_shadows_deliberately(self):
-        class ShadowBelief(BeliefBackend):
-            pass
-
-        registry = BackendRegistry()
-        registry.register(BeliefBackend())
-        shadow = ShadowBelief()
-        assert registry.register(shadow, replace=True) is shadow
-        assert registry.get("belief") is shadow
-
-    def test_nameless_backend_rejected(self):
-        class Nameless(SemanticsBackend):
-            name = ""
-
-        with pytest.raises(EngineError, match="no usable name"):
-            BackendRegistry().register(Nameless())
-
-    def test_registry_is_context_owned(self):
-        """Two fresh contexts get independent registries: a shadow in
-        one must not leak into the other (the lint_globals discipline —
-        no module-level mutable registry)."""
-        first, second = context.fresh("iso-1"), context.fresh("iso-2")
-        with context.use(first):
-            context.current().backends.register(
-                EpistemicBackend(), replace=True
-            )
-            planted = context.current().backends.get("epistemic")
-        with context.use(second):
-            assert context.current().backends.get("epistemic") is not planted
-        assert first.backends is not second.backends
+            assert isinstance(get_backend("epistemic"), EpistemicBackend)
 
 
 @pytest.mark.parametrize(
@@ -146,7 +106,9 @@ class TestCorpusParity:
             "belief_interp": Evaluator(system, vector),
             "belief_compiled": compiled_for(system, vector),
             "epistemic_interp": EpistemicEvaluator(system, vector),
-            "epistemic_compiled": compiled_epistemic_for(system, vector),
+            "epistemic_compiled": get_backend("epistemic").compile(
+                system, vector
+            ),
         }
         return system, formulas, engines
 
@@ -194,67 +156,72 @@ class TestCorpusParity:
 
 class TestEpistemicEngine:
     def test_compiled_cache_keys_do_not_alias_belief(self):
-        """The epistemic compiled cache rides the same context table as
-        belief's but under a backend-tagged key: the same (system,
-        vector) must yield distinct engines per backend."""
+        """Both backends' compiled engines ride one context table, keyed
+        by engine class: the same (system, vector) must yield distinct
+        engines per backend."""
         with context.use(context.fresh("cache-alias")):
             system = generate_system(GeneratorConfig(seed=5, runs=2))
             belief = compiled_for(system)
-            epistemic = compiled_epistemic_for(system)
+            epistemic = compiled_for(system, engine=CompiledEpistemicSystem)
             assert belief is not epistemic
             assert isinstance(epistemic, CompiledEpistemicSystem)
             assert not isinstance(belief, CompiledEpistemicSystem)
             # Each engine is cached independently.
-            assert compiled_for(system) is belief
-            assert compiled_epistemic_for(system) is epistemic
+            assert compiled_for(system, engine=CompiledSystem) is belief
+            assert get_backend("epistemic").compile(system) is epistemic
 
-    def test_backend_capability_flags(self):
-        assert BeliefBackend.supports_vector_eval
-        assert BeliefBackend.supports_tracing
-        assert EpistemicBackend.supports_tracing
-        assert not EpistemicBackend.supports_vector_eval
-
-    def test_worklist_demoted_to_naive_for_epistemic(self):
-        """The worklist engine's bitset algebra encodes belief's clause
-        only; asking for it under the epistemic backend must fall back
-        to the stage-by-stage engine, counted, and still agree with the
-        naive engine asked for explicitly."""
+    def test_worklist_serves_epistemic(self):
+        """The default (worklist) engine takes the bitset path under the
+        epistemic backend and matches the naive engine stage for
+        stage."""
         module, factory, _run = SYSTEM_CASES[4]  # wide-mouth-frog: small
         protocol = factory()
         system = module.build_system()
         assumptions = assumptions_vector(protocol)
-        with context.use(context.fresh("demotion")):
-            demoted = construct_good_runs(
-                system, assumptions, engine="worklist", backend="epistemic"
+        with context.use(context.fresh("epistemic-worklist")):
+            worklist = construct_good_runs(
+                system, assumptions, backend="epistemic"
             )
-            forced = context.current().counters.get(
-                "goodruns.backend_forced_naive", 0
-            )
-            assert forced >= 1
+            assert context.current().counters.get(
+                "goodruns.body_bitset", 0
+            ) > 0
             naive = construct_good_runs(
                 system, assumptions, engine="naive", backend="epistemic"
             )
-        assert demoted.vector == naive.vector
+        assert worklist.stages == naive.stages
+
+    def test_vector_truth_uses_the_guarded_clause(self):
+        """Where a vector leaves a principal's possibility set empty on
+        a view class, ``VectorTruth`` under the epistemic backend answers
+        with the guard (knowledge), exactly like the compiled epistemic
+        engine at that vector."""
+        with context.use(context.fresh("vector-truth-epistemic")):
+            system = generate_system(GeneratorConfig(seed=0, runs=3))
+            principal = sorted(system.principals(), key=str)[0]
+            vector = GoodRunVector.of({principal: [system.runs[0].name]})
+            compiled = get_backend("epistemic").compile(system, vector)
+            groups = compiled._belief_groups_for(principal)
+            assert any(not possible for _members, possible in groups)
+            checker = VectorTruth(system, backend=get_backend("epistemic"))
+            belief_checker = VectorTruth(system)
+            differs = False
+            for body in sample_formulas(random.Random(0), system, 30):
+                believes = Believes(principal, body)
+                bits = checker.truth_bits(believes, vector)
+                if bits is None:  # beyond the checker: interpreter's job
+                    continue
+                assert bits == compiled.truth_bits(believes), believes
+                differs |= bits != belief_checker.truth_bits(
+                    believes, vector
+                )
+            assert differs, "no body separated the guard from belief"
 
 
 class _AlwaysBelievesSystem(CompiledEpistemicSystem):
     """The planted bug: a Believes clause that is true everywhere."""
 
-    def _build_believes(self, formula):
-        def compute() -> int:
-            return self.full_mask
-
-        return compute
-
-
-class _BuggyEpistemicBackend(EpistemicBackend):
-    """An epistemic backend whose beliefs hold unconditionally —
-    guaranteed to violate the containment wherever belief says no."""
-
-    def compile(self, system, goodruns=None, pattern_hide=False):
-        return _AlwaysBelievesSystem(
-            system, goodruns, pattern_hide=pattern_hide
-        )
+    def belief_bits(self, principal, body_bits, mask):
+        return self.full_mask
 
 
 class TestCrossBackendOracle:
@@ -274,15 +241,19 @@ class TestCrossBackendOracle:
             )
         assert failures == [], [f.description for f in failures]
 
-    def test_planted_wrong_direction_bug_is_caught(self):
-        """Shadow ``epistemic`` with the always-true-Believes backend in
-        a fresh context; the oracle must flag wrong-direction
+    def test_planted_wrong_direction_bug_is_caught(self, monkeypatch):
+        """Patch the epistemic backend's compile to the always-true-
+        Believes engine; the oracle must flag wrong-direction
         disagreements (epistemic-true where belief is false)."""
         system, formulas, points, vector = self._corpus(seed=0)
+        monkeypatch.setattr(
+            EpistemicBackend, "compile",
+            lambda self, system, goodruns=None, pattern_hide=False:
+                _AlwaysBelievesSystem(
+                    system, goodruns, pattern_hide=pattern_hide
+                ),
+        )
         with context.use(context.fresh("cross-planted")):
-            context.current().backends.register(
-                _BuggyEpistemicBackend(), replace=True
-            )
             failures = check_cross_backend(
                 system, formulas, points, goodruns=vector
             )
@@ -296,22 +267,3 @@ class TestCrossBackendOracle:
         for failure in wrong_direction:
             assert failure.oracle == "cross_backend"
             assert "containment" in failure.description
-
-    def test_planted_bug_does_not_leak_between_contexts(self):
-        """The plant lives and dies with its context: the same corpus is
-        clean again once the shadowing context is gone."""
-        system, formulas, points, vector = self._corpus(seed=0)
-        with context.use(context.fresh("cross-planted-scope")):
-            context.current().backends.register(
-                _BuggyEpistemicBackend(), replace=True
-            )
-            assert check_cross_backend(
-                system, formulas, points, goodruns=vector
-            )
-        with context.use(context.fresh("cross-after")):
-            assert (
-                check_cross_backend(
-                    system, formulas, points, goodruns=vector
-                )
-                == []
-            )

@@ -15,7 +15,7 @@ Allowlisted globals fall into two honest categories:
 
 * **import-time registries** — populated once while modules import and
   read-only afterwards (axiom/mutator registries, the perf cache
-  registry, the CLI's protocol table);
+  registry, the protocol table);
 * **context machinery itself** — the bookkeeping ``repro.context``
   needs to hand out per-session state.
 
@@ -50,7 +50,7 @@ ALLOWLIST: frozenset[str] = frozenset(
         "repro/logic/certify.py:_MIXED_PREFIX_RULES",
         "repro/fuzz/mutators.py:MUTATORS",
         "repro/fuzz/proof_mutators.py:PROOF_MUTATORS",
-        "repro/__main__.py:_PROTOCOLS",
+        "repro/protocols/__init__.py:PROTOCOLS",
         "repro/serve/http.py:_REASONS",  # status -> reason phrase constants
         "repro/serve/requests.py:_SYSTEM_KNOBS",  # wire-schema bounds
     }
