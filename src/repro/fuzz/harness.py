@@ -628,6 +628,10 @@ def _fuzz_iteration(
         checks = len(formulas) * len(points)
         report.count_check("cache_differential", checks)
         report.count_check("hide_differential", checks)
+        # One walked view per principal, point and hide variant.
+        report.count_check("hide_views", 2 * sum(
+            len(run.all_principals) * len(run.states) for run in system.runs
+        ))
         report.count_check("ground_path_differential", len(points))
         with spans.span("fuzz.differential", checks=checks):
             failures = (

@@ -13,7 +13,8 @@ Four families of checks, each independent of the machinery it audits:
   belief-free formulas must evaluate identically under both variants,
   and pattern hiding refines indistinguishability, so a top-level
   belief that holds under collapse-hide must also hold under
-  pattern-hide.
+  pattern-hide.  The evaluator's walked hidden views must group the
+  points as the literal ``hidden_local_view`` does.
 * **Path differentials** — the ground-formula fast path must agree with
   the substitution path, and ``sweep_system(workers=N)`` must render
   byte-identically to the sequential sweep.
@@ -30,6 +31,7 @@ from repro.model.runs import Run
 from repro.model.system import System
 from repro.model.wellformed import violation_classes
 from repro.semantics.evaluator import Evaluator
+from repro.semantics.hide import hidden_local_view
 from repro.terms.atoms import Key, Parameter, Sort
 from repro.terms.base import Message
 from repro.terms.formulas import Believes, Formula
@@ -294,6 +296,11 @@ def check_hide_differential(
     can only turn beliefs true, and by induction a positive context
     propagates that direction outward.  Formulas with beliefs under
     negation can legitimately move either way and are skipped.
+
+    Under both variants, the evaluator's walked hidden views must group
+    every principal's points (the environment's included) exactly as
+    the literal views do; the first pair of points they disagree on is
+    a ``hide_views`` failure.
     """
     failures = []
     collapse = Evaluator(system, pattern_hide=False)
@@ -323,6 +330,31 @@ def check_hide_differential(
                         run_name=run.name, formula=str(formula), time=k,
                     )
                 )
+    principals = dict.fromkeys(
+        principal for run in system.runs for principal in run.all_principals
+    )
+    for evaluator, variant in ((collapse, "collapse"), (pattern, "pattern")):
+        for principal in principals:
+            own_points = [
+                (run, k) for run in system.runs
+                if principal in run.all_principals for k in run.times
+            ]
+            first_literal, first_walked = {}, {}
+            for index, (run, k) in enumerate(own_points):
+                literal = first_literal.setdefault(hidden_local_view(
+                    run, principal, k, evaluator.pattern_hide), index)
+                walked = first_walked.setdefault(
+                    evaluator._hidden_view(principal, run, k), index)
+                if literal != walked:
+                    other, other_k = own_points[min(literal, walked)]
+                    failures.append(OracleFailure(
+                        "hide_views",
+                        f"{principal} ({variant}-hide): walked and literal "
+                        f"views group {other.name}@{other_k} and "
+                        f"{run.name}@{k} differently",
+                        run_name=run.name, time=k,
+                    ))
+                    break
     return failures
 
 

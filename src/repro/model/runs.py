@@ -127,7 +127,16 @@ class Run:
         At the first state of the window the whole history counts; runs
         built by :class:`~repro.model.builder.RunBuilder` start with
         empty histories, making performance times unambiguous.
+
+        The environment projects only the global-history entries added
+        since k-1 when its history at k extends the one at k-1.
         """
+        if k > self.start_time and principal == self.environment:
+            now, before = self.state(k).env.history, self.state(k - 1).env.history
+            if now[:len(before)] == before:
+                return tuple(
+                    action for who, action in now[len(before):] if who == principal
+                )
         now = self.history(principal, k)
         if k == self.start_time:
             return now

@@ -25,7 +25,7 @@ from repro.model.runs import Run
 from repro.model.submsgs import said_submsgs, seen_submsgs_all
 from repro.model.system import Point, System
 from repro.semantics.goodvectors import GoodRunVector
-from repro.semantics.hide import HiddenView, hidden_local_view
+from repro.semantics.hide import HiddenView, hidden_run_views
 from repro.terms.atoms import Principal, PrivateKey, PublicKey
 from repro.terms.base import Message
 from repro.terms.formulas import (
@@ -103,6 +103,8 @@ class Evaluator:
         self.tracer = tracer
         self._memo: dict[tuple[Formula, str, int], bool] = {}
         self._hidden: dict[tuple[Principal, str, int], HiddenView] = {}
+        #: The history-prefix node table the hidden views are named by.
+        self._nodes: dict[tuple, int] = {}
         self._possible: dict[tuple, dict[HiddenView, list[Point]]] = {}
         self._said: dict[tuple[Principal, str], tuple[tuple[int, frozenset], ...]] = {}
         self._seen: dict[tuple[Principal, str, int], frozenset] = {}
@@ -116,6 +118,7 @@ class Evaluator:
         clearer, also used by :meth:`EngineContext.clear_session_caches`)."""
         self._memo.clear()
         self._hidden.clear()
+        self._nodes.clear()
         self._possible.clear()
         self._said.clear()
         self._seen.clear()
@@ -425,11 +428,15 @@ class Evaluator:
     # -- belief -----------------------------------------------------------------------------
 
     def _hidden_view(self, principal: Principal, run: Run, k: int) -> HiddenView:
+        """``hide(r_P(k))``; a miss fills the whole run's views at once."""
         key = (principal, run.name, k)
         cached = self._hidden.get(key)
         if cached is None:
-            cached = hidden_local_view(run, principal, k, self.pattern_hide)
-            self._hidden[key] = cached
+            run.state(k)  # an out-of-window time raises ModelError here
+            views = hidden_run_views(run, principal, self.pattern_hide, self._nodes)
+            for time, view in zip(run.times, views):
+                self._hidden[(principal, run.name, time)] = view
+            cached = self._hidden[key]
         return cached
 
     def _view_index(

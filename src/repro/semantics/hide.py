@@ -174,3 +174,50 @@ def hidden_local_view(
     local = run.local(principal, k)
     history = tuple(_hide_action(keys, action, hider) for action in local.history)
     return ("local", history, keys, local.data)
+
+
+def _hider(pattern: bool, numbering: dict[Encrypted, Nonce]):
+    if not pattern:
+        return hide_message
+    return lambda keys, message: hide_message_pattern(keys, message, numbering)
+
+
+def hidden_run_views(
+    run: Run, principal: Principal, pattern: bool, nodes: dict
+) -> list[HiddenView]:
+    """:func:`hidden_local_view` at every time of the run, oldest first,
+    from one walk that hides each newly performed action once.
+
+    The hidden history is named by an interned node (``nodes`` maps
+    ``(parent node, hidden action)`` to an int; ``0`` is the empty
+    history), so a view hashes in O(1), and two views built with one
+    table are equal exactly when the literal views are.  The walk
+    restarts from the root when the key set changes (a new key can make
+    an earlier ciphertext readable) or the history does not extend the
+    previous one.  Pattern-hide numbering is carried along; the
+    environment's buffers, numbered after its history, use a copy.
+    """
+    env = principal == run.environment
+    views: list[HiddenView] = []
+    keys, history, node = None, (), 0
+    for k in run.times:
+        state = run.state(k).env if env else run.local(principal, k)
+        done = len(history)
+        if state.keys != keys or state.history[:done] != history:
+            keys, done, node, numbering = state.keys, 0, 0, {}
+            hider = _hider(pattern, numbering)
+        for entry in state.history[done:]:
+            hidden = ((entry[0], _hide_action(keys, entry[1], hider)) if env
+                      else _hide_action(keys, entry, hider))
+            node = nodes.setdefault((node, hidden), len(nodes) + 1)
+        history = state.history
+        if not env:
+            views.append(("local", node, keys, state.data))
+            continue
+        numbered = _hider(pattern, dict(numbering))
+        buffers = tuple(
+            (who, tuple(numbered(keys, message) for message in pending))
+            for who, pending in state.buffers
+        )
+        views.append(("env", node, keys, buffers, state.data))
+    return views

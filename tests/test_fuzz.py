@@ -187,6 +187,7 @@ class TestHarness:
         assert sum(s.applied for s in first.mutations.values()) > 0
         assert first.oracle_checks.get("cache_differential", 0) > 0
         assert first.oracle_checks.get("hide_differential", 0) > 0
+        assert first.oracle_checks.get("hide_views", 0) > 0
 
     def test_generate_base_system_deterministic(self):
         config = FuzzConfig(seed=3)
@@ -644,19 +645,79 @@ class TestHideMonotonicityPlantedBug:
 
     def test_weakened_pattern_hide_is_caught(self, monkeypatch):
         from repro.fuzz import check_hide_differential
-        from repro.semantics.hide import hidden_local_view as real_view
+        from repro.semantics.hide import hidden_run_views as real_views
 
         system, nested, points = self._workload()
 
-        def weakened(run, principal, k, pattern=False):
+        def weakened(run, principal, pattern, nodes):
             # The bug: pattern-hide collapses every state to one view,
             # coarsening indistinguishability instead of refining it.
             if pattern:
-                return ("weakened", principal)
-            return real_view(run, principal, k, False)
+                return [("weakened", principal)] * len(run.times)
+            return real_views(run, principal, False, nodes)
 
         monkeypatch.setattr(
-            "repro.semantics.evaluator.hidden_local_view", weakened
+            "repro.semantics.evaluator.hidden_run_views", weakened
         )
         failures = check_hide_differential(system, [nested], points)
         assert any(f.oracle == "hide_monotonicity" for f in failures)
+
+
+class TestHideViewsPlantedBug:
+    """The walked-view oracle catches a walk that never restarts when
+    the key set changes."""
+
+    @staticmethod
+    def _system():
+        from repro.model import RunBuilder, System
+        from repro.terms.atoms import Nonce
+
+        a, b = Principal("A"), Principal("B")
+        inner, outer = Key("K2"), Key("K")
+
+        def late_key_run(payload):
+            # A reads {payload}_K2 only after a later newkey(K2).
+            builder = RunBuilder([a, b], keysets={a: [outer], b: [outer, inner]})
+            builder.send(b, encrypted(payload, inner, b), a)
+            builder.receive(a)
+            builder.newkey(a, inner)
+            return builder.build(f"late-key-{payload}")
+
+        return System((late_key_run(Nonce("N")), late_key_run(Nonce("M"))))
+
+    @staticmethod
+    def _stale_walk(run, principal, pattern, nodes):
+        """The bug: an action stays hidden under the key set it was
+        first hidden under, so a later key never reveals it."""
+        from repro.semantics.hide import (
+            _hide_action,
+            hidden_run_views,
+            hide_message,
+        )
+
+        if pattern or principal == run.environment:
+            return hidden_run_views(run, principal, pattern, nodes)
+        views, node, done = [], 0, 0
+        for k in run.times:
+            local = run.local(principal, k)
+            for action in local.history[done:]:
+                hidden = _hide_action(local.keys, action, hide_message)
+                node = nodes.setdefault((node, hidden), len(nodes) + 1)
+            done = len(local.history)
+            views.append(("local", node, local.keys, local.data))
+        return views
+
+    def test_real_walk_is_quiet(self):
+        from repro.fuzz import check_hide_differential
+
+        assert check_hide_differential(self._system(), [], []) == []
+
+    def test_walk_without_key_restart_is_caught(self, monkeypatch):
+        from repro.fuzz import check_hide_differential
+
+        monkeypatch.setattr(
+            "repro.semantics.evaluator.hidden_run_views", self._stale_walk
+        )
+        failures = check_hide_differential(self._system(), [], [])
+        assert [f.oracle for f in failures] == ["hide_views"]
+        assert failures[0].description.startswith("A (collapse-hide)")

@@ -1,5 +1,7 @@
 """Tests for RunBuilder, Run accessors, and well-formedness WF0-WF5."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ModelError, WellFormednessError
@@ -178,6 +180,28 @@ class TestRunAccessors:
         run = simple_run()
         assert run.performed(A, 1) == (Send(encrypted(N, K, A), B),)
         assert run.performed(A, 2) == ()
+        # The environment's actions come from the global history, also
+        # when it is rewritten between two times.
+        builder = RunBuilder([A, B])
+        builder.send(A, N, B)
+        builder.send(ENVIRONMENT, M, A)
+        builder.send(ENVIRONMENT, N, B)
+        built = builder.build("env-sends")
+        env = built.states[2].env
+        rewritten = EnvState(
+            ((ENVIRONMENT, Send(M, B)), (ENVIRONMENT, Send(N, A))),
+            env.keys, env.buffers, env.data,
+        )
+        edited = replace(built, states=built.states[:2] + (
+            built.states[2].with_env(rewritten), built.states[3]
+        ))
+        for run in (built, edited):
+            for principal in run.all_principals:
+                for k in run.times:
+                    now = run.history(principal, k)
+                    if k > run.start_time:
+                        now = now[len(run.history(principal, k - 1)):]
+                    assert run.performed(principal, k) == now
 
     def test_keyset_env(self):
         builder = RunBuilder([A, B], env_keys=[K2])

@@ -1,9 +1,20 @@
 """Tests for the hide operation (Section 6)."""
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 
-from repro.model import RunBuilder
-from repro.semantics import OPAQUE, hidden_local_view, hide_message, hide_message_pattern
+from repro import context
+from repro.model import ENVIRONMENT, RunBuilder, Send, System
+from repro.semantics import (
+    OPAQUE,
+    Evaluator,
+    hidden_local_view,
+    hide_message,
+    hide_message_pattern,
+)
+from repro.semantics.hide import hidden_run_views
 from repro.terms import (
     Encrypted,
     Forwarded,
@@ -128,3 +139,96 @@ class TestHiddenLocalView:
         run = builder.build("env")
         view = hidden_local_view(run, run.environment, run.end_time)
         assert view[0] == "env"
+
+
+def _late_key_run(payload):
+    """A reads ``{payload}_K2`` only after a mid-run ``newkey(K2)``."""
+    builder = RunBuilder([A, B], keysets={A: [K], B: [K, K2]})
+    builder.send(B, Group((Encrypted(payload, K2, B), Encrypted(M, K2, B))), A)
+    builder.receive(A)
+    builder.newkey(A, K2)
+    builder.send(B, Encrypted(payload, K2, B), A)
+    builder.receive(A)
+    return builder.build(f"late-key-{payload}")
+
+
+def _rewritten_run():
+    """A run edited by hand: a ciphertext nobody sent sits in A's buffer
+    at time 1, A's history at 3 does not extend its history at 2 (nor
+    its history at 4 the one at 3), and the global history at 4 does
+    not extend the one at 3."""
+    builder = RunBuilder([A, B], keysets={A: [K], B: [K, K2]})
+    builder.send(B, Encrypted(N, K2, B), A)
+    builder.receive(A)
+    builder.send(B, Encrypted(M, K2, B), A)
+    builder.receive(A)
+    run = builder.build("rewritten")
+    states = list(run.states)
+    env = states[1].env
+    junk = env.buffer(A) + (Encrypted(Nonce("J"), K2, B),)
+    states[1] = states[1].with_env(env.with_buffers({**env.buffer_map, A: junk}))
+    local = states[3].local(A)
+    states[3] = states[3].with_local(A, replace(local, history=(Send(N, B),)))
+    env = states[4].env
+    states[4] = states[4].with_env(replace(env, history=env.history[1:]))
+    return replace(run, states=tuple(states))
+
+
+def _expanded(view, nodes):
+    """A walked view with its history node spelled out as the hidden
+    history it names."""
+    steps = {child: step for step, child in nodes.items()}
+    history, node = [], view[1]
+    while node:
+        node, action = steps[node]
+        history.append(action)
+    return (view[0], tuple(reversed(history))) + view[2:]
+
+
+class TestHiddenRunViews:
+    @pytest.mark.parametrize("pattern", [False, True])
+    @pytest.mark.parametrize(
+        "runs",
+        [(_late_key_run(N), _late_key_run(Nonce("N2"))), (_rewritten_run(),)],
+        ids=["mid-run-newkey", "history-not-extended"],
+    )
+    def test_walk_matches_the_literal_views(self, runs, pattern):
+        for principal in (A, B, ENVIRONMENT):
+            nodes = {}
+            walked, literal = [], []
+            for run in runs:
+                views = hidden_run_views(run, principal, pattern, nodes)
+                expected = [
+                    hidden_local_view(run, principal, k, pattern)
+                    for k in run.times
+                ]
+                assert [_expanded(view, nodes) for view in views] == expected
+                walked += views
+                literal += expected
+            # Equal walked views exactly where the literal views are equal.
+            assert [[a == b for b in walked] for a in walked] == [
+                [a == b for b in literal] for a in literal
+            ]
+
+    def test_newkey_reveals_an_earlier_ciphertext(self):
+        runs = (_late_key_run(N), _late_key_run(Nonce("N2")))
+        nodes = {}
+        first, second = (hidden_run_views(run, A, False, nodes) for run in runs)
+        assert first[2] == second[2]  # before newkey(K2): both blinded
+        assert first[3] != second[3]  # after it: the payloads differ
+
+    def test_hide_work_is_linear_in_run_length(self):
+        def hide_lookups(steps):
+            builder = RunBuilder([A, B], keysets={A: [K], B: [K, K2]})
+            for _ in range(steps // 2):
+                builder.send(B, Encrypted(N, K2, B), A)
+                builder.receive(A)
+            system = System((builder.build(f"steps-{steps}"),))
+            ctx = context.fresh("hide-cost")
+            with context.use(ctx):
+                Evaluator(system).possible_points(A, system.runs[0], 0)
+            return ctx.counters.get("hide.hit", 0) + ctx.counters.get(
+                "hide.miss", 0
+            )
+
+        assert hide_lookups(80) <= 5 * hide_lookups(20)
