@@ -48,19 +48,13 @@ left behind in the process-default context).
     proof tree encountered.
 
 ``fuzz [--seed S] [--iterations N] [--report PATH] [--oracles F,..]``
-    Run the differential fuzzing and fault-injection campaign: random
-    well-formed systems, WF fault injection with classification
-    oracles, evaluator cache/hide/ground-path differentials,
-    engine-vs-semantics derivation replay, adversarial proof mutation,
-    per-workload interpretation fuzzing, good-runs construction
-    invariants (Theorem 2/3 support, monotonicity, idempotence, engine
-    agreement, brute-force optimality), and a periodic
-    parallel-vs-sequential sweep comparison, and the belief-vs-epistemic
-    cross-backend containment map.  ``--oracles`` selects a
-    comma-separated subset of the families (default: all) and
-    ``--backend`` picks the semantics backend the replay oracle audits
-    against.  Writes a JSON report (default ``FUZZ_report.json``) with
-    shrunk counterexamples.
+    Run the differential fuzzing and fault-injection campaign: the rows
+    of the fuzz oracle table over seeded random well-formed systems.
+    ``--oracles`` selects a comma-separated subset of its families
+    (default: all; ``fuzz --help`` lists them) and ``--backend`` picks
+    the semantics backend the replay oracle audits against.  Writes a
+    JSON report (default ``FUZZ_report.json``) with shrunk
+    counterexamples.
 
 ``cointoss``
     Walk the Section 7 construction and optimality story (E5-E7).
@@ -119,6 +113,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         print(proof.pretty())
     return 0 if report.all_as_expected else 1
+
+
+class _FuzzHelp(argparse.HelpFormatter):
+    """Fills the fuzz table's families into ``fuzz --help``, importing
+    :mod:`repro.fuzz` only when that help is printed."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        from repro.fuzz import ORACLE_FAMILIES
+
+        return action.help.replace("FAMILIES", ", ".join(ORACLE_FAMILIES))
 
 
 def _add_isolated(subparser: argparse.ArgumentParser) -> None:
@@ -424,21 +428,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         oracles = tuple(
             name.strip() for name in args.oracles.split(",") if name.strip()
         )
-        unknown = set(oracles) - set(ORACLE_FAMILIES)
-        if unknown:
-            print(
-                f"unknown oracle families {sorted(unknown)}; "
-                f"choose from {', '.join(ORACLE_FAMILIES)}"
-            )
-            return 2
-    config = FuzzConfig(
-        seed=args.seed,
-        iterations=args.iterations,
-        parallel_every=args.parallel_every,
-        parallel_workers=args.workers,
-        oracles=oracles,
-        backend=args.backend,
-    )
+    try:
+        config = FuzzConfig(
+            seed=args.seed,
+            iterations=args.iterations,
+            parallel_every=args.parallel_every,
+            parallel_workers=args.workers,
+            oracles=oracles,
+            backend=args.backend,
+        )
+    except ValueError as error:  # an unknown oracle family
+        print(error)
+        return 2
     report = run_fuzz(config)
     print(report.render())
     report.write(args.report)
@@ -610,7 +611,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_isolated(trace_parser)
 
     fuzz_parser = sub.add_parser(
-        "fuzz", help="differential run-fuzzing and fault injection"
+        "fuzz", help="differential run-fuzzing and fault injection",
+        formatter_class=_FuzzHelp,
     )
     fuzz_parser.add_argument("--seed", type=int, default=0)
     fuzz_parser.add_argument("--iterations", type=int, default=200)
@@ -628,9 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     fuzz_parser.add_argument(
         "--oracles", default="all",
-        help="comma-separated oracle families to run (wf, differential, "
-             "compiled, parallel, engine_replay, proof_mutation, "
-             "interpretation, goodruns_construction, cross_backend; "
+        help="comma-separated oracle families to run (FAMILIES; "
              "default: all)",
     )
     fuzz_parser.add_argument(

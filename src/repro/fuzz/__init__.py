@@ -3,9 +3,9 @@
 The soundness of Theorem 1 hinges on the well-formedness restrictions
 of Section 5 and on the semantic kernels behaving identically across
 every fast path (interning, memoization, the ground-formula shortcut,
-the parallel sweep).  This package *generates* hostile runs and checks
-those invariants differentially instead of trusting the hand-built
-protocol systems:
+the compiled engine, the parallel sweep).  This package *generates*
+hostile runs and checks those invariants differentially instead of
+trusting the hand-built protocol systems:
 
 * :mod:`repro.fuzz.generate` — seeded random workload generation
   (layered on the E3 system generator, well-formed by construction),
@@ -15,32 +15,35 @@ protocol systems:
 * :mod:`repro.fuzz.proof_mutators` — adversarial mutations of checked
   Hilbert proofs, tagged with the verdict the checker must return;
 * :mod:`repro.fuzz.oracles` — the WF-classification oracle and the
-  cache/interning, hide, ground-path, and parallel-sweep differentials;
+  cache/interning, hide, ground-path, compiled, cross-backend, and
+  parallel-sweep differentials;
 * :mod:`repro.fuzz.logic_oracles` — the derivation-layer oracles:
   engine-vs-semantics replay, proof-mutation checking, and Prim
   interpretation agreement;
 * :mod:`repro.fuzz.goodruns_oracles` — the Theorem 2/3 construction
   oracles: support, stage monotonicity, fixpoint idempotence, engine
   agreement, and brute-force optimality on small systems;
-* :mod:`repro.fuzz.shrink` — greedy counterexample minimization for
-  runs, assumption sets, and proofs;
-* :mod:`repro.fuzz.harness` — the campaign driver and JSON report
-  behind ``python -m repro fuzz``.
+* :mod:`repro.fuzz.shrink` — the one greedy minimization loop and its
+  reductions for runs, proofs, assumption sets, and good-run vectors;
+* :mod:`repro.fuzz.harness` — the oracle table (one row per oracle, in
+  RNG draw order), the loop that runs it, and the JSON report behind
+  ``python -m repro fuzz``.
 """
 
-from repro.fuzz.generate import (
-    ORACLE_FAMILIES,
-    FuzzConfig,
-    generate_base_system,
-    randomize_interpretation,
-)
+from repro.fuzz.generate import generate_base_system, randomize_interpretation
 from repro.fuzz.goodruns_oracles import (
     check_goodruns_construction,
     deep_assumptions,
     describe_assumptions,
     sample_assumption_vector,
 )
-from repro.fuzz.harness import Counterexample, FuzzReport, run_fuzz
+from repro.fuzz.harness import (
+    ORACLE_FAMILIES,
+    Counterexample,
+    FuzzConfig,
+    FuzzReport,
+    run_fuzz,
+)
 from repro.fuzz.logic_oracles import (
     REPLAY_EXCLUDED_RULES,
     check_engine_replay,
@@ -71,7 +74,6 @@ from repro.fuzz.shrink import (
     describe_proof,
     describe_run,
     shrink_assumption_vector,
-    shrink_assumptions,
     shrink_proof,
     shrink_run,
 )
@@ -113,7 +115,6 @@ __all__ = [
     "describe_proof",
     "describe_run",
     "shrink_assumption_vector",
-    "shrink_assumptions",
     "shrink_proof",
     "shrink_run",
 ]

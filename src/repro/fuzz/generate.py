@@ -18,66 +18,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.model.system import Interpretation, System
 from repro.soundness.generators import GeneratorConfig, generate_system
 from repro.terms.atoms import Sort
 
-#: The selectable oracle families (``fuzz --oracles``): WF fault
-#: injection/classification, the evaluator differentials, the
-#: compiled-vs-interpreted engine differential, the periodic
-#: parallel-sweep comparison, engine-vs-semantics derivation replay,
-#: adversarial proof mutation, interpretation fuzzing, the good-runs
-#: construction invariants (Theorem 2/3 pipeline), and the
-#: belief-vs-epistemic cross-backend differential (containment map).
-ORACLE_FAMILIES: tuple[str, ...] = (
-    "wf",
-    "differential",
-    "compiled",
-    "parallel",
-    "engine_replay",
-    "proof_mutation",
-    "interpretation",
-    "goodruns_construction",
-    "cross_backend",
-)
-
-
-@dataclass(frozen=True)
-class FuzzConfig:
-    """Knobs for one fuzzing campaign."""
-
-    seed: int = 0
-    iterations: int = 200
-    #: Run the (expensive) parallel-sweep oracle every Nth iteration.
-    parallel_every: int = 50
-    #: Process-pool width used by the parallel-sweep oracle.
-    parallel_workers: int = 2
-    #: Instance cap per schema for the parallel-sweep oracle.
-    parallel_instances: int = 8
-    #: Points sampled per run for the evaluator differential oracles.
-    points_per_run: int = 3
-    #: Formulas sampled from the instantiation pool per iteration.
-    formulas_per_iteration: int = 6
-    #: Oracle families enabled for this campaign (see ORACLE_FAMILIES).
-    oracles: tuple[str, ...] = ORACLE_FAMILIES
-    #: True assumptions sampled per engine-replay workload.
-    replay_assumptions: int = 6
-    #: Engine resource bound for one replay closure (exceeding it skips
-    #: the iteration's replay rather than failing the campaign).
-    replay_max_facts: int = 4000
-    #: Proof mutations injected per iteration that certifies a proof.
-    proof_mutations_per_iteration: int = 2
-    #: Assumption formulas sampled per good-runs construction workload.
-    goodruns_assumptions: int = 4
-    #: Candidate-vector cap for the brute-force optimality cross-check
-    #: (systems whose search space exceeds it skip that sub-oracle).
-    goodruns_optimality_cap: int = 4096
-    #: Semantics backend the engine-replay workload audits against
-    #: (the cross-backend oracle always compares ``belief`` vs.
-    #: ``epistemic`` regardless).
-    backend: str = "belief"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fuzz.harness import FuzzConfig
 
 
 def iteration_rng(config: FuzzConfig, iteration: int) -> random.Random:
@@ -138,25 +86,3 @@ def randomize_interpretation(rng: random.Random, system: System) -> System:
         system, interpretation=Interpretation.from_table(table)
     )
 
-
-def shrink_generator_config(config: GeneratorConfig) -> list[GeneratorConfig]:
-    """Candidate smaller configurations, most aggressive first.
-
-    Used by the shrinker to re-generate structurally simpler base
-    systems while keeping the same seed (and so, broadly, the same
-    schedule shape).
-    """
-    candidates = []
-    if config.runs > 1:
-        candidates.append(dataclasses.replace(config, runs=1))
-    if config.steps_per_run > 2:
-        candidates.append(
-            dataclasses.replace(config, steps_per_run=config.steps_per_run // 2)
-        )
-    if config.past_steps > 0:
-        candidates.append(dataclasses.replace(config, past_steps=0))
-    if config.principals > 2:
-        candidates.append(dataclasses.replace(config, principals=2))
-    if config.env_activity > 0:
-        candidates.append(dataclasses.replace(config, env_activity=0.0))
-    return candidates

@@ -33,7 +33,7 @@ checkable invariants:
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ReproError
 from repro.goodruns.assumptions import InitialAssumptions
@@ -159,6 +159,11 @@ def deep_assumptions(system: System, depth: int) -> InitialAssumptions:
     )
 
 
+#: Candidate-vector cap for the brute-force optimality cross-check
+#: (systems whose search space exceeds it skip that sub-oracle).
+GOODRUNS_OPTIMALITY_CAP = 4096
+
+
 def _search_space(system: System) -> int:
     """Candidate-vector count of the brute-force optimality search."""
     return (2 ** len(system.runs)) ** len(system.principals())
@@ -172,7 +177,6 @@ def check_goodruns_construction(
     system: System,
     assumptions: InitialAssumptions,
     pattern_hide: bool = False,
-    optimality_cap: int = 4096,
     construct: Callable[..., ConstructionResult] | None = None,
 ) -> list[OracleFailure]:
     """Run the construction and check every invariant it promises.
@@ -268,7 +272,7 @@ def check_goodruns_construction(
     if (
         assumptions.max_depth <= 1
         and assumptions.satisfies_i2()
-        and _search_space(system) <= optimality_cap
+        and _search_space(system) <= GOODRUNS_OPTIMALITY_CAP
         and all(
             _run_constant(support_compiled, formula.body)
             for _p, formula in assumptions.all_formulas()

@@ -1,15 +1,14 @@
 """The fuzzing campaign driver and its JSON report.
 
 One iteration = one seeded workload: generate a well-formed base
-system, randomize its Prim interpretation, run the differential
-evaluator oracles over sampled formulas and points, inject one fault
-and check the WF oracle classifies it, close a true assumption set
-under the derivation engine and replay every derived fact against the
-semantics, certify a derivation into a Hilbert proof and attack the
-proof checker with surgical mutations, and (periodically) replay the
-soundness sweep in parallel and compare renders.  Failures are
-greedily shrunk before being recorded, so the report carries minimal
-reproductions, not raw random noise.
+system, then run the enabled rows of the oracle table :data:`ROWS`
+over it in table order, which is the order they draw from the
+iteration's RNG.  A row is one function of the iteration's
+:class:`Workload`; one loop does every row's bookkeeping — a
+``fuzz.<oracle>`` span, its ``oracle_checks`` counts, one
+``oracle_verdict`` journal event, and its counterexamples.  Failures
+are greedily shrunk before being recorded, so the report carries
+minimal reproductions, not raw random noise.
 
 Oracle families can be selected per campaign (``FuzzConfig.oracles``,
 ``fuzz --oracles``); everything is a pure function of
@@ -21,10 +20,12 @@ oracle verdict bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, replace as dc_replace
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 from repro import context, perf
 from repro.errors import ProofError
@@ -32,18 +33,16 @@ from repro.goodruns.construction import construct_good_runs
 from repro.logic.certify import CertificationError, certify
 from repro.logic.engine import Derivation, Rule
 from repro.logic.proof import Proof
+from repro.model.runs import Run
 from repro.model.system import System
 from repro.obs import journal, run_metadata, spans
 from repro.obs.spans import summarize
 from repro.obs.trace import render_why, trace_evaluation
 from repro.semantics.backend import get_backend
+from repro.semantics.compiler import CompiledSystem
+from repro.terms.formulas import Formula
 
-from repro.fuzz.generate import (
-    ORACLE_FAMILIES,
-    FuzzConfig,
-    generate_base_system,
-    randomize_interpretation,
-)
+from repro.fuzz.generate import generate_base_system, randomize_interpretation
 from repro.fuzz.goodruns_oracles import (
     check_goodruns_construction,
     describe_assumptions,
@@ -55,7 +54,7 @@ from repro.fuzz.logic_oracles import (
     check_proof_mutation,
     sample_assumptions,
 )
-from repro.fuzz.mutators import MUTATORS, Mutation, apply_random_mutator
+from repro.fuzz.mutators import MUTATORS, apply_random_mutator
 from repro.fuzz.oracles import (
     OracleFailure,
     check_cache_differential,
@@ -71,16 +70,14 @@ from repro.fuzz.oracles import (
     sample_goodrun_vector,
     sample_points,
 )
-from repro.fuzz.proof_mutators import (
-    PROOF_MUTATORS,
-    ProofMutation,
-    apply_random_proof_mutator,
-)
+from repro.fuzz.proof_mutators import PROOF_MUTATORS, apply_random_proof_mutator
 from repro.fuzz.shrink import (
     describe_proof,
     describe_run,
+    drop_one,
+    drop_restriction,
+    shrink,
     shrink_assumption_vector,
-    shrink_assumptions,
     shrink_proof,
     shrink_run,
 )
@@ -120,16 +117,7 @@ class Counterexample:
     journal: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mutator": self.mutator,
-            "expected": self.expected,
-            "failure": self.failure.to_json(),
-            "script": self.script,
-            "trace": self.trace,
-            "corr_id": self.corr_id,
-            "journal": [dict(event) for event in self.journal],
-        }
+        return {**asdict(self), "failure": self.failure.to_json()}
 
 
 @dataclass
@@ -156,11 +144,16 @@ class FuzzReport:
     def count_check(self, oracle: str, n: int = 1) -> None:
         self.oracle_checks[oracle] = self.oracle_checks.get(oracle, 0) + n
 
-    def mutator_stats(self, name: str) -> MutatorStats:
-        return self.mutations.setdefault(name, MutatorStats())
-
-    def proof_mutator_stats(self, name: str) -> MutatorStats:
-        return self.proof_mutations.setdefault(name, MutatorStats())
+    def tally(self, kind: str, name: str, failure) -> None:
+        """Count one applied mutator of ``kind`` (``mutations`` or
+        ``proof_mutations``) and whether its oracle verdict held."""
+        perf.count(f"fuzz.{kind}.{name}")
+        stats = getattr(self, kind).setdefault(name, MutatorStats())
+        stats.applied += 1
+        if failure is None:
+            stats.detected += 1
+        else:
+            stats.failed += 1
 
     def to_json(self) -> dict:
         return {
@@ -168,22 +161,8 @@ class FuzzReport:
             "iterations": self.iterations,
             "ok": self.ok,
             "elapsed_s": round(self.elapsed_s, 3),
-            "mutations": {
-                name: {
-                    "applied": stats.applied,
-                    "detected": stats.detected,
-                    "failed": stats.failed,
-                }
-                for name, stats in sorted(self.mutations.items())
-            },
-            "proof_mutations": {
-                name: {
-                    "applied": stats.applied,
-                    "detected": stats.detected,
-                    "failed": stats.failed,
-                }
-                for name, stats in sorted(self.proof_mutations.items())
-            },
+            "mutations": _stats_json(self.mutations),
+            "proof_mutations": _stats_json(self.proof_mutations),
             "oracle_checks": dict(sorted(self.oracle_checks.items())),
             "counterexamples": [c.to_json() for c in self.counterexamples],
             "meta": dict(self.meta),
@@ -201,21 +180,16 @@ class FuzzReport:
             f"elapsed={self.elapsed_s:.1f}s "
             f"{'OK' if self.ok else 'FAILURES: ' + str(len(self.counterexamples))}"
         ]
-        header = f"  {'mutator':<22} {'applied':>8} {'detected':>9} {'failed':>7}"
-        lines.append(header)
-        lines.append("  " + "-" * (len(header) - 2))
-        for name in MUTATORS:
-            stats = self.mutations.get(name, MutatorStats())
-            lines.append(
-                f"  {name:<22} {stats.applied:>8} {stats.detected:>9} "
-                f"{stats.failed:>7}"
-            )
+        tables = [("mutator", MUTATORS, self.mutations)]
         if self.proof_mutations:
-            lines.append(f"  {'proof mutator':<22} "
-                         f"{'applied':>8} {'detected':>9} {'failed':>7}")
-            lines.append("  " + "-" * (len(header) - 2))
-            for name in sorted(PROOF_MUTATORS):
-                stats = self.proof_mutations.get(name, MutatorStats())
+            tables.append(
+                ("proof mutator", sorted(PROOF_MUTATORS), self.proof_mutations)
+            )
+        for title, names, tally in tables:
+            header = f"  {title:<22} {'applied':>8} {'detected':>9} {'failed':>7}"
+            lines += [header, "  " + "-" * (len(header) - 2)]
+            for name in names:
+                stats = tally.get(name, MutatorStats())
                 lines.append(
                     f"  {name:<22} {stats.applied:>8} {stats.detected:>9} "
                     f"{stats.failed:>7}"
@@ -232,25 +206,8 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _shrunk_counterexample(
-    iteration: int, mutation: Mutation, failure: OracleFailure
-) -> Counterexample:
-    """Minimize a WF-classification failure before recording it."""
-    expected, exact = mutation.expected, mutation.exact
-
-    def still_fails(candidate) -> bool:
-        return (
-            classification_failure(expected, exact, candidate) is not None
-        )
-
-    minimal = shrink_run(mutation.run, still_fails)
-    return Counterexample(
-        iteration=iteration,
-        failure=failure,
-        mutator=mutation.name,
-        expected=sorted(expected),
-        script=describe_run(minimal),
-    )
+def _stats_json(tally: dict[str, MutatorStats]) -> dict:
+    return {name: asdict(stats) for name, stats in sorted(tally.items())}
 
 
 def _failure_trace(
@@ -284,179 +241,325 @@ def _failure_trace(
         return []
 
 
-def _system_with(system: System, run) -> System:
-    """The system with one run replaced by its mutated twin (same name)."""
-    runs = tuple(
-        run if original.name == run.name else original
-        for original in system.runs
-    )
-    return dc_replace(system, runs=runs)
+class Verdict(NamedTuple):
+    """What one row reports back to the loop."""
+
+    #: Checks run, per ``oracle_checks`` key.
+    checks: dict[str, int]
+    failures: Sequence
+    #: How one failure becomes a shrunk counterexample; ``None`` is the
+    #: loop's default (:meth:`Workload.counterexample`).
+    shrink: Callable | None = None
 
 
-def _shrunk_replay_counterexample(
-    iteration: int,
-    failure: OracleFailure,
-    system: System,
-    run,
-    k: int,
-    assumptions,
-    rules,
-    max_facts: int,
-) -> Counterexample:
-    """Minimize a replay failure to the assumptions that still derive
-    a false fact, and attach the engine's own explanation of it."""
+class _Replay(NamedTuple):
+    run: Run
+    k: int
+    evaluator: CompiledSystem
+    assumptions: tuple[Formula, ...]
+    failures: list[OracleFailure]
+    derivation: Derivation | None
 
-    def still_fails(candidate) -> bool:
-        failures, _derivation = check_engine_replay(
-            system, run, k, candidate, rules=rules, max_facts=max_facts
+
+#: Points sampled per run for the evaluator differentials and the
+#: interpretation-agreement oracle.
+POINTS_PER_RUN = 3
+#: Formulas sampled from the instantiation pool per iteration.
+FORMULAS_PER_ITERATION = 6
+#: True assumptions sampled per engine-replay workload.
+REPLAY_ASSUMPTIONS = 6
+
+
+@dataclass
+class Workload:
+    """One iteration's material, shared by the rows in table order.
+
+    Rows that rewrite ``system`` (the randomized interpretation, a
+    benign mutant that stayed clean) replace it for every later row.
+    The shared draws — the differentials' formulas and points, and the
+    replay point, assumptions and derivation that proof mutation
+    reuses — are made at first use, so each selection of families
+    draws from ``rng`` in the same order as the full table.
+    """
+
+    config: FuzzConfig
+    iteration: int
+    report: FuzzReport
+    system: System
+    rng: random.Random
+    #: The engine rule set the replay closes under (None: the default).
+    rules: Sequence[Rule] | None
+
+    @cached_property
+    def sample(self):
+        """The differentials' formulas and points."""
+        return (
+            sample_formulas(self.rng, self.system, FORMULAS_PER_ITERATION),
+            sample_points(self.rng, self.system, POINTS_PER_RUN),
         )
-        return bool(failures)
 
-    minimal = shrink_assumptions(assumptions, still_fails)
-    script = [f"point: ({run.name}, {k})"]
-    script += [f"assume: {formula}" for formula in minimal]
-    shrunk_failures, derivation = check_engine_replay(
-        system, run, k, minimal, rules=rules, max_facts=max_facts
+    @cached_property
+    def replay(self) -> _Replay:
+        """A true assumption set at a random point, closed and replayed."""
+        run = self.rng.choice(self.system.runs)
+        k = self.rng.choice(list(run.times))
+        evaluator = get_backend(self.config.backend).compile(self.system)
+        assumptions = sample_assumptions(
+            self.rng, self.system, evaluator, run, k, REPLAY_ASSUMPTIONS
+        )
+        failures, derivation = check_engine_replay(
+            evaluator, run, k, assumptions, rules=self.rules
+        )
+        return _Replay(run, k, evaluator, assumptions, failures, derivation)
+
+    def counterexample(self, failure: OracleFailure) -> Counterexample:
+        """The loop's default: the failing run's script and why trace."""
+        run = self.system.run(failure.run_name) if failure.run_name else None
+        return Counterexample(
+            self.iteration,
+            failure,
+            script=describe_run(run) if run is not None else [],
+            trace=_failure_trace(self.system, failure),
+        )
+
+
+# ---------------------------------------------------------------------------
+# The rows
+# ---------------------------------------------------------------------------
+
+
+def _prim_agreement(work: Workload) -> Verdict:
+    """Re-roll the Prim interpretation (seeded, picklable); the
+    evaluator, clone, and pickle legs must agree with the predicate."""
+    work.system = randomize_interpretation(work.rng, work.system)
+    points = sample_points(work.rng, work.system, POINTS_PER_RUN)
+    return Verdict(
+        {"prim_agreement": len(points)},
+        check_interpretation_agreement(work.system, points),
     )
-    witness = shrunk_failures[0] if shrunk_failures else failure
-    if derivation is not None and witness.formula is not None:
+
+
+def _generator_wellformed(work: Workload) -> Verdict:
+    """The generator only emits well-formed systems."""
+    return Verdict(
+        {"generator_wellformed": len(work.system.runs)},
+        check_clean_system(work.system),
+    )
+
+
+def _wf_classification(work: Workload) -> Verdict | None:
+    """Inject one fault; the WF checker must classify it as tagged."""
+    mutation = apply_random_mutator(work.rng, work.rng.choice(work.system.runs))
+    if mutation is None:
+        return None
+    failure = check_mutation(mutation)
+    work.report.tally("mutations", mutation.name, failure)
+    # A benign mutant that stayed clean replaces its run (same name):
+    # fresh differential material for the rows after this one.
+    if failure is None and not mutation.expected:
+        work.system = dc_replace(work.system, runs=tuple(
+            mutation.run if run.name == mutation.run.name else run
+            for run in work.system.runs
+        ))
+    expected, exact = mutation.expected, mutation.exact
+
+    def shrunk(failure: OracleFailure) -> Counterexample:
+        minimal = shrink_run(
+            mutation.run,
+            lambda run: classification_failure(expected, exact, run) is not None,
+        )
+        return Counterexample(
+            work.iteration, failure, mutator=mutation.name,
+            expected=sorted(expected), script=describe_run(minimal),
+        )
+
+    failures = [] if failure is None else [failure]
+    return Verdict({"wf_classification": 1}, failures, shrunk)
+
+
+def _differential(work: Workload) -> Verdict | None:
+    """Cache/interning, hide, and ground-path differentials on the
+    (possibly benign-mutated) well-formed system."""
+    formulas, points = work.sample
+    if not (formulas and points):
+        return None
+    system = work.system
+    checks = len(formulas) * len(points)
+    return Verdict(
+        {
+            "cache_differential": checks,
+            "hide_differential": checks,
+            # One walked view per principal, point and hide variant.
+            "hide_views": 2 * sum(
+                len(run.all_principals) * len(run.states)
+                for run in system.runs
+            ),
+            "ground_path_differential": len(points),
+        },
+        check_cache_differential(system, formulas, points)
+        + check_hide_differential(system, formulas, points)
+        + check_ground_path_differential(work.rng, system, formulas, points),
+    )
+
+
+def _compiled_vs_interpreted(work: Workload) -> Verdict | None:
+    """The compiled fast path must stay byte-identical to the
+    interpreter, under both hide variants."""
+    formulas, points = work.sample
+    if not (formulas and points):
+        return None
+    return Verdict(
+        {"compiled_vs_interpreted": len(formulas) * len(points) * 2},
+        [
+            failure
+            for pattern_hide in (False, True)
+            for failure in check_compiled_differential(
+                work.system, formulas, points, pattern_hide=pattern_hide
+            )
+        ],
+    )
+
+
+def _cross_backend(work: Workload) -> Verdict | None:
+    """The belief and epistemic backends, unrestricted and under a
+    seeded restricting good-run vector, under both hide variants.
+
+    Belief-true/epistemic-false is the allowed direction of the
+    guarded-defensible-knowledge containment; error outcomes must
+    match, belief-free formulas must agree exactly, and an
+    epistemic-true/belief-false verdict on a belief-positive formula is
+    a counterexample.
+    """
+    formulas, points = work.sample
+    if not (formulas and points):
+        return None
+    system = work.system
+    vector = sample_goodrun_vector(work.rng, system)
+    failures = [
+        failure
+        for goodruns in (None, vector)
+        for pattern_hide in (False, True)
+        for failure in check_cross_backend(
+            system, formulas, points, goodruns=goodruns,
+            pattern_hide=pattern_hide,
+        )
+    ]
+
+    def shrunk(failure: OracleFailure) -> Counterexample:
+        # Dropping an entry weakens the restriction (absent principals
+        # default to all-runs-good), so the surviving entries are the
+        # ones the same formula's disagreement needs.
+        def failures_of(candidate):
+            return [
+                f for f in check_cross_backend(
+                    system, formulas, points, goodruns=candidate
+                )
+                if (f.oracle, f.formula) == (failure.oracle, failure.formula)
+            ]
+
+        minimal = shrink(vector, drop_restriction, failures_of, math.inf, ())
+        witness = (failures_of(minimal) or [failure])[0]
+        script = [f"vector: {minimal.describe()}"]
+        if witness.run_name is not None:
+            script += describe_run(system.run(witness.run_name))
+        return Counterexample(
+            work.iteration, witness, script=script,
+            trace=_failure_trace(system, witness, minimal),
+        )
+
+    return Verdict(
+        {"cross_backend": len(formulas) * len(points) * 4}, failures, shrunk
+    )
+
+
+#: Assumption formulas sampled per good-runs construction workload.
+GOODRUNS_ASSUMPTIONS = 4
+
+
+def _goodruns_construction(work: Workload) -> Verdict | None:
+    """A random I1 assumption vector through the Theorem 2/3 pipeline.
+
+    The whole check — the construction, both engines, and the
+    brute-force optimality search — runs in its own ephemeral context
+    (the enumeration warms per-vector caches no later row wants), and
+    its telemetry (the per-stage ``goodruns.stage`` spans included) is
+    absorbed into the iteration's context.
+    """
+    system = work.system
+    goodruns_ctx = context.fresh(f"fuzz-goodruns-{work.iteration}")
+    with context.use(goodruns_ctx):
+        assumptions = sample_assumption_vector(
+            work.rng, system, GOODRUNS_ASSUMPTIONS
+        )
+        failures = [] if assumptions is None else (
+            check_goodruns_construction(system, assumptions)
+        )
+    context.current().absorb(goodruns_ctx.telemetry())
+    if assumptions is None:
+        return None
+
+    def shrunk(failure: OracleFailure) -> Counterexample:
+        # Minimal while the same oracle kind keeps failing; the why
+        # trace is relative to the minimal vector's fixpoint.
+        def failures_of(candidate):
+            return [
+                f for f in check_goodruns_construction(system, candidate)
+                if f.oracle == failure.oracle
+            ]
+
+        minimal = shrink_assumption_vector(assumptions, failures_of)
+        witness = (failures_of(minimal) or [failure])[0]
         try:
-            from repro.terms.parser import parse_formula
-
-            bad = parse_formula(witness.formula, system.vocabulary)
-            script += derivation.explain(bad).splitlines()
+            trace = _failure_trace(
+                system, witness, construct_good_runs(system, minimal).vector
+            )
         except Exception:  # pragma: no cover - diagnostics must not throw
-            pass
-    return Counterexample(
-        iteration=iteration,
-        failure=witness,
-        script=script,
-        trace=_failure_trace(system, witness),
-    )
-
-
-def _shrunk_proof_counterexample(
-    iteration: int,
-    mutation: ProofMutation,
-    original: Proof,
-    failure: OracleFailure,
-) -> Counterexample:
-    """Minimize the mutant proof while its oracle verdict persists."""
-
-    def still_fails(candidate: Proof) -> bool:
-        twin = ProofMutation(
-            mutation.name, candidate, mutation.expectation, mutation.detail
-        )
-        return check_proof_mutation(twin, original) is not None
-
-    minimal = shrink_proof(mutation.proof, still_fails)
-    return Counterexample(
-        iteration=iteration,
-        failure=failure,
-        mutator=mutation.name,
-        expected=[mutation.expectation],
-        script=describe_proof(minimal),
-    )
-
-
-def _shrunk_goodruns_counterexample(
-    iteration: int,
-    failure: OracleFailure,
-    system: System,
-    assumptions,
-    optimality_cap: int,
-) -> Counterexample:
-    """Minimize the assumption vector while the same oracle kind keeps
-    failing, and attach a why-false trace relative to its fixpoint."""
-    kind = failure.oracle
-
-    def still_fails(candidate) -> bool:
-        return any(
-            candidate_failure.oracle == kind
-            for candidate_failure in check_goodruns_construction(
-                system, candidate, optimality_cap=optimality_cap
-            )
+            trace = []
+        return Counterexample(
+            work.iteration, witness,
+            script=describe_assumptions(minimal), trace=trace,
         )
 
-    minimal = shrink_assumption_vector(assumptions, still_fails)
-    shrunk = [
-        candidate_failure
-        for candidate_failure in check_goodruns_construction(
-            system, minimal, optimality_cap=optimality_cap
-        )
-        if candidate_failure.oracle == kind
-    ]
-    witness = shrunk[0] if shrunk else failure
-    try:
-        trace = _failure_trace(
-            system, witness, construct_good_runs(system, minimal).vector
-        )
-    except Exception:  # pragma: no cover - diagnostics must not throw
-        trace = []
-    return Counterexample(
-        iteration=iteration,
-        failure=witness,
-        script=describe_assumptions(minimal),
-        trace=trace,
-    )
+    return Verdict({"goodruns_construction": 1}, failures, shrunk)
 
 
-def _shrunk_cross_backend_counterexample(
-    iteration: int,
-    failure: OracleFailure,
-    system: System,
-    formulas,
-    points,
-    vector,
-) -> Counterexample:
-    """Minimize the restricting good-run vector while the same formula
-    keeps disagreeing, then attach the belief why trace relative to the
-    minimal vector."""
-    from repro.semantics.goodvectors import GoodRunVector
+def _engine_replay(work: Workload) -> Verdict:
+    """Every fact derived (A11 excluded) from a true assumption set
+    must hold at the assumption point."""
+    replay = work.replay
+    derived = len(replay.derivation.origins) if replay.derivation else 0
 
-    kind = (failure.oracle, failure.formula)
-
-    def still_fails(candidate: GoodRunVector) -> bool:
-        return any(
-            (f.oracle, f.formula) == kind
-            for f in check_cross_backend(
-                system, formulas, points, goodruns=candidate
-            )
+    def replay_with(assumptions):
+        return check_engine_replay(
+            replay.evaluator, replay.run, replay.k, assumptions,
+            rules=work.rules,
         )
 
-    # Greedy entry deletion: dropping an entry *weakens* the
-    # restriction (absent principals default to all-runs-good), so the
-    # surviving entries are the ones the disagreement actually needs.
-    entries = dict(vector.entries)
-    changed = True
-    while changed:
-        changed = False
-        for principal in sorted(entries, key=str):
-            candidate_map = {
-                p: g for p, g in entries.items() if p != principal
-            }
-            if still_fails(GoodRunVector.of(candidate_map)):
-                entries = candidate_map
-                changed = True
-                break
-    minimal = GoodRunVector.of(entries)
-    shrunk = [
-        f
-        for f in check_cross_backend(
-            system, formulas, points, goodruns=minimal
+    def shrunk(failure: OracleFailure) -> Counterexample:
+        # The smallest assumption set that still derives a false fact,
+        # with the engine's own explanation of it.
+        minimal = shrink(
+            replay.assumptions, drop_one,
+            lambda candidate: replay_with(candidate)[0], 200, Exception,
         )
-        if (f.oracle, f.formula) == kind
-    ]
-    witness = shrunk[0] if shrunk else failure
-    script = [f"vector: {minimal.describe()}"]
-    if witness.run_name is not None:
-        script += describe_run(system.run(witness.run_name))
-    return Counterexample(
-        iteration=iteration,
-        failure=witness,
-        script=script,
-        trace=_failure_trace(system, witness, minimal),
-    )
+        failures, derivation = replay_with(minimal)
+        witness = (failures or [failure])[0]
+        script = [f"point: ({replay.run.name}, {replay.k})"]
+        script += [f"assume: {formula}" for formula in minimal]
+        if derivation is not None and witness.formula is not None:
+            try:
+                from repro.terms.parser import parse_formula
+
+                bad = parse_formula(witness.formula, work.system.vocabulary)
+                script += derivation.explain(bad).splitlines()
+            except Exception:  # pragma: no cover - diagnostics must not throw
+                pass
+        return Counterexample(
+            work.iteration, witness, script=script,
+            trace=_failure_trace(work.system, witness),
+        )
+
+    return Verdict({"engine_replay": max(derived, 1)}, replay.failures, shrunk)
 
 
 def _certified_proof(
@@ -482,6 +585,113 @@ def _certified_proof(
     return None
 
 
+#: Proof mutations injected per iteration that certifies a proof.
+PROOF_MUTATIONS_PER_ITERATION = 2
+
+
+def _proof_mutation(work: Workload) -> Verdict | None:
+    """Certify one replayed fact into a checked Hilbert proof and
+    corrupt it; the checker must reject every non-benign mutant with
+    ProofError and never crash."""
+    derivation = work.replay.derivation
+    proof = None if derivation is None else _certified_proof(work.rng, derivation)
+    if proof is None:
+        return None
+    applied, failures = 0, []
+    for _ in range(PROOF_MUTATIONS_PER_ITERATION):
+        mutation = apply_random_proof_mutator(work.rng, proof)
+        if mutation is None:
+            break
+        applied += 1
+        failure = check_proof_mutation(mutation, proof)
+        work.report.tally("proof_mutations", mutation.name, failure)
+        if failure is not None:
+            failures.append((mutation, failure))
+
+    def shrunk(pair) -> Counterexample:
+        mutation, failure = pair
+        minimal = shrink_proof(
+            mutation.proof,
+            lambda candidate: check_proof_mutation(
+                dc_replace(mutation, proof=candidate), proof
+            ) is not None,
+        )
+        return Counterexample(
+            work.iteration, failure, mutator=mutation.name,
+            expected=[mutation.expectation], script=describe_proof(minimal),
+        )
+
+    return Verdict({"proof_mutation": applied}, failures, shrunk)
+
+
+#: Instance cap per schema for the parallel-sweep oracle.
+PARALLEL_INSTANCES = 8
+
+
+def _parallel_sweep(work: Workload) -> Verdict | None:
+    """Every ``parallel_every``-th iteration (a full model check, with
+    a tight instance cap): the parallel sweep must render like the
+    sequential one."""
+    every = work.config.parallel_every
+    if not every or work.iteration % every != every - 1:
+        return None
+    failure = check_parallel_sweep(
+        work.system, work.config.parallel_workers, PARALLEL_INSTANCES
+    )
+    return Verdict(
+        {"parallel_sweep_differential": 1},
+        [] if failure is None else [failure],
+    )
+
+
+#: The oracle table, in the order the rows draw from the iteration's
+#: RNG: (family selected by ``--oracles``, oracle name, row).  A row
+#: returns its :class:`Verdict`, or None when it did not run.
+ROWS: tuple[tuple[str, str, Callable[[Workload], Verdict | None]], ...] = (
+    ("interpretation", "prim_agreement", _prim_agreement),
+    ("wf", "generator_wellformed", _generator_wellformed),
+    ("wf", "wf_classification", _wf_classification),
+    ("differential", "differential", _differential),
+    ("compiled", "compiled_vs_interpreted", _compiled_vs_interpreted),
+    ("cross_backend", "cross_backend", _cross_backend),
+    ("goodruns_construction", "goodruns_construction", _goodruns_construction),
+    ("engine_replay", "engine_replay", _engine_replay),
+    ("proof_mutation", "proof_mutation", _proof_mutation),
+    ("parallel", "parallel_sweep", _parallel_sweep),
+)
+
+#: The selectable oracle families (``fuzz --oracles``), in table order.
+ORACLE_FAMILIES: tuple[str, ...] = tuple(
+    dict.fromkeys(family for family, _oracle, _row in ROWS)
+)
+
+
+@dataclass(frozen=True)
+class FuzzConfig:
+    """Knobs for one fuzzing campaign (the ``fuzz`` CLI's flags)."""
+
+    seed: int = 0
+    iterations: int = 200
+    #: Run the (expensive) parallel-sweep oracle every Nth iteration.
+    parallel_every: int = 50
+    #: Process-pool width used by the parallel-sweep oracle.
+    parallel_workers: int = 2
+    #: Oracle families enabled for this campaign (see ORACLE_FAMILIES).
+    oracles: tuple[str, ...] = ORACLE_FAMILIES
+    #: Semantics backend the engine-replay workload audits against
+    #: (the cross-backend oracle always compares ``belief`` vs.
+    #: ``epistemic`` regardless).
+    backend: str = "belief"
+
+    def __post_init__(self) -> None:
+        unknown = set(self.oracles) - set(ORACLE_FAMILIES)
+        if unknown:
+            raise ValueError(
+                f"unknown oracle families {sorted(unknown)}; "
+                f"choose from {', '.join(ORACLE_FAMILIES)}"
+            )
+
+
 def run_fuzz(
     config: FuzzConfig,
     progress=None,
@@ -493,12 +703,6 @@ def run_fuzz(
     closes assumptions under — test fixtures use it to plant a
     deliberately unsound rule and watch the oracle catch it.
     """
-    unknown = set(config.oracles) - set(ORACLE_FAMILIES)
-    if unknown:
-        raise ValueError(
-            f"unknown oracle families {sorted(unknown)}; "
-            f"choose from {list(ORACLE_FAMILIES)}"
-        )
     enabled = frozenset(config.oracles)
     report = FuzzReport(seed=config.seed)
     report.meta = run_metadata(
@@ -549,290 +753,25 @@ def _fuzz_iteration(
     iteration: int,
     replay_rules: Sequence[Rule] | None,
 ) -> None:
-    """One seeded workload, run under the caller-installed context."""
+    """One seeded workload through the enabled rows, in table order,
+    under the caller-installed context."""
     with spans.span("fuzz.generate"):
         system, rng = generate_base_system(config, iteration)
     perf.count("fuzz.iterations")
-
-    # Interpretation fuzzing: re-roll the Prim interpretation per
-    # workload (seeded, picklable) and check the evaluator, clone,
-    # and pickle legs all agree with the predicate directly.
-    if "interpretation" in enabled:
-        with spans.span("fuzz.interpretation"):
-            system = randomize_interpretation(rng, system)
-            interp_points = sample_points(rng, system, config.points_per_run)
-            interp_failures = check_interpretation_agreement(
-                system, interp_points
-            )
-        journal.record("oracle_verdict", oracle="prim_agreement",
-                       checks=len(interp_points),
-                       failures=len(interp_failures))
-        report.count_check("prim_agreement", len(interp_points))
-        for failure in interp_failures:
-            report.counterexamples.append(
-                Counterexample(
-                    iteration=iteration,
-                    failure=failure,
-                    trace=_failure_trace(system, failure),
-                )
-            )
-
-    # Oracle: the generator only emits well-formed systems.
-    if "wf" in enabled:
-        report.count_check("generator_wellformed", len(system.runs))
-        for failure in check_clean_system(system):
-            report.counterexamples.append(
-                Counterexample(
-                    iteration=iteration,
-                    failure=failure,
-                    script=describe_run(system.run(failure.run_name)),
-                )
-            )
-
-    # Fault injection + WF classification oracle.
-    mutation = None
-    if "wf" in enabled:
-        with spans.span("fuzz.mutate"):
-            mutation = apply_random_mutator(rng, rng.choice(system.runs))
-    if mutation is not None:
-        perf.count(f"fuzz.mutations.{mutation.name}")
-        stats = report.mutator_stats(mutation.name)
-        stats.applied += 1
-        report.count_check("wf_classification")
-        failure = check_mutation(mutation)
-        journal.record("oracle_verdict", oracle="wf_classification",
-                       mutator=mutation.name,
-                       failures=0 if failure is None else 1)
-        if failure is None:
-            stats.detected += 1
-        else:
-            stats.failed += 1
-            report.counterexamples.append(
-                _shrunk_counterexample(iteration, mutation, failure)
-            )
-        # A benign mutant that stayed clean is fresh differential
-        # material: run the evaluator oracles on the mutated system.
-        if failure is None and not mutation.expected:
-            system = _system_with(system, mutation.run)
-
-    # Differential evaluator oracles on the (possibly benign-mutated)
-    # well-formed system.
-    if enabled & {"differential", "compiled", "cross_backend"}:
-        formulas = sample_formulas(
-            rng, system, config.formulas_per_iteration
+    work = Workload(config, iteration, report, system, rng, replay_rules)
+    for family, oracle, row in ROWS:
+        if family not in enabled:
+            continue
+        with spans.span(f"fuzz.{oracle}"):
+            verdict = row(work)
+        if verdict is None:
+            continue
+        for key, n in verdict.checks.items():
+            report.count_check(key, n)
+        journal.record("oracle_verdict", oracle=oracle,
+                       checks=sum(verdict.checks.values()),
+                       failures=len(verdict.failures))
+        shrunk = verdict.shrink or work.counterexample
+        report.counterexamples.extend(
+            shrunk(failure) for failure in verdict.failures
         )
-        points = sample_points(rng, system, config.points_per_run)
-    else:
-        formulas, points = (), ()
-    if "differential" in enabled and formulas and points:
-        checks = len(formulas) * len(points)
-        report.count_check("cache_differential", checks)
-        report.count_check("hide_differential", checks)
-        # One walked view per principal, point and hide variant.
-        report.count_check("hide_views", 2 * sum(
-            len(run.all_principals) * len(run.states) for run in system.runs
-        ))
-        report.count_check("ground_path_differential", len(points))
-        with spans.span("fuzz.differential", checks=checks):
-            failures = (
-                check_cache_differential(system, formulas, points)
-                + check_hide_differential(system, formulas, points)
-                + check_ground_path_differential(
-                    rng, system, formulas, points
-                )
-            )
-        journal.record("oracle_verdict", oracle="differential",
-                       checks=checks, failures=len(failures))
-        for failure in failures:
-            run = system.run(failure.run_name) if failure.run_name else None
-            report.counterexamples.append(
-                Counterexample(
-                    iteration=iteration,
-                    failure=failure,
-                    script=describe_run(run) if run is not None else [],
-                    trace=_failure_trace(system, failure),
-                )
-            )
-
-    # Compiled-vs-interpreted engine differential: the fast path the
-    # sweep/audit/replay loops adopted must stay byte-identical to the
-    # interpreter, under both hide variants.
-    if "compiled" in enabled and formulas and points:
-        checks = len(formulas) * len(points) * 2
-        report.count_check("compiled_vs_interpreted", checks)
-        with spans.span("fuzz.compiled", checks=checks):
-            compiled_failures = check_compiled_differential(
-                system, formulas, points
-            ) + check_compiled_differential(
-                system, formulas, points, pattern_hide=True
-            )
-        journal.record("oracle_verdict", oracle="compiled_vs_interpreted",
-                       checks=checks, failures=len(compiled_failures))
-        for failure in compiled_failures:
-            run = system.run(failure.run_name) if failure.run_name else None
-            report.counterexamples.append(
-                Counterexample(
-                    iteration=iteration,
-                    failure=failure,
-                    script=describe_run(run) if run is not None else [],
-                    trace=_failure_trace(system, failure),
-                )
-            )
-
-    # Cross-backend containment map: the belief and epistemic backends
-    # are compared under a seeded restricting good-run vector (and
-    # again unrestricted), under both hide variants.  Agreement is not
-    # expected everywhere — belief-true/epistemic-false is the allowed
-    # direction of the guarded-defensible-knowledge containment — but
-    # error outcomes must match, belief-free formulas must agree
-    # exactly, and an epistemic-true/belief-false verdict on a
-    # belief-positive formula is a counterexample.
-    if "cross_backend" in enabled and formulas and points:
-        checks = len(formulas) * len(points) * 4
-        report.count_check("cross_backend", checks)
-        with spans.span("fuzz.cross_backend", checks=checks):
-            cross_vector = sample_goodrun_vector(rng, system)
-            cross_failures = (
-                check_cross_backend(system, formulas, points)
-                + check_cross_backend(
-                    system, formulas, points, pattern_hide=True
-                )
-                + check_cross_backend(
-                    system, formulas, points, goodruns=cross_vector
-                )
-                + check_cross_backend(
-                    system, formulas, points, goodruns=cross_vector,
-                    pattern_hide=True,
-                )
-            )
-        journal.record("oracle_verdict", oracle="cross_backend",
-                       checks=checks, failures=len(cross_failures))
-        for failure in cross_failures:
-            report.counterexamples.append(
-                _shrunk_cross_backend_counterexample(
-                    iteration, failure, system, formulas, points,
-                    cross_vector,
-                )
-            )
-
-    # Good-runs construction invariants: a random I1 assumption vector
-    # through the Theorem 2/3 pipeline.  The whole check — the
-    # construction, both engines, and the brute-force optimality
-    # search — runs in its own ephemeral context (the enumeration warms
-    # per-vector caches no later oracle wants), with counters and
-    # spans (the per-stage ``goodruns.stage`` telemetry) absorbed back
-    # into the iteration's context for the campaign report.
-    if "goodruns_construction" in enabled:
-        goodruns_ctx = context.fresh(f"fuzz-goodruns-{iteration}")
-        with context.use(goodruns_ctx):
-            with spans.span("fuzz.goodruns"):
-                goodruns_assumptions = sample_assumption_vector(
-                    rng, system, config.goodruns_assumptions
-                )
-                goodruns_failures = []
-                if goodruns_assumptions is not None:
-                    goodruns_failures = check_goodruns_construction(
-                        system,
-                        goodruns_assumptions,
-                        optimality_cap=config.goodruns_optimality_cap,
-                    )
-        context.current().absorb(goodruns_ctx.telemetry())
-        if goodruns_assumptions is not None:
-            report.count_check("goodruns_construction")
-            journal.record("oracle_verdict", oracle="goodruns_construction",
-                           failures=len(goodruns_failures))
-        for failure in goodruns_failures:
-            report.counterexamples.append(
-                _shrunk_goodruns_counterexample(
-                    iteration, failure, system, goodruns_assumptions,
-                    config.goodruns_optimality_cap,
-                )
-            )
-
-    # Engine-vs-semantics replay: close a true assumption set under
-    # the (A11-excluded) rules, replay every derived fact at the
-    # assumption point.  The derivation doubles as the proof corpus
-    # for the mutation oracle below.
-    derivation = None
-    if enabled & {"engine_replay", "proof_mutation"}:
-        with spans.span("fuzz.engine_replay"):
-            replay_run = rng.choice(system.runs)
-            replay_k = rng.choice(list(replay_run.times))
-            replay_evaluator = get_backend(config.backend).compile(system)
-            assumptions = sample_assumptions(
-                rng, system, replay_evaluator, replay_run, replay_k,
-                config.replay_assumptions,
-            )
-            replay_failures, derivation = check_engine_replay(
-                system, replay_run, replay_k, assumptions,
-                rules=replay_rules,
-                max_facts=config.replay_max_facts,
-                evaluator=replay_evaluator,
-            )
-        if "engine_replay" in enabled:
-            derived = len(derivation.origins) if derivation else 0
-            report.count_check("engine_replay", max(derived, 1))
-            journal.record("oracle_verdict", oracle="engine_replay",
-                           checks=max(derived, 1),
-                           failures=len(replay_failures))
-            for failure in replay_failures:
-                report.counterexamples.append(
-                    _shrunk_replay_counterexample(
-                        iteration, failure, system, replay_run,
-                        replay_k, assumptions, replay_rules,
-                        config.replay_max_facts,
-                    )
-                )
-
-    # Adversarial proof mutation: certify one derived fact into a
-    # checked Hilbert proof and corrupt it; the checker must reject
-    # every non-benign mutant with ProofError and never crash.
-    if "proof_mutation" in enabled and derivation is not None:
-        with spans.span("fuzz.proof_mutation"):
-            proof = _certified_proof(rng, derivation)
-            proof_failures: list[tuple[ProofMutation, OracleFailure]] = []
-            if proof is not None:
-                for _ in range(config.proof_mutations_per_iteration):
-                    proof_mutation = apply_random_proof_mutator(rng, proof)
-                    if proof_mutation is None:
-                        break
-                    perf.count(
-                        f"fuzz.proof_mutations.{proof_mutation.name}"
-                    )
-                    stats = report.proof_mutator_stats(proof_mutation.name)
-                    stats.applied += 1
-                    report.count_check("proof_mutation")
-                    failure = check_proof_mutation(proof_mutation, proof)
-                    if failure is None:
-                        stats.detected += 1
-                    else:
-                        stats.failed += 1
-                        proof_failures.append((proof_mutation, failure))
-            if proof is not None:
-                journal.record("oracle_verdict", oracle="proof_mutation",
-                               failures=len(proof_failures))
-        for proof_mutation, failure in proof_failures:
-            report.counterexamples.append(
-                _shrunk_proof_counterexample(
-                    iteration, proof_mutation, proof, failure
-                )
-            )
-
-    # Periodic parallel-sweep differential (a full model-check, so
-    # only every Nth iteration and with a tight instance cap).
-    if (
-        "parallel" in enabled
-        and config.parallel_every
-        and iteration % config.parallel_every == config.parallel_every - 1
-    ):
-        report.count_check("parallel_sweep_differential")
-        with spans.span("fuzz.parallel_sweep"):
-            failure = check_parallel_sweep(
-                system, config.parallel_workers, config.parallel_instances
-            )
-        journal.record("oracle_verdict", oracle="parallel_sweep",
-                       failures=0 if failure is None else 1)
-        if failure is not None:
-            report.counterexamples.append(
-                Counterexample(iteration=iteration, failure=failure)
-            )

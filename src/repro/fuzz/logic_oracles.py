@@ -42,7 +42,6 @@ from repro.logic.proof import Proof
 from repro.logic.rules import standard_rules
 from repro.model.runs import Run
 from repro.model.system import System
-from repro.semantics.backend import DEFAULT_BACKEND, get_backend
 from repro.semantics.evaluator import Evaluator
 from repro.soundness.audit import replay_derivation
 from repro.terms.atoms import Sort
@@ -67,6 +66,10 @@ from repro.fuzz.proof_mutators import ACCEPT, CONSERVATIVE, REJECT, ProofMutatio
 
 #: Rules excluded from the replay closure; see the module docstring.
 REPLAY_EXCLUDED_RULES: frozenset[str] = frozenset({"A11"})
+
+#: Engine resource bound for one replay closure (exceeding it skips
+#: the replay rather than failing the campaign).
+REPLAY_MAX_FACTS = 4000
 
 
 def replay_rules() -> tuple[Rule, ...]:
@@ -171,53 +174,42 @@ def _seed_messages(assumptions: Sequence[Formula]) -> tuple[Message, ...]:
 
 
 def check_engine_replay(
-    system: System,
+    evaluator: Evaluator,
     run: Run,
     k: int,
     assumptions: Sequence[Formula],
     rules: Sequence[Rule] | None = None,
-    max_facts: int = 4000,
-    evaluator: "Evaluator | None" = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> tuple[list[OracleFailure], Derivation | None]:
-    """Close the assumptions, replay every derived fact at ``(run, k)``.
+    """Close the assumptions, replay every derived fact at ``(run, k)``
+    against ``evaluator`` (the harness passes the ``--backend``'s
+    compiled engine).
 
     Returns the failures plus the derivation (for downstream proof
-    mutation).  A closure that blows the ``max_facts`` resource bound
-    is skipped — that is a capacity verdict, not a soundness one.
-    Replay defaults to ``backend``'s compiled engine (the adopted hot
-    path); pass an evaluator explicitly to replay against it instead.
+    mutation).  A closure that blows the :data:`REPLAY_MAX_FACTS`
+    resource bound is skipped — that is a capacity verdict, not a
+    soundness one.
     """
     if not assumptions:
         return [], None
     active_rules = replay_rules() if rules is None else tuple(rules)
-    active_evaluator = (
-        evaluator if evaluator is not None
-        else get_backend(backend).compile(system)
-    )
-    engine = Engine(active_rules, max_facts=max_facts, max_prefix=3)
+    engine = Engine(active_rules, max_facts=REPLAY_MAX_FACTS, max_prefix=3)
     pool = MessagePool(_seed_messages(assumptions))
     try:
         derivation = engine.close(assumptions, pool)
     except EngineError:
         return [], None
     failures = []
-    for entry in replay_derivation(derivation, active_evaluator, run, k):
+    for entry in replay_derivation(derivation, evaluator, run, k):
         if entry.consistent:
             continue
         facts = normalize_to_facts(entry.formula)
         origin = derivation.origins.get(facts[0]) if facts else None
         rule_name = origin[0] if origin else "?"
-        failures.append(
-            OracleFailure(
-                "engine_replay",
-                f"rule {rule_name} derived a fact that is false in the "
-                "model",
-                run_name=run.name,
-                formula=str(entry.formula),
-                time=k,
-            )
-        )
+        failures.append(OracleFailure.at(
+            "engine_replay",
+            f"rule {rule_name} derived a fact that is false in the model",
+            run, k, entry.formula,
+        ))
     return failures, derivation
 
 
@@ -250,24 +242,17 @@ def check_proof_mutation(
     else:
         rejected = False
     if mutation.expectation == REJECT and not rejected:
-        return OracleFailure(
-            "proof_mutation", f"{label}: forged proof was accepted"
-        )
-    if mutation.expectation == ACCEPT and rejected:
-        return OracleFailure(
-            "proof_mutation", f"{label}: benign mutant was rejected"
-        )
-    if mutation.expectation == CONSERVATIVE and not rejected:
-        same_conclusion = mutation.proof.conclusion == original.conclusion
-        premise_subset = set(mutation.proof.premises) <= set(
-            original.premises
-        )
-        if not (same_conclusion and premise_subset):
-            return OracleFailure(
-                "proof_mutation",
-                f"{label}: accepted mutant proves something new",
-            )
-    return None
+        why = "forged proof was accepted"
+    elif mutation.expectation == ACCEPT and rejected:
+        why = "benign mutant was rejected"
+    elif mutation.expectation == CONSERVATIVE and not rejected and not (
+        mutation.proof.conclusion == original.conclusion
+        and set(mutation.proof.premises) <= set(original.premises)
+    ):
+        why = "accepted mutant proves something new"
+    else:
+        return None
+    return OracleFailure("proof_mutation", f"{label}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,31 +281,19 @@ def check_interpretation_agreement(
         clone = deintern(formula)
         for run, k in points:
             direct = system.interpretation.holds(proposition, run, k)
-            if evaluator.evaluate(formula, run, k) != direct:
-                failures.append(
-                    OracleFailure(
-                        "prim_agreement",
-                        f"evaluator Prim verdict diverged from the "
-                        f"interpretation (direct={direct})",
-                        run_name=run.name, formula=str(formula), time=k,
+            legs = (
+                ("prim_agreement", evaluator.evaluate(formula, run, k),
+                 "evaluator Prim verdict diverged from the interpretation "
+                 f"(direct={direct})"),
+                ("prim_agreement", evaluator.evaluate(clone, run, k),
+                 "non-interned Prim clone diverged from the interpretation"),
+                ("prim_pickle",
+                 direct if thawed is None else thawed.holds(proposition, run, k),
+                 "interpretation changed verdict after a pickle round-trip"),
+            )
+            for oracle, verdict, why in legs:
+                if verdict != direct:
+                    failures.append(
+                        OracleFailure.at(oracle, why, run, k, formula)
                     )
-                )
-            if evaluator.evaluate(clone, run, k) != direct:
-                failures.append(
-                    OracleFailure(
-                        "prim_agreement",
-                        "non-interned Prim clone diverged from the "
-                        "interpretation",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
-            if thawed is not None and thawed.holds(proposition, run, k) != direct:
-                failures.append(
-                    OracleFailure(
-                        "prim_pickle",
-                        "interpretation changed verdict after a pickle "
-                        "round-trip",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
     return failures

@@ -22,12 +22,14 @@ from typing import Callable
 
 from repro.model.actions import Action, Internal, NewKey, Receive, Send
 from repro.model.runs import Run
-from repro.model.states import EnvState, GlobalState, LocalState
+from repro.model.states import EnvState, LocalState
 from repro.model.submsgs import seen_submsgs_all
 from repro.terms.atoms import Key, Nonce, Principal
 from repro.terms.base import Message
 from repro.terms.messages import combined, encrypted, forwarded, group
 from repro.terms.ops import walk
+
+from repro.fuzz.shrink import remove_entry
 
 
 @dataclass(frozen=True)
@@ -118,52 +120,6 @@ def _append_action(run: Run, principal: Principal, action: Action) -> Run:
         local = last.local(principal).after(action)
         state = last.with_local(principal, local).with_env(env)
     return replace(run, states=run.states + (state,))
-
-
-def _remove_history_entry(run: Run, who: Principal, env_index: int) -> Run:
-    """Delete one global-history entry (and its local mirror) from every
-    state that contains it.
-
-    Histories are cumulative, so the entry sits at a fixed index in the
-    environment history of every state from its occurrence on; the same
-    holds for the performing principal's local history.
-    """
-    final_env = run.states[-1].env.history
-    entry = final_env[env_index]
-    local_index = None
-    if who != run.environment:
-        action = entry[1]
-        history = run.states[-1].local(who).history
-        # The local history mirrors the principal's own global entries
-        # in order; locate the corresponding position.
-        position = sum(
-            1 for other_who, _a in final_env[:env_index] if other_who == who
-        )
-        assert history[position] is action or history[position] == action
-        local_index = position
-
-    states = []
-    for state in run.states:
-        env = state.env
-        if len(env.history) > env_index and env.history[env_index] == entry:
-            env = EnvState(
-                env.history[:env_index] + env.history[env_index + 1:],
-                env.keys, env.buffers, env.data,
-            )
-            state = state.with_env(env)
-        if local_index is not None:
-            local = state.local(who)
-            if len(local.history) > local_index:
-                state = state.with_local(
-                    who,
-                    LocalState(
-                        local.history[:local_index]
-                        + local.history[local_index + 1:],
-                        local.keys, local.data,
-                    ),
-                )
-        states.append(state)
-    return replace(run, states=tuple(states))
 
 
 def _seen_at_end(run: Run, principal: Principal) -> frozenset[Message]:
@@ -315,7 +271,7 @@ def mutate_drop_send(rng: random.Random, run: Run) -> Mutation | None:
     if not candidates:
         return None
     index, who, send = rng.choice(candidates)
-    mutated = _remove_history_entry(run, who, index)
+    mutated = remove_entry(run, index, repair=False)
     return Mutation(
         "drop_send", mutated, frozenset({"WF2", "WFB"}), True,
         f"dropped {who}'s send of {send.message} to {send.recipient}",
@@ -360,7 +316,7 @@ def mutate_reorder_send_receive(rng: random.Random, run: Run) -> Mutation | None
     if not candidates:
         return None
     index, who, send = rng.choice(candidates)
-    mutated = _remove_history_entry(run, who, index)
+    mutated = remove_entry(run, index, repair=False)
     mutated = _append_action(mutated, who, send)
     return Mutation(
         "reorder_send_receive", mutated, frozenset({"WF2", "WFB"}), True,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro import context
+from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import System
 from repro.model.wellformed import violation_classes
@@ -56,6 +57,12 @@ class OracleFailure:
     run_name: str | None = None
     formula: str | None = None
     time: int | None = None
+
+    @classmethod
+    def at(cls, oracle: str, description: str, run: Run, k: int,
+           formula: Formula) -> "OracleFailure":
+        """A failure of ``formula`` at the point ``(run, k)``."""
+        return cls(oracle, description, run.name, str(formula), k)
 
     def to_json(self) -> dict:
         out = {"oracle": self.oracle, "description": self.description}
@@ -252,13 +259,11 @@ def check_cache_differential(
             for run, k in points:
                 value = cold.evaluate(formula, run, k)
                 if value != expected[(formula, run.name, k)]:
-                    failures.append(
-                        OracleFailure(
-                            "cache_differential",
-                            f"cold-context evaluation flipped to {value}",
-                            run_name=run.name, formula=str(formula), time=k,
-                        )
-                    )
+                    failures.append(OracleFailure.at(
+                        "cache_differential",
+                        f"cold-context evaluation flipped to {value}",
+                        run, k, formula,
+                    ))
 
     uninterned = Evaluator(system)
     for formula in formulas:
@@ -266,13 +271,11 @@ def check_cache_differential(
         for run, k in points:
             value = uninterned.evaluate(clone, run, k)
             if value != expected[(formula, run.name, k)]:
-                failures.append(
-                    OracleFailure(
-                        "intern_differential",
-                        f"non-interned clone evaluated to {value}",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
+                failures.append(OracleFailure.at(
+                    "intern_differential",
+                    f"non-interned clone evaluated to {value}",
+                    run, k, formula,
+                ))
     return failures
 
 
@@ -314,22 +317,15 @@ def check_hide_differential(
             a = collapse.evaluate(formula, run, k)
             b = pattern.evaluate(formula, run, k)
             if belief_free and a != b:
-                failures.append(
-                    OracleFailure(
-                        "hide_differential",
-                        f"belief-free formula moved: collapse={a}, pattern={b}",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
+                oracle = "hide_differential"
+                why = f"belief-free formula moved: collapse={a}, pattern={b}"
             elif monotone and a and not b:
-                failures.append(
-                    OracleFailure(
-                        "hide_monotonicity",
-                        "belief held under collapse-hide but not under "
-                        "the finer pattern-hide",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
+                oracle = "hide_monotonicity"
+                why = ("belief held under collapse-hide but not under the "
+                       "finer pattern-hide")
+            else:
+                continue
+            failures.append(OracleFailure.at(oracle, why, run, k, formula))
     principals = dict.fromkeys(
         principal for run in system.runs for principal in run.all_principals
     )
@@ -412,15 +408,22 @@ def check_ground_path_differential(
         ground_value = evaluator.evaluate(formula, twin, k)
         substituted_value = evaluator.evaluate(parameterized, twin, k)
         if ground_value != substituted_value:
-            failures.append(
-                OracleFailure(
-                    "ground_path_differential",
-                    f"ground path said {ground_value}, substitution path "
-                    f"said {substituted_value} (probe {key})",
-                    run_name=run.name, formula=str(formula), time=k,
-                )
-            )
+            failures.append(OracleFailure.at(
+                "ground_path_differential",
+                f"ground path said {ground_value}, substitution path "
+                f"said {substituted_value} (probe {key})",
+                run, k, formula,
+            ))
     return failures
+
+
+def _outcome(evaluator, formula: Formula, run: Run, k: int) -> tuple:
+    """``(verdict, None)``, or ``(None, message)`` when evaluation
+    raises :class:`~repro.errors.SemanticsError`."""
+    try:
+        return evaluator.evaluate(formula, run, k), None
+    except SemanticsError as error:
+        return None, str(error)
 
 
 def check_compiled_differential(
@@ -440,7 +443,6 @@ def check_compiled_differential(
     and the engine-replay oracle all route through compilation, so any
     divergence here is a soundness bug, not a performance one.
     """
-    from repro.errors import SemanticsError
     from repro.semantics.compiler import compiled_for
 
     failures = []
@@ -448,23 +450,15 @@ def check_compiled_differential(
     compiled = compiled_for(system, goodruns, pattern_hide=pattern_hide)
     for formula in formulas:
         for run, k in points:
-            try:
-                expected = (interpreter.evaluate(formula, run, k), None)
-            except SemanticsError as error:
-                expected = (None, str(error))
-            try:
-                actual = (compiled.evaluate(formula, run, k), None)
-            except SemanticsError as error:
-                actual = (None, str(error))
+            expected = _outcome(interpreter, formula, run, k)
+            actual = _outcome(compiled, formula, run, k)
             if expected != actual:
-                failures.append(
-                    OracleFailure(
-                        "compiled_vs_interpreted",
-                        f"interpreter said {expected}, compiled engine "
-                        f"said {actual}",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
+                failures.append(OracleFailure.at(
+                    "compiled_vs_interpreted",
+                    f"interpreter said {expected}, compiled engine "
+                    f"said {actual}",
+                    run, k, formula,
+                ))
     return failures
 
 
@@ -493,7 +487,6 @@ def check_cross_backend(
       paper's vacuous beliefs that defensible knowledge refuses) and is
       left alone, as are formulas with beliefs under negation.
     """
-    from repro.errors import SemanticsError
     from repro.semantics.backend import get_backend
 
     failures = []
@@ -507,45 +500,30 @@ def check_cross_backend(
         belief_free = not _mentions_belief(formula)
         monotone = not belief_free and not has_belief_under_negation(formula)
         for run, k in points:
-            try:
-                b = (belief.evaluate(formula, run, k), None)
-            except SemanticsError as error:
-                b = (None, str(error))
-            try:
-                e = (epistemic.evaluate(formula, run, k), None)
-            except SemanticsError as error:
-                e = (None, str(error))
+            b = _outcome(belief, formula, run, k)
+            e = _outcome(epistemic, formula, run, k)
             if b == e:
                 continue
             if b[1] is not None or e[1] is not None:
-                failures.append(
-                    OracleFailure(
-                        "cross_backend",
-                        f"error outcomes diverged: belief={b}, epistemic={e}",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
-                )
+                why = f"error outcomes diverged: belief={b}, epistemic={e}"
             elif belief_free:
-                failures.append(
-                    OracleFailure(
-                        "cross_backend",
-                        f"belief-free formula diverged: belief={b[0]}, "
-                        f"epistemic={e[0]} (all non-belief clauses are shared)",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
+                why = (
+                    f"belief-free formula diverged: belief={b[0]}, "
+                    f"epistemic={e[0]} (all non-belief clauses are shared)"
                 )
             elif monotone and e[0] and not b[0]:
-                failures.append(
-                    OracleFailure(
-                        "cross_backend",
-                        "wrong-direction disagreement: epistemic "
-                        "(defensible knowledge) held where belief failed, "
-                        "violating the containment theorem",
-                        run_name=run.name, formula=str(formula), time=k,
-                    )
+                why = (
+                    "wrong-direction disagreement: epistemic "
+                    "(defensible knowledge) held where belief failed, "
+                    "violating the containment theorem"
                 )
-            # belief-true/epistemic-false, and either-way movement under
-            # negative belief positions, are theorem-consistent.
+            else:
+                # belief-true/epistemic-false, and either-way movement
+                # under negative belief positions, are theorem-consistent.
+                continue
+            failures.append(
+                OracleFailure.at("cross_backend", why, run, k, formula)
+            )
     return failures
 
 

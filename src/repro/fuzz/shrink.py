@@ -2,8 +2,12 @@
 
 When an oracle fails, the raw artifact is a randomly generated (and
 possibly mutated) run — dozens of states of noise around the few
-actions that matter.  The shrinker greedily applies three reductions,
-keeping a candidate only if the caller's predicate still fails on it:
+actions that matter.  One greedy loop, :func:`shrink`, minimizes every
+kind of artifact: it keeps the first one-step reduction on which the
+caller's predicate still fails and restarts the scan, until no single
+reduction fires — a local minimum, which for greedy shrinking is the
+standard stopping point.  Each caller brings its reductions, budget,
+and the exceptions it treats as not-failing.  Runs have three:
 
 1. **action removal** — delete one global-history entry (and its local
    mirror) everywhere it occurs;
@@ -11,25 +15,21 @@ keeping a candidate only if the caller's predicate still fails on it:
 3. **tail truncation** — cut trailing states.
 
 All three preserve run validity (cumulative histories stay cumulative;
-the time-0 state stays in the window), and the loop re-runs until no
-single reduction fires — a local minimum, which for greedy shrinking is
-the standard stopping point.
+the time-0 state stays in the window).  Proofs lose steps, assumption
+sets and vectors lose one entry at a time, and good-run vectors lose
+one principal's restriction at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.errors import ReproError
 from repro.logic.proof import Proof
 from repro.model.actions import Action, Receive, Send
 from repro.model.runs import Run
 from repro.model.states import EnvState, LocalState
-from repro.terms.formulas import Formula
-
-Predicate = Callable[[Run], bool]
-
 
 def _transit_balance(env: EnvState, recipient, message) -> int:
     """Sent-minus-received count for ``(recipient, message)`` in a state."""
@@ -81,9 +81,16 @@ def _try(candidate_thunk) -> Run | None:
         return None
 
 
-def remove_entry(run: Run, env_index: int) -> Run:
+def remove_entry(run: Run, env_index: int, repair: bool = True) -> Run:
     """Delete the env-history entry at ``env_index`` from every state,
-    mirroring the deletion into the performer's local history."""
+    mirroring the deletion into the performer's local history.
+
+    Histories are cumulative, so the entry sits at a fixed index in
+    every state from its occurrence on.  ``repair`` undoes the entry's
+    transit effect on the buffers; the fault injectors pass False, so
+    that a dropped send leaves its message buffered with no send to
+    explain it.
+    """
     final = run.states[-1].env.history
     who, action = final[env_index]
     local_index: int | None = None
@@ -100,7 +107,8 @@ def remove_entry(run: Run, env_index: int) -> Run:
                 env.history[:env_index] + env.history[env_index + 1:],
                 env.keys, env.buffers, env.data,
             )
-            env = _repair_buffer(env, original, (who, action))
+            if repair:
+                env = _repair_buffer(env, original, (who, action))
             state = state.with_env(env)
         if local_index is not None:
             local = state.local(who)
@@ -159,26 +167,26 @@ def _candidates(run: Run) -> Iterator[Run]:
         yield collapsed
 
 
-def shrink_run(run: Run, still_fails: Predicate, max_steps: int = 400) -> Run:
-    """Greedily minimize a failing run.
+def shrink(start, candidates, still_fails, max_steps, errors):
+    """The one greedy minimization loop.
 
-    ``still_fails`` must return True on any candidate that reproduces
-    the original failure; the original run is assumed failing.  Each
-    accepted reduction restarts the scan, so the result is 1-minimal
-    with respect to the three reduction operators (up to ``max_steps``
-    candidate evaluations).
+    ``candidates(current)`` yields one-step reductions, most aggressive
+    first; the first one on which ``still_fails`` is truthy becomes the
+    current artifact and the scan restarts, so the result is 1-minimal
+    with respect to the reductions (up to ``max_steps`` predicate
+    calls).  ``start`` is assumed failing, and a predicate raising one
+    of ``errors`` counts as not-failing.
     """
-    current = run
+    current = start
     budget = max_steps
     improved = True
     while improved and budget > 0:
         improved = False
-        for candidate in _candidates(current):
+        for candidate in candidates(current):
             budget -= 1
-            failing = False
             try:
                 failing = still_fails(candidate)
-            except ReproError:
+            except errors:
                 failing = False
             if failing:
                 current = candidate
@@ -187,6 +195,14 @@ def shrink_run(run: Run, still_fails: Predicate, max_steps: int = 400) -> Run:
             if budget <= 0:
                 break
     return current
+
+
+def shrink_run(
+    run: Run, still_fails: Callable[[Run], bool], max_steps: int = 400
+) -> Run:
+    """Greedily minimize a failing run under the three reductions; a
+    predicate raising :class:`ReproError` counts as not-failing."""
+    return shrink(run, _candidates, still_fails, max_steps, ReproError)
 
 
 def _proof_candidates(proof: Proof) -> Iterator[Proof]:
@@ -211,62 +227,15 @@ def shrink_proof(
     still_fails: Callable[[Proof], bool],
     max_steps: int = 200,
 ) -> Proof:
-    """Greedily minimize a proof artifact while the predicate holds.
-
-    Same contract as :func:`shrink_run`: ``still_fails`` returns True
-    on candidates that reproduce the original failure, a predicate
-    that raises counts as not-failing, and each accepted reduction
-    restarts the scan.
-    """
-    current = proof
-    budget = max_steps
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        for candidate in _proof_candidates(current):
-            budget -= 1
-            try:
-                failing = still_fails(candidate)
-            except Exception:
-                failing = False
-            if failing:
-                current = candidate
-                improved = True
-                break
-            if budget <= 0:
-                break
-    return current
+    """Greedily minimize a proof artifact while the predicate holds (a
+    predicate that raises counts as not-failing)."""
+    return shrink(proof, _proof_candidates, still_fails, max_steps, Exception)
 
 
-def shrink_assumptions(
-    assumptions: Sequence[Formula],
-    still_fails: Callable[[tuple[Formula, ...]], bool],
-    max_steps: int = 200,
-) -> tuple[Formula, ...]:
-    """Greedily drop assumptions while the failure persists.
-
-    The natural minimal reproduction for an engine-replay failure is
-    the smallest assumption set that still derives a false fact.
-    """
-    current = list(assumptions)
-    budget = max_steps
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        for index in range(len(current)):
-            candidate = tuple(current[:index] + current[index + 1:])
-            budget -= 1
-            try:
-                failing = still_fails(candidate)
-            except Exception:
-                failing = False
-            if failing:
-                current = list(candidate)
-                improved = True
-                break
-            if budget <= 0:
-                break
-    return tuple(current)
+def drop_one(items: tuple) -> Iterator[tuple]:
+    """``items`` with one element removed, the first element first."""
+    for index in range(len(items)):
+        yield items[:index] + items[index + 1:]
 
 
 def shrink_assumption_vector(
@@ -278,12 +247,10 @@ def shrink_assumption_vector(
     :class:`~repro.goodruns.assumptions.InitialAssumptions` vector while
     the failure persists.
 
-    Same contract as :func:`shrink_assumptions`, lifted to the
-    per-principal structure: each step removes one assumption formula
-    (principals left with none disappear from the vector), the
-    candidate is rebuilt through ``InitialAssumptions.of`` so its
-    invariants re-validate, and a predicate that raises counts as
-    not-failing.
+    Each step removes one assumption formula (principals left with none
+    disappear from the vector), the candidate is rebuilt through
+    ``InitialAssumptions.of`` so its invariants re-validate, and a
+    predicate (or rebuild) that raises counts as not-failing.
     """
     from repro.goodruns.assumptions import InitialAssumptions
 
@@ -295,28 +262,23 @@ def shrink_assumption_vector(
             {p: tuple(fs) for p, fs in assignment.items()}
         )
 
-    current = [
-        (principal, formula)
-        for principal, formula in assumptions.all_formulas()
-    ]
-    budget = max_steps
-    improved = True
-    while improved and budget > 0:
-        improved = False
-        for index in range(len(current)):
-            entries = current[:index] + current[index + 1:]
-            budget -= 1
-            try:
-                failing = still_fails(rebuild(entries))
-            except Exception:
-                failing = False
-            if failing:
-                current = entries
-                improved = True
-                break
-            if budget <= 0:
-                break
-    return rebuild(current)
+    return rebuild(shrink(
+        tuple(assumptions.all_formulas()), drop_one,
+        lambda entries: still_fails(rebuild(entries)), max_steps, Exception,
+    ))
+
+
+def drop_restriction(vector) -> Iterator:
+    """A good-run vector with one principal's entry dropped, in
+    principal order.  Dropping an entry weakens the restriction (absent
+    principals default to all-runs-good)."""
+    from repro.semantics.goodvectors import GoodRunVector
+
+    entries = dict(vector.entries)
+    for principal in sorted(entries, key=str):
+        yield GoodRunVector.of(
+            {p: g for p, g in entries.items() if p != principal}
+        )
 
 
 def describe_proof(proof: Proof) -> list[str]:

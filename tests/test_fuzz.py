@@ -43,6 +43,7 @@ from repro.fuzz import (
 from repro.fuzz import mutators as mutators_module
 from repro.fuzz import proof_mutators as proof_mutators_module
 from repro.fuzz.generate import iteration_rng
+from repro.fuzz.harness import GOODRUNS_ASSUMPTIONS, REPLAY_ASSUMPTIONS
 from repro.logic.engine import Inference
 from repro.logic.facts import Fact
 from repro.logic.proof import ProofBuilder
@@ -414,7 +415,7 @@ class TestEngineReplay:
                 rng, system, evaluator, run, k, 6
             )
             failures, derivation = check_engine_replay(
-                system, run, k, assumptions, evaluator=evaluator
+                evaluator, run, k, assumptions
             )
             assert failures == []
             assert derivation is not None
@@ -437,7 +438,7 @@ class TestEngineReplay:
         assumed = [
             line for line in example.script if line.startswith("assume: ")
         ]
-        assert 0 < len(assumed) <= config.replay_assumptions + 3
+        assert 0 < len(assumed) <= REPLAY_ASSUMPTIONS + 3
         # Every counterexample carries its iteration's flight-recorder
         # tail under the deterministic correlation ID, and the same ID
         # is stamped on the iteration's span records — one corr value
@@ -611,7 +612,7 @@ class TestGoodrunsFamilyInHarness:
         # entries, not the whole sampled workload.
         assert example.script[0].startswith("assumptions:")
         entries = len(example.script) - 1
-        assert 0 < entries <= config.goodruns_assumptions + 2
+        assert 0 < entries <= GOODRUNS_ASSUMPTIONS + 2
         report_path = tmp_path / "FUZZ_goodruns_report.json"
         report.write(str(report_path))
         record = json.loads(report_path.read_text())
@@ -721,3 +722,73 @@ class TestHideViewsPlantedBug:
         failures = check_hide_differential(self._system(), [], [])
         assert [f.oracle for f in failures] == ["hide_views"]
         assert failures[0].description.startswith("A (collapse-hide)")
+
+
+def _plant_wf2_blindness(monkeypatch):
+    """The WF checker the oracles call never reports WF2."""
+    from repro.fuzz import oracles
+
+    real = oracles.violation_classes
+    monkeypatch.setattr(
+        oracles, "violation_classes", lambda run: real(run) - {"WF2"}
+    )
+
+
+def _plant_always_believes(monkeypatch):
+    """The epistemic backend compiles to an always-true Believes."""
+    from repro.semantics.epistemic import EpistemicBackend
+    from tests.test_semantics_backend import _AlwaysBelievesSystem
+
+    monkeypatch.setattr(
+        EpistemicBackend, "compile",
+        lambda self, system, goodruns=None, pattern_hide=False:
+            _AlwaysBelievesSystem(system, goodruns, pattern_hide=pattern_hide),
+    )
+
+
+def _plant_accepting_checker(monkeypatch):
+    """The proof checker accepts every proof."""
+    from repro.logic.proof import Proof
+
+    monkeypatch.setattr(Proof, "check", lambda self: None)
+
+
+class TestShrinkingRowsPlantedBugs:
+    """A planted bug driven through ``run_fuzz`` reaches each shrinking
+    row's shrinker: every counterexample carries a minimal artifact.
+    The unshrunk mutated runs, sampled vectors (non-empty in iterations
+    1-3) and certified proofs (at least two steps) are all larger."""
+
+    @pytest.mark.parametrize(
+        "plant, iterations, oracles, oracle, count, shrunk",
+        [
+            (
+                _plant_wf2_blindness, 12, ("wf",), "wf_classification", 3,
+                lambda script: len(script) == 1
+                and script[0].startswith("run '")
+                and ": times 0..0, " in script[0],
+            ),
+            (
+                _plant_always_believes, 4, ("cross_backend",), "cross_backend",
+                76, lambda script: script[0] == "vector: G()",
+            ),
+            (
+                _plant_accepting_checker, 4,
+                ("engine_replay", "proof_mutation"), "proof_mutation", 3,
+                lambda script: script[0] == "proof: 1 step(s)",
+            ),
+        ],
+        ids=["wf_classification", "cross_backend", "proof_mutation"],
+    )
+    def test_counterexamples_are_shrunk(
+        self, monkeypatch, plant, iterations, oracles, oracle, count, shrunk
+    ):
+        plant(monkeypatch)
+        report = run_fuzz(FuzzConfig(
+            seed=0, iterations=iterations, parallel_every=0, oracles=oracles,
+        ))
+        assert [c.failure.oracle for c in report.counterexamples] == (
+            [oracle] * count
+        )
+        for example in report.counterexamples:
+            assert shrunk(example.script), example.script

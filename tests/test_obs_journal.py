@@ -10,7 +10,9 @@ journal on the E3 compiled sweep must cost under 5% against the
 
 from __future__ import annotations
 
+import gc
 import json
+import statistics
 import time
 
 import pytest
@@ -203,8 +205,13 @@ class TestOverheadGuard:
         The same sweep workload (fresh context each repetition, so both
         sides pay identical cache-warming) is timed with the journal
         recording normally and with ``enabled=False`` (the no-op
-        baseline lever); best-of-N interleaved timings, with retries,
-        keep the 5% bound meaningful on noisy machines.
+        baseline lever).  The two sides run pair by pair, alternating
+        which goes first, so a host-speed change lands inside one pair
+        instead of between two batches, and each timing starts from a
+        full collection, so a collection of an earlier repetition's
+        garbage never lands on one side only.  The median of the
+        per-pair ratios must stay under 1.05, with retries on noisy
+        machines.
         """
         from repro.soundness import generate_systems, sweep_systems
 
@@ -212,6 +219,7 @@ class TestOverheadGuard:
 
         def workload(enabled):
             ctx = context.fresh("journal-overhead")
+            gc.collect()
             with context.use(ctx):
                 ctx.journal.enabled = enabled
                 start = time.perf_counter()
@@ -221,13 +229,24 @@ class TestOverheadGuard:
         workload(True)  # warm process-wide state (interned atoms etc.)
         workload(False)
 
+        def median_ratio(pairs=15):
+            ratios = []
+            for index in range(pairs):
+                if index % 2:
+                    baseline = workload(False)
+                    recording = workload(True)
+                else:
+                    recording = workload(True)
+                    baseline = workload(False)
+                ratios.append(recording / baseline)
+            return statistics.median(ratios)
+
         best_ratio = float("inf")
         for _attempt in range(3):
-            recording = min(workload(True) for _ in range(3))
-            baseline = min(workload(False) for _ in range(3))
-            best_ratio = min(best_ratio, recording / baseline)
+            best_ratio = min(best_ratio, median_ratio())
             if best_ratio < 1.05:
                 break
         assert best_ratio < 1.05, (
-            f"journal-enabled sweep {best_ratio:.3f}x the disabled baseline"
+            f"journal-enabled sweep {best_ratio:.3f}x the disabled baseline "
+            "(median of interleaved pairs)"
         )
