@@ -129,7 +129,6 @@ def test_bench_large_system_compiled_evaluation(benchmark):
     from repro.semantics.compiler import CompiledSystem
     from repro.soundness import GeneratorConfig, generate_system
     from repro.soundness.sweep import pool_from_system
-    from repro.terms.ops import is_ground
 
     system = generate_system(
         GeneratorConfig(runs=8, steps_per_run=200, seed=11)
@@ -141,7 +140,7 @@ def test_bench_large_system_compiled_evaluation(benchmark):
     formulas = [
         formula
         for formula in pool.formulas
-        if is_ground(formula) and probe._supported(formula)
+        if probe.truth_bits(formula) is not None
     ][:8]
     assert len(formulas) == 8
 

@@ -48,7 +48,6 @@ from repro.model.system import System
 from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.terms.atoms import Principal
 from repro.terms.formulas import Believes, Formula, Truth
-from repro.terms.ops import is_ground
 
 from repro.fuzz.oracles import OracleFailure, _mentions_belief, sample_formulas
 
@@ -60,8 +59,6 @@ def _run_constant(compiled: CompiledSystem, formula: Formula) -> bool:
     holds at every point or at none.  Unanalyzable formulas are *not*
     run-constant (callers treat them conservatively).
     """
-    if not is_ground(formula):
-        return False
     bits = compiled.truth_bits(formula)
     if bits is None:
         return False

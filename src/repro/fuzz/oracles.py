@@ -31,6 +31,7 @@ from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import System
 from repro.model.wellformed import violation_classes
+from repro.semantics.compiler import compiled_for
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.hide import hidden_local_view
 from repro.terms.atoms import Key, Parameter, Sort
@@ -372,7 +373,9 @@ def check_ground_path_differential(
 
     A ground formula mentioning a key constant K is abstracted to a
     parameterized twin (K replaced by a parameter the runs map back to
-    K); both must evaluate identically at every point.
+    K); both must evaluate identically at every point, the twin under
+    the compiled engine too.  That engine must also refuse the twin a
+    whole-system bitset: its truth is per run.
     """
     failures = []
     candidates = [
@@ -402,16 +405,25 @@ def check_ground_path_differential(
     )
     parameterized_system = System(runs, system.interpretation, system.vocabulary)
     evaluator = Evaluator(parameterized_system)
+    compiled = compiled_for(parameterized_system)
+    if compiled.truth_bits(parameterized) is not None:
+        failures.append(OracleFailure(
+            "ground_path_differential",
+            f"compiled engine gave the non-ground twin whole-system bits "
+            f"(probe {key})", formula=str(formula),
+        ))
     by_name = {run.name: run for run in runs}
     for run, k in points:
         twin = by_name[run.name]
         ground_value = evaluator.evaluate(formula, twin, k)
         substituted_value = evaluator.evaluate(parameterized, twin, k)
-        if ground_value != substituted_value:
+        compiled_value = compiled.evaluate(parameterized, twin, k)
+        if not ground_value == substituted_value == compiled_value:
             failures.append(OracleFailure.at(
                 "ground_path_differential",
                 f"ground path said {ground_value}, substitution path "
-                f"said {substituted_value} (probe {key})",
+                f"said {substituted_value}, compiled substitution path "
+                f"said {compiled_value} (probe {key})",
                 run, k, formula,
             ))
     return failures
@@ -443,8 +455,6 @@ def check_compiled_differential(
     and the engine-replay oracle all route through compilation, so any
     divergence here is a soundness bug, not a performance one.
     """
-    from repro.semantics.compiler import compiled_for
-
     failures = []
     interpreter = Evaluator(system, goodruns, pattern_hide=pattern_hide)
     compiled = compiled_for(system, goodruns, pattern_hide=pattern_hide)

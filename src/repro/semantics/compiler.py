@@ -30,12 +30,16 @@ of closures whose unit of evaluation is the *whole system*:
 Compiled nodes are cached per *interned* formula, so schema instances
 sharing subformulas share both the closures and their computed bitsets.
 
-**Fidelity.**  The compiler is a fast path, not a second semantics:
-anything it cannot compile with byte-identical behaviour — a formula
-mentioning a principal without local state in some run (where the
-interpreter's error behaviour is point- and order-dependent), an
-unknown connective, a malformed ``pk(...)`` — falls back to a private
-interpreter (``interpreter_class``) sharing the same parameters.
+**Fidelity.**  The compiler is a fast path, not a second semantics.
+Compiling is one walk per formula: each clause's builder compiles its
+children, then checks its own gate, and the node table memoizes a
+refusal (``None``) like any node.  The gates refuse whatever the
+compiler cannot reproduce byte-identically — a principal without local
+state in some run (where the interpreter's error behaviour is point-
+and order-dependent), a free parameter (its value is per run), a
+malformed ``pk(...)``, an unknown connective.  Refused ground formulas
+fall back to a private interpreter (``interpreter_class``) sharing the
+same parameters.
 Tracing always takes the interpreter
 (:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
 inherit than to re-emit.  The
@@ -52,7 +56,8 @@ memoization layer.
 
 from __future__ import annotations
 
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 from repro import context as _context
 from repro import perf
@@ -87,9 +92,13 @@ from repro.terms.formulas import (
 from repro.terms.messages import Combined, Encrypted
 from repro.terms.ops import free_parameters, is_ground, substitute
 
-#: A compiled node: a zero-argument closure returning the formula's
-#: truth bitset over the system's dense point numbering (memoized).
+#: A compiled node (memoized) or a clause builder's compute function: a
+#: zero-argument closure returning the formula's truth bitset over the
+#: system's dense point numbering.
 BitsFn = Callable[[], int]
+
+#: The node table's default: ``None`` there is a verdict (refused).
+_UNCOMPILED = object()
 
 
 def _clear_compiled() -> None:
@@ -118,8 +127,33 @@ class CompiledSystem:
     """
 
     #: The recursive evaluator with this engine's truth definition: the
-    #: fallback for unsupported shapes and foreign points, and the tracer.
+    #: fallback for refused formulas and foreign points, and the tracer.
     interpreter_class: type[Evaluator] = Evaluator
+
+    #: Formula class -> (its subformula fields, the builder of its
+    #: clause).  :meth:`_compile` compiles the subformulas first; the
+    #: builder gets their nodes and returns ``None`` when its own gate
+    #: fails.
+    _CLAUSES: Mapping[type, tuple[tuple[str, ...], str]] = MappingProxyType({
+        Truth: ((), "_build_truth"),
+        Prim: ((), "_build_prim"),
+        Not: (("body",), "_build_not"),
+        And: (("left", "right"), "_build_and"),
+        Or: (("left", "right"), "_build_or"),
+        Implies: (("antecedent", "consequent"), "_build_implies"),
+        Iff: (("left", "right"), "_build_iff"),
+        Sees: ((), "_build_sees"),
+        Said: ((), "_build_said"),
+        Says: ((), "_build_said"),
+        Controls: (("body",), "_build_controls"),
+        Fresh: ((), "_build_fresh"),
+        Has: ((), "_build_has"),
+        SharedKey: ((), "_build_shared_key"),
+        SharedSecret: ((), "_build_shared_secret"),
+        PublicKeyOf: ((), "_build_public_key_of"),
+        Believes: (("body",), "_build_believes"),
+        ForAll: ((), "_build_forall"),
+    })
 
     def __init__(
         self,
@@ -143,10 +177,9 @@ class CompiledSystem:
             self._run_masks[run.name] = (
                 self._run_masks.get(run.name, 0) | (1 << i)
             )
-        #: Compiled nodes, keyed by (interned) ground formula.
-        self._nodes: dict[Formula, BitsFn] = {}
-        #: Supportedness verdicts, keyed by formula.
-        self._support: dict[Formula, bool] = {}
+        #: Compiled nodes keyed by (interned) formula; ``None`` records
+        #: a formula the compiler refused.
+        self._nodes: dict[Formula, BitsFn | None] = {}
         #: Principal uniformity (state in every run), keyed by principal.
         self._uniform: dict[Principal, bool] = {}
         #: Belief groups per principal: tuple of (members, possible) bit
@@ -192,11 +225,15 @@ class CompiledSystem:
         if not run.has_time(k):
             raise SemanticsError(f"time {k} outside run {run.name!r}")
         index = self.point_index.get((run.name, k))
-        if index is None:
-            # A point outside the compiled system (foreign run): the
-            # interpreter handles it with its per-point machinery.
+        if index is None or self.points[index][0] is not run:
+            # A point outside the compiled system (a foreign run): a
+            # fresh interpreter answers it, because the shared one's
+            # memos are keyed by run name and may hold a system run
+            # of the same name.
             perf.count("compiled_eval.fallback")
-            return self.interpreter._eval(formula, run, k)
+            return self.interpreter_class(
+                self.system, self.goodruns, pattern_hide=self.pattern_hide
+            )._eval(formula, run, k)
         bits = self.truth_bits(formula)
         if bits is None:
             return self.interpreter._eval(formula, run, k)
@@ -222,57 +259,38 @@ class CompiledSystem:
 
     def truth_bits(self, formula: Formula) -> int | None:
         """The formula's whole-system truth bitset, or ``None`` when the
-        formula cannot be compiled faithfully (caller should fall back).
+        compiler has no faithful node for it (caller falls back).
 
-        The formula must be ground (callers go through
-        :meth:`evaluate`, which substitutes parameters first).
+        A non-ground formula gives ``None`` and counts nothing: its
+        truth depends on each run's parameter values, so callers
+        substitute first, as :meth:`evaluate` does.  A ground formula
+        some clause gate refuses counts ``compiled_eval.fallback`` on
+        every call.
         """
-        # Journal only the *first* verdict per formula shape (the
-        # support memo makes "first" cheap to detect): the flight
-        # recorder wants "this shape fell back", not one event per
-        # point of a hot loop.
-        known = formula in self._support
-        if not self._supported(formula):
-            perf.count("compiled_eval.fallback")
-            if not known:
-                from repro.obs import journal
-
-                journal.record(
-                    "fallback", engine="compiled",
-                    formula=str(formula)[:160],
-                )
-            return None
-        node = self._nodes.get(formula)
+        # Journal only the *first* refusal per formula (the node memo
+        # makes "first" cheap to detect): the flight recorder wants
+        # "this shape fell back", not one event per point of a hot loop.
+        known = formula in self._nodes
+        node = self._compile(formula)
         if node is not None:
-            perf.count("compiled_eval.hit")
-        else:
-            perf.count("compiled_eval.miss")
-            node = self._build(formula)
-            self._nodes[formula] = node
-        return node()
+            return node()
+        if free_parameters(formula):
+            return None
+        perf.count("compiled_eval.fallback")
+        if not known:
+            from repro.obs import journal
+
+            journal.record(
+                "fallback", engine="compiled",
+                formula=str(formula)[:160],
+            )
+        return None
 
     def run_mask(self, name: str) -> int:
         """The point mask of one run (0 for a name not in the system)."""
         return self._run_masks.get(name, 0)
 
     def uniform_principal(self, term: Message) -> bool:
-        """Whether ``term`` is a principal with state in every run."""
-        return self._uniform_principal(term)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Sizes of this compiled system's internal tables."""
-        return {
-            "compiled_nodes": len(self._nodes),
-            "support_entries": len(self._support),
-            "belief_groups": sum(
-                len(groups) for groups in self._belief_groups.values()
-            ),
-            "points": len(self.points),
-        }
-
-    # -- supportedness --------------------------------------------------------
-
-    def _uniform_principal(self, term: Message) -> bool:
         """True iff ``term`` is a principal with local state in every run
         (so no point of the system can raise on a state lookup)."""
         if not isinstance(term, Principal):
@@ -286,153 +304,64 @@ class CompiledSystem:
             self._uniform[term] = cached
         return cached
 
-    def _supported(self, formula: Formula) -> bool:
-        """Whether the compiled path reproduces the interpreter exactly.
-
-        Anything where the interpreter's behaviour is point-dependent in
-        a way wholesale evaluation cannot honour (state-missing
-        principals whose errors interact with connective
-        short-circuiting, malformed ``pk``, unknown nodes) is left to
-        the interpreter.
-        """
-        cached = self._support.get(formula)
-        if cached is not None:
-            return cached
-        value = self._supported_uncached(formula)
-        self._support[formula] = value
-        return value
-
-    def _supported_uncached(self, formula: Formula) -> bool:
-        if isinstance(formula, (Truth, Prim, Fresh)):
-            return True
-        if isinstance(formula, Not):
-            return self._supported(formula.body)
-        if isinstance(formula, And):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, Or):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, Implies):
-            return (
-                self._supported(formula.antecedent)
-                and self._supported(formula.consequent)
-            )
-        if isinstance(formula, Iff):
-            return self._supported(formula.left) and self._supported(formula.right)
-        if isinstance(formula, (Sees, Said, Says)):
-            return self._uniform_principal(formula.principal)
-        if isinstance(formula, Has):
-            return self._uniform_principal(formula.principal)
-        if isinstance(formula, (Controls, Believes)):
-            return self._uniform_principal(formula.principal) and self._supported(
-                formula.body
-            )
-        if isinstance(formula, (SharedKey, SharedSecret)):
-            return isinstance(formula.left, Principal) and isinstance(
-                formula.right, Principal
-            )
-        if isinstance(formula, PublicKeyOf):
-            return isinstance(formula.principal, Principal) and isinstance(
-                formula.key, PublicKey
-            )
-        if isinstance(formula, ForAll):
-            constants = self.system.vocabulary.constants(
-                formula.variable.value_sort
-            )
-            return all(
-                self._supported(
-                    substitute(formula.body, {formula.variable: constant})
-                )
-                for constant in constants
-            )
-        return False
-
     # -- compilation ----------------------------------------------------------
 
-    def _compile(self, formula: Formula) -> BitsFn:
-        node = self._nodes.get(formula)
-        if node is not None:
+    def _compile(self, formula: Formula) -> BitsFn | None:
+        """The formula's node, or ``None`` when a gate refuses it — the
+        one walk that decides groundness and support while it builds;
+        both verdicts are memoized."""
+        node = self._nodes.get(formula, _UNCOMPILED)
+        if node is not _UNCOMPILED:
             perf.count("compiled_eval.hit")
-            return node
+            return node  # type: ignore[return-value]
         perf.count("compiled_eval.miss")
-        node = self._build(formula)
+        node = None
+        clause = self._CLAUSES.get(type(formula))
+        if clause is not None:
+            fields, builder = clause
+            children = self._compile_all(getattr(formula, f) for f in fields)
+            if children is not None:
+                compute = getattr(self, builder)(formula, *children)
+                node = None if compute is None else _memoized(compute)
         self._nodes[formula] = node
         return node
 
-    def _build(self, formula: Formula) -> BitsFn:
-        """One compiled node: a memoizing closure over child closures."""
-        compute = self._builder(formula)
-        cell: int | None = None
+    def _compile_all(
+        self, formulas: Iterable[Formula]
+    ) -> tuple[BitsFn, ...] | None:
+        """The nodes of ``formulas``, or ``None`` at the first refusal."""
+        nodes = []
+        for formula in formulas:
+            node = self._compile(formula)
+            if node is None:
+                return None
+            nodes.append(node)
+        return tuple(nodes)
 
-        def bits() -> int:
-            nonlocal cell
-            if cell is None:
-                cell = compute()
-            return cell
+    # -- connectives ----------------------------------------------------------
 
-        return bits
+    def _build_truth(self, formula: Truth) -> BitsFn:
+        return lambda: self.full_mask
 
-    def _builder(self, formula: Formula) -> Callable[[], int]:
-        full = self.full_mask
-        if isinstance(formula, Truth):
-            return lambda: full
-        if isinstance(formula, Prim):
-            return self._build_prim(formula)
-        if isinstance(formula, Not):
-            body = self._compile(formula.body)
-            return lambda: full ^ body()
-        if isinstance(formula, And):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: left() & right()
-        if isinstance(formula, Or):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: left() | right()
-        if isinstance(formula, Implies):
-            antecedent = self._compile(formula.antecedent)
-            consequent = self._compile(formula.consequent)
-            return lambda: (full ^ antecedent()) | consequent()
-        if isinstance(formula, Iff):
-            left, right = self._compile(formula.left), self._compile(formula.right)
-            return lambda: full ^ (left() ^ right())
-        if isinstance(formula, Sees):
-            return self._build_sees(formula)
-        if isinstance(formula, Said):
-            return self._build_said(formula, present_only=False)
-        if isinstance(formula, Says):
-            return self._build_said(formula, present_only=True)
-        if isinstance(formula, Controls):
-            return self._build_controls(formula)
-        if isinstance(formula, Fresh):
-            return self._build_fresh(formula)
-        if isinstance(formula, Has):
-            return self._build_has(formula)
-        if isinstance(formula, SharedKey):
-            return self._build_goodness(
-                formula.left, formula.right,
-                lambda component: isinstance(component, Encrypted)
-                and component.key == formula.key,
-            )
-        if isinstance(formula, PublicKeyOf):
-            private = formula.key.partner  # type: ignore[union-attr]
-            return self._build_goodness(
-                formula.principal, formula.principal,
-                lambda component: isinstance(component, Encrypted)
-                and component.key == private,
-            )
-        if isinstance(formula, SharedSecret):
-            return self._build_goodness(
-                formula.left, formula.right,
-                lambda component: isinstance(component, Combined)
-                and component.secret == formula.secret,
-            )
-        if isinstance(formula, Believes):
-            return self._build_believes(formula)
-        if isinstance(formula, ForAll):
-            return self._build_forall(formula)
-        raise SemanticsError(f"cannot compile {formula!r}")  # pragma: no cover
+    def _build_not(self, formula: Not, body: BitsFn) -> BitsFn:
+        return lambda: self.full_mask ^ body()
+
+    def _build_and(self, formula: And, left: BitsFn, right: BitsFn) -> BitsFn:
+        return lambda: left() & right()
+
+    def _build_or(self, formula: Or, left: BitsFn, right: BitsFn) -> BitsFn:
+        return lambda: left() | right()
+
+    def _build_implies(self, formula: Implies, antecedent: BitsFn,
+                       consequent: BitsFn) -> BitsFn:
+        return lambda: (self.full_mask ^ antecedent()) | consequent()
+
+    def _build_iff(self, formula: Iff, left: BitsFn, right: BitsFn) -> BitsFn:
+        return lambda: self.full_mask ^ (left() ^ right())
 
     # -- leaf clauses ---------------------------------------------------------
 
-    def _build_prim(self, formula: Prim) -> Callable[[], int]:
+    def _build_prim(self, formula: Prim) -> BitsFn:
         holds = self.system.interpretation.holds
         atom = formula.atom
         points = self.points
@@ -446,9 +375,11 @@ class CompiledSystem:
 
         return compute
 
-    def _build_sees(self, formula: Sees) -> Callable[[], int]:
+    def _build_sees(self, formula: Sees) -> BitsFn | None:
         principal = formula.principal
         message = formula.message
+        if not self.uniform_principal(principal) or free_parameters(message):
+            return None
         seen_set = self.interpreter._seen_set
         points = self.points
 
@@ -461,9 +392,12 @@ class CompiledSystem:
 
         return compute
 
-    def _build_said(self, formula, present_only: bool) -> Callable[[], int]:
+    def _build_said(self, formula: Said | Says) -> BitsFn | None:
         principal = formula.principal
         message = formula.message
+        if not self.uniform_principal(principal) or free_parameters(message):
+            return None
+        present_only = isinstance(formula, Says)
         said_entries = self.interpreter._said_entries
 
         def compute() -> int:
@@ -487,10 +421,12 @@ class CompiledSystem:
 
         return compute
 
-    def _build_controls(self, formula: Controls) -> Callable[[], int]:
+    def _build_controls(self, formula: Controls,
+                        body: BitsFn) -> BitsFn | None:
         principal = formula.principal
         body_formula = formula.body
-        body = self._compile(body_formula)
+        if not self.uniform_principal(principal):
+            return None
         said_entries = self.interpreter._said_entries
 
         def compute() -> int:
@@ -518,8 +454,10 @@ class CompiledSystem:
 
         return compute
 
-    def _build_fresh(self, formula: Fresh) -> Callable[[], int]:
+    def _build_fresh(self, formula: Fresh) -> BitsFn | None:
         message = formula.message
+        if free_parameters(message):
+            return None
         past = self.interpreter._past_submsgs
 
         def compute() -> int:
@@ -531,9 +469,11 @@ class CompiledSystem:
 
         return compute
 
-    def _build_has(self, formula: Has) -> Callable[[], int]:
+    def _build_has(self, formula: Has) -> BitsFn | None:
         principal = formula.principal
         key = formula.key
+        if not self.uniform_principal(principal) or free_parameters(key):
+            return None
         points = self.points
 
         def compute() -> int:
@@ -545,12 +485,42 @@ class CompiledSystem:
 
         return compute
 
+    def _build_shared_key(self, formula: SharedKey) -> BitsFn | None:
+        key = formula.key
+        return self._build_goodness(
+            formula.left, formula.right, key,
+            lambda component: isinstance(component, Encrypted)
+            and component.key == key,
+        )
+
+    def _build_public_key_of(self, formula: PublicKeyOf) -> BitsFn | None:
+        if not isinstance(formula.key, PublicKey):
+            return None
+        private = formula.key.partner
+        return self._build_goodness(
+            formula.principal, formula.principal, formula.key,
+            lambda component: isinstance(component, Encrypted)
+            and component.key == private,
+        )
+
+    def _build_shared_secret(self, formula: SharedSecret) -> BitsFn | None:
+        secret = formula.secret
+        return self._build_goodness(
+            formula.left, formula.right, secret,
+            lambda component: isinstance(component, Combined)
+            and component.secret == secret,
+        )
+
     def _build_goodness(
-        self, left: Message, right: Message, matches
-    ) -> Callable[[], int]:
+        self, left: Message, right: Message, term: Message, matches
+    ) -> BitsFn | None:
         """Shared shape of the F5/F6/pk clauses: a run-level quantifier
         over every *other* principal's sends — any matching component
-        said by a third party must have been seen (relayed, not made)."""
+        said by a third party must have been seen (relayed, not made).
+        Both sides must be principals, and the key or secret ground."""
+        if not (isinstance(left, Principal) and isinstance(right, Principal)
+                ) or free_parameters(term):
+            return None
         said_entries = self.interpreter._said_entries
         seen_set = self.interpreter._seen_set
 
@@ -628,21 +598,25 @@ class CompiledSystem:
                 bits |= members
         return bits
 
-    def _build_believes(self, formula: Believes) -> Callable[[], int]:
+    def _build_believes(self, formula: Believes,
+                        body: BitsFn) -> BitsFn | None:
         principal = formula.principal
-        assert isinstance(principal, Principal)
-        body = self._compile(formula.body)
-        full = self.full_mask
-        return lambda: self.belief_bits(principal, body(), full)
+        if not self.uniform_principal(principal):
+            return None
+        return lambda: self.belief_bits(principal, body(), self.full_mask)
 
     # -- quantification -------------------------------------------------------
 
-    def _build_forall(self, formula: ForAll) -> Callable[[], int]:
+    def _build_forall(self, formula: ForAll) -> BitsFn | None:
         constants = self.system.vocabulary.constants(formula.variable.value_sort)
-        expansions = tuple(
-            self._compile(substitute(formula.body, {formula.variable: constant}))
+        expansions = self._compile_all(
+            substitute(formula.body, {formula.variable: constant})
             for constant in constants
         )
+        # With another parameter free, every expansion compiles only
+        # over an empty domain, and the verdict is still per run.
+        if expansions is None or free_parameters(formula):
+            return None
         full = self.full_mask
 
         def compute() -> int:
@@ -654,6 +628,19 @@ class CompiledSystem:
             return bits
 
         return compute
+
+
+def _memoized(compute: Callable[[], int]) -> BitsFn:
+    """A node: ``compute`` run once, on first call."""
+    cell: int | None = None
+
+    def bits() -> int:
+        nonlocal cell
+        if cell is None:
+            cell = compute()
+        return cell
+
+    return bits
 
 
 def compiled_for(

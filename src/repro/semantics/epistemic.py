@@ -59,7 +59,7 @@ from the inherited view-index builder over *all* runs.
 overrides only :meth:`~repro.semantics.compiler.CompiledSystem.belief_bits`
 and names its interpreter class.  The compiler's per-view-class
 ``(members, possible)`` pairs already carry both sets — ``members`` is
-the knowledge set (under the compiler's uniform-principal support gate
+the knowledge set (under the compiler's uniform-principal gate
 every member point is indistinguishable to P), ``possible`` is the
 good-run subset — so the guarded clause is *still one subset test per
 view class*.  Every caller of the belief check gets the guarded clause
@@ -127,7 +127,7 @@ class CompiledEpistemicSystem(CompiledSystem):
 
     def belief_bits(self, principal: Principal, body_bits: int,
                     mask: int) -> int:
-        """The guarded clause per view class: under ``_supported``'s
+        """The guarded clause per view class: under the compiler's
         uniform-principal gate ``members`` is the principal's knowledge
         set, and ``possible & mask`` its good-run (α) subset."""
         bits = 0

@@ -187,7 +187,7 @@ class VectorTruth:
         if deps is None:
             return False
         if not deps:
-            return formula in self.compiled._nodes
+            return self.compiled._nodes.get(formula) is not None
         return self._signature(formula, deps, vector) in self._bits
 
     def truth_bits(

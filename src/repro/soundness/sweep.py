@@ -48,7 +48,7 @@ from repro.terms.formulas import (
     SharedSecret,
 )
 from repro.terms.messages import Encrypted, combined, encrypted, forwarded, group
-from repro.terms.ops import is_ground, walk
+from repro.terms.ops import walk
 
 
 def pool_from_system(
@@ -317,9 +317,7 @@ def _sweep_in_process(
                         engine=engine) as attrs:
             for instance in instances:
                 schema_report.instances += 1
-                bits = None
-                if compiled is not None and is_ground(instance):
-                    bits = compiled.truth_bits(instance)
+                bits = None if compiled is None else compiled.truth_bits(instance)
                 if bits is not None:
                     # Whole-system verdict in one subset test; violation
                     # records (capped, in point order) match the

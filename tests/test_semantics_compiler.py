@@ -11,6 +11,11 @@ Three angles on the compiled-vs-interpreted contract:
   two-run system;
 * the explanation tracer produces byte-identical output under both
   engines on the golden why-false belief tree.
+
+Then the one-walk contract of ``CompiledSystem._compile``: which
+formulas compile to ``None``, what a refusal counts and journals, how
+the sweep routes non-ground instances, and foreign runs that share a
+system run's name.
 """
 
 from __future__ import annotations
@@ -22,20 +27,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import context as _context
-from repro.errors import SemanticsError
+from repro.errors import ReproError, SemanticsError
 from repro.fuzz.oracles import (
     check_compiled_differential,
     sample_formulas,
     sample_points,
+    sweep_fingerprint,
 )
+from repro.logic.axioms import Schema
 from repro.model import Interpretation, RunBuilder, system_of
+from repro.obs import journal
 from repro.obs.trace import Tracer, render_why, trace_records
 from repro.semantics import Evaluator
 from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.goodvectors import GoodRunVector
+from repro.semantics.vector_eval import VectorTruth
 from repro.soundness import GeneratorConfig, generate_system
-from repro.terms import Believes, Key, Nonce, Prim, Principal, Vocabulary
-from repro.terms.ops import transform
+from repro.soundness.sweep import sweep_system
+from repro.terms import (
+    Believes,
+    Controls,
+    ForAll,
+    Fresh,
+    Has,
+    Key,
+    Nonce,
+    Not,
+    Parameter,
+    Prim,
+    Principal,
+    PublicKeyOf,
+    Said,
+    Says,
+    Sees,
+    SharedKey,
+    SharedSecret,
+    Sort,
+    Vocabulary,
+)
+from repro.terms.ops import is_ground, transform
+from repro.terms.parser import parse_formula
 
 from tests.strategies import (
     KEY_PARAM,
@@ -115,9 +146,8 @@ class TestOracleCatchesPlantedBugs:
         belief = Believes(principal, Prim(system.vocabulary.proposition("p0")))
         points = tuple(system.points())[:4]
 
-        def buggy(self, formula):
+        def buggy(self, formula, body):
             who = formula.principal
-            body = self._compile(formula.body)
 
             def compute():
                 body_bits = body()
@@ -221,10 +251,16 @@ class TestCompiledMatchesInterpreted:
             # Non-ground twin: both engines must take the Section 8
             # substitution path and land on the same verdicts.
             formula = _parameterize(formula)
-        for run, k in _POINTS:
-            assert _outcome(_COMPILED, formula, run, k) == _outcome(
+        bits = _COMPILED.truth_bits(formula)
+        if not is_ground(formula):
+            assert bits is None, formula
+        for i, (run, k) in enumerate(_POINTS):
+            outcome = _outcome(_COMPILED, formula, run, k)
+            assert outcome == _outcome(
                 _INTERPRETED, formula, run, k
             ), f"{formula} @ ({run.name}, {k})"
+            if bits is not None:
+                assert outcome == (bool((bits >> i) & 1), None)
 
     def test_unbound_parameter_errors_match(self):
         # A parameter no run assigns: both engines must raise, equally.
@@ -395,3 +431,178 @@ class TestCompiledCacheKeying:
         # dataclass pickling restores fields without __post_init__, so
         # a shipped system collides with its origin's serial space.
         assert revived.serial == system.serial
+
+
+# ---------------------------------------------------------------------------
+# The one walk: groundness and support decided while compiling
+# ---------------------------------------------------------------------------
+
+
+def _partial_system():
+    """Two runs; S has local state only in the first, so every clause
+    that looks up S's state is refused by the compiler."""
+    keysets = {A: [Kab, Kas], B: [Kab, Kbs], S: [Kas, Kbs]}
+
+    def build(name, principals):
+        builder = RunBuilder(
+            principals, keysets={p: keysets[p] for p in principals}
+        )
+        builder.send(A, encrypted(Na, Kab, A), B)
+        builder.receive(B)
+        return builder.build(name)
+
+    runs = [build("r1", [A, B, S]), build("r2", [A, B])]
+    interp = Interpretation.from_run_table({PROPS[0]: ["r1"]})
+    return system_of(runs, interp, VOCAB)
+
+
+def _any_outcome(engine, formula, run, k):
+    try:
+        return (engine.evaluate(formula, run, k), None)
+    except ReproError as error:
+        return (None, f"{type(error).__name__}: {error}")
+
+
+def _fallback_events():
+    return [event for event in journal.snapshot() if event["kind"] == "fallback"]
+
+
+_WHO = Parameter("Pw", Sort.PRINCIPAL)
+
+#: Non-ground formulas, one per place a free parameter can sit.
+_NON_GROUND = (
+    Sees(A, encrypted(Na, KEY_PARAM, A)),
+    Said(A, KEY_PARAM),
+    Says(_WHO, Na),
+    Has(A, KEY_PARAM),
+    Fresh(KEY_PARAM),
+    SharedKey(A, KEY_PARAM, B),
+    SharedKey(_WHO, Kab, B),
+    SharedSecret(A, Na, _WHO),
+    PublicKeyOf(_WHO, KEY_PARAM),
+    Believes(_WHO, Prim(PROPS[0])),
+    Controls(A, Has(B, KEY_PARAM)),
+    Not(Believes(A, Has(B, KEY_PARAM))),
+    ForAll(_WHO, Has(_WHO, KEY_PARAM)),
+)
+
+
+class TestOneWalk:
+    def test_non_ground_formula_is_none_without_fallback(self):
+        with _context.scoped("non-ground") as ctx:
+            compiled = CompiledSystem(_PROPERTY_SYSTEM)
+            for formula in _NON_GROUND:
+                assert not is_ground(formula)
+                assert compiled.truth_bits(formula) is None, formula
+                assert compiled.truth_bits(formula) is None, formula
+            assert "compiled_eval.fallback" not in ctx.counters
+            assert _fallback_events() == []
+
+    def test_free_parameter_over_an_empty_domain_is_none(self):
+        """Every expansion of a quantifier with no constants compiles,
+        yet a second free parameter still makes its truth per run."""
+        vocab = Vocabulary()
+        who, key = vocab.principal("A"), vocab.key("K")
+        builder = RunBuilder([who], keysets={who: [key]})
+        system = system_of([builder.build("r1")], None, vocab)
+        vacuous = ForAll(Parameter("Nx", Sort.NONCE), Has(who, KEY_PARAM))
+        with _context.scoped("empty-domain") as ctx:
+            assert CompiledSystem(system).truth_bits(vacuous) is None
+            assert "compiled_eval.fallback" not in ctx.counters
+
+    @pytest.mark.parametrize("formula", [
+        Sees(S, Na),
+        Said(S, Na),
+        Says(S, Na),
+        Has(S, Kas),
+        Controls(S, Prim(PROPS[0])),
+        Believes(S, Prim(PROPS[0])),
+        Not(Believes(A, Sees(S, Na))),
+        PublicKeyOf(A, Kab),
+        ForAll(_WHO, Sees(_WHO, Na)),
+    ], ids=str)
+    def test_each_gate_counts_every_call_and_journals_once(self, formula):
+        """A ground formula a gate refuses is a fallback on every call
+        but one journal event.  (The F5/F6 gate needs principals on both
+        sides, which only a principal parameter can miss: see the
+        non-ground test.)"""
+        system = _partial_system()
+        with _context.scoped("gates") as ctx:
+            compiled = CompiledSystem(system)
+            for _ in range(3):
+                assert compiled.truth_bits(formula) is None
+            assert ctx.counters["compiled_eval.fallback"] == 3
+            assert [e["attrs"]["formula"] for e in _fallback_events()] == [
+                str(formula)
+            ]
+            # The interpreter answers instead, errors included.
+            interpreter = Evaluator(system)
+            for run, k in compiled.points:
+                assert _any_outcome(compiled, formula, run, k) == (
+                    _any_outcome(interpreter, formula, run, k)
+                )
+
+    def test_memoized_refusal_is_a_hit_and_not_cached_bits(self):
+        system = _partial_system()
+        refused, compiled_ok = Sees(S, Na), Sees(A, Na)
+        with _context.scoped("memo-none") as ctx:
+            checker = VectorTruth(system)
+            compiled = checker.compiled
+            assert compiled.truth_bits(refused) is None
+            hits = ctx.counters.get("compiled_eval.hit", 0)
+            misses = ctx.counters["compiled_eval.miss"]
+            assert compiled.truth_bits(refused) is None
+            assert ctx.counters["compiled_eval.hit"] == hits + 1
+            assert ctx.counters["compiled_eval.miss"] == misses
+            assert refused in compiled._nodes
+            assert not checker.is_cached(refused, GoodRunVector())
+            assert compiled.truth_bits(compiled_ok) is not None
+            assert checker.is_cached(compiled_ok, GoodRunVector())
+
+    def test_sweep_routes_non_ground_instances_per_point(self):
+        """Parameterized instances skip the whole-system route and
+        still sweep exactly as the interpreter does, violations
+        included."""
+        twins = tuple(_parameterize(formula) for formula in (
+            Has(A, Kab),
+            Not(Has(A, Kab)),
+            Sees(B, encrypted(Na, Kab, A)),
+            Believes(A, Has(B, Kab)),
+            Believes(A, Prim(PROPS[0])),
+        )) + (Has(B, Kab),)
+        schema = Schema("T1", "parameterized twins", lambda: None,
+                        lambda pool: iter(twins))
+        reports = {
+            engine: sweep_system(_PROPERTY_SYSTEM, schemas=(schema,),
+                                 engine=engine)
+            for engine in ("compiled", "interpreted")
+        }
+        assert sweep_fingerprint(reports["compiled"]) == sweep_fingerprint(
+            reports["interpreted"]
+        )
+        swept = reports["compiled"].per_schema["T1"]
+        assert swept.points_checked == len(twins) * len(_POINTS)
+        assert swept.violations
+
+
+class TestForeignRuns:
+    def test_foreign_run_sharing_a_name_is_interpreted(self):
+        """Seeds 1 and 2 both name their runs run-1..3: a compiled seed-1
+        system must answer seed 2's points as the interpreter does, not
+        with the bits of its own same-named runs."""
+        one = generate_system(GeneratorConfig(seed=1))
+        two = generate_system(GeneratorConfig(seed=2))
+        assert [r.name for r in one.runs] == [r.name for r in two.runs]
+        formulas_ = [
+            parse_formula(text, one.vocabulary)
+            for text in ("P1 sees N1", "P2 said N1", "P1 has K1", "p0",
+                         "P1 believes p0", "fresh(N1)")
+        ]
+        compiled = CompiledSystem(one)
+        for formula in formulas_:
+            compiled.truth_bits(formula)  # fill the shared kernel memos
+        for formula in formulas_:
+            for run, k in two.points():
+                assert compiled.evaluate(formula, run, k) == Evaluator(
+                    one
+                ).evaluate(formula, run, k), f"{formula} @ ({run.name}, {k})"
