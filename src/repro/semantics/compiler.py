@@ -4,18 +4,19 @@ The recursive :class:`~repro.semantics.evaluator.Evaluator` re-matches
 the same formula ASTs structurally at every point — for sweep-shaped
 workloads (many instances × every point of the system) more than half
 the work is dispatch and memo-key hashing.  This module compiles each
-formula **once** per ``(system, goodruns, pattern_hide)`` into a tree
-of closures whose unit of evaluation is the *whole system*:
+formula **once** per ``(system, goodruns, pattern_hide)`` into its
+truth value over the *whole system*:
 
 * Points are numbered into dense ints (``system.points()`` order), so
   a truth value over the system is a single Python-int **bitset** —
-  bit ``i`` is the verdict at point ``i``.
+  bit ``i`` is the verdict at point ``i``.  A compiled node *is* that
+  int: compiling a formula computes its bitset from its children's.
 * Connectives become direct bitwise ops on those ints (``&``, ``|``,
   ``^``) — no ``match`` re-dispatch, no per-point memo lookups.
 * ``Sees``/``Said``/``Says``/``Fresh`` and the key-goodness clauses
-  bind their precomputed ``_seen_set``/``_said_entries``/
-  ``_past_submsgs`` tables at compile time and emit their truth
-  vector in one pass over the points.
+  read the interpreter's memoized ``_seen_set``/``_said_entries``/
+  ``_past_submsgs`` tables and emit their truth vector in one pass
+  over the points.
 * ``Believes`` precomputes the principal's possibility index: points
   are grouped by hidden view, every view class is a bitset, and the
   belief check collapses to one subset test per class
@@ -25,26 +26,31 @@ of closures whose unit of evaluation is the *whole system*:
   sets masked by a good-run mask: compiled nodes pass ``full_mask``,
   :class:`~repro.semantics.vector_eval.VectorTruth` the mask of its
   query vector, and the epistemic engine overrides only this method.
-* ``ForAll`` expands over the vocabulary at compile time.
+* ``ForAll`` expands over the vocabulary at compile time and ANDs the
+  bitsets of all its expansions.
 
-Compiled nodes are cached per *interned* formula, so schema instances
-sharing subformulas share both the closures and their computed bitsets.
+Bitsets are cached per *interned* formula, so schema instances sharing
+subformulas compute them once.  The node table holds plain ints (and
+``None`` for refusals): no closure captures the compiled system, so a
+dropped context frees its compiled state by reference counting, with
+no work left for the cycle collector.
 
 **Fidelity.**  The compiler is a fast path, not a second semantics.
-Compiling is one walk per formula: each clause's builder compiles its
-children, then checks its own gate, and the node table memoizes a
-refusal (``None``) like any node.  The gates refuse whatever the
-compiler cannot reproduce byte-identically — a principal without local
-state in some run (where the interpreter's error behaviour is point-
-and order-dependent), a free parameter (its value is per run), a
-malformed ``pk(...)``, an unknown connective.  Refused ground formulas
-fall back to a private interpreter (``interpreter_class``) sharing the
-same parameters.
-Tracing always takes the interpreter
+Compiling is one walk per formula: each clause's builder takes its
+children's bitsets, then checks its own gate, and the node table
+memoizes a refusal (``None``) like any bitset.  Children compile
+first, so the compilable subformulas of a refused formula have their
+bitsets computed on the way.  The gates refuse whatever the compiler
+cannot reproduce byte-identically — a principal without local state in
+some run (where the interpreter's error behaviour is point- and
+order-dependent), a free parameter (its value is per run), a malformed
+``pk(...)``, an unknown connective.  Refused ground formulas fall back
+to a private interpreter (``interpreter_class``) sharing the same
+parameters.  Tracing always takes the interpreter
 (:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
-inherit than to re-emit.  The
-``compiled_vs_interpreted`` fuzz oracle (:mod:`repro.fuzz.oracles`)
-holds the two engines byte-identical across campaigns.
+inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
+(:mod:`repro.fuzz.oracles`) holds the two engines byte-identical
+across campaigns.
 
 Compiled state is session-owned: :func:`compiled_for` caches
 ``CompiledSystem`` instances on the current
@@ -57,7 +63,7 @@ memoization layer.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro import context as _context
 from repro import perf
@@ -91,11 +97,6 @@ from repro.terms.formulas import (
 )
 from repro.terms.messages import Combined, Encrypted
 from repro.terms.ops import free_parameters, is_ground, substitute
-
-#: A compiled node (memoized) or a clause builder's compute function: a
-#: zero-argument closure returning the formula's truth bitset over the
-#: system's dense point numbering.
-BitsFn = Callable[[], int]
 
 #: The node table's default: ``None`` there is a verdict (refused).
 _UNCOMPILED = object()
@@ -132,8 +133,8 @@ class CompiledSystem:
 
     #: Formula class -> (its subformula fields, the builder of its
     #: clause).  :meth:`_compile` compiles the subformulas first; the
-    #: builder gets their nodes and returns ``None`` when its own gate
-    #: fails.
+    #: builder gets their bitsets and returns its own, or ``None`` when
+    #: its own gate fails.
     _CLAUSES: Mapping[type, tuple[tuple[str, ...], str]] = MappingProxyType({
         Truth: ((), "_build_truth"),
         Prim: ((), "_build_prim"),
@@ -177,9 +178,9 @@ class CompiledSystem:
             self._run_masks[run.name] = (
                 self._run_masks.get(run.name, 0) | (1 << i)
             )
-        #: Compiled nodes keyed by (interned) formula; ``None`` records
+        #: Truth bitsets keyed by (interned) formula; ``None`` records
         #: a formula the compiler refused.
-        self._nodes: dict[Formula, BitsFn | None] = {}
+        self._nodes: dict[Formula, int | None] = {}
         #: Principal uniformity (state in every run), keyed by principal.
         self._uniform: dict[Principal, bool] = {}
         #: Belief groups per principal: tuple of (members, possible) bit
@@ -249,7 +250,7 @@ class CompiledSystem:
         Tracing runs through a fresh interpreter sharing this compiled
         system's parameters: the trace records are identical to the
         interpreted engine's by construction (cheaper than teaching
-        every compiled closure to emit them).
+        every compiled clause to emit them).
         """
         traced = self.interpreter_class(
             self.system, self.goodruns,
@@ -271,9 +272,9 @@ class CompiledSystem:
         # makes "first" cheap to detect): the flight recorder wants
         # "this shape fell back", not one event per point of a hot loop.
         known = formula in self._nodes
-        node = self._compile(formula)
-        if node is not None:
-            return node()
+        bits = self._compile(formula)
+        if bits is not None:
+            return bits
         if free_parameters(formula):
             return None
         perf.count("compiled_eval.fallback")
@@ -306,186 +307,154 @@ class CompiledSystem:
 
     # -- compilation ----------------------------------------------------------
 
-    def _compile(self, formula: Formula) -> BitsFn | None:
-        """The formula's node, or ``None`` when a gate refuses it — the
-        one walk that decides groundness and support while it builds;
-        both verdicts are memoized."""
-        node = self._nodes.get(formula, _UNCOMPILED)
-        if node is not _UNCOMPILED:
+    def _compile(self, formula: Formula) -> int | None:
+        """The formula's truth bitset, or ``None`` when a gate refuses
+        it — the one walk that decides groundness and support while it
+        computes; both verdicts are memoized."""
+        bits = self._nodes.get(formula, _UNCOMPILED)
+        if bits is not _UNCOMPILED:
             perf.count("compiled_eval.hit")
-            return node  # type: ignore[return-value]
+            return bits  # type: ignore[return-value]
         perf.count("compiled_eval.miss")
-        node = None
+        bits = None
         clause = self._CLAUSES.get(type(formula))
         if clause is not None:
             fields, builder = clause
             children = self._compile_all(getattr(formula, f) for f in fields)
             if children is not None:
-                compute = getattr(self, builder)(formula, *children)
-                node = None if compute is None else _memoized(compute)
-        self._nodes[formula] = node
-        return node
+                bits = getattr(self, builder)(formula, *children)
+        self._nodes[formula] = bits
+        return bits
 
-    def _compile_all(
-        self, formulas: Iterable[Formula]
-    ) -> tuple[BitsFn, ...] | None:
-        """The nodes of ``formulas``, or ``None`` at the first refusal."""
-        nodes = []
+    def _compile_all(self, formulas: Iterable[Formula]) -> list[int] | None:
+        """The bitsets of ``formulas``, or ``None`` at the first refusal."""
+        bitsets = []
         for formula in formulas:
-            node = self._compile(formula)
-            if node is None:
+            bits = self._compile(formula)
+            if bits is None:
                 return None
-            nodes.append(node)
-        return tuple(nodes)
+            bitsets.append(bits)
+        return bitsets
 
     # -- connectives ----------------------------------------------------------
 
-    def _build_truth(self, formula: Truth) -> BitsFn:
-        return lambda: self.full_mask
+    def _build_truth(self, formula: Truth) -> int:
+        return self.full_mask
 
-    def _build_not(self, formula: Not, body: BitsFn) -> BitsFn:
-        return lambda: self.full_mask ^ body()
+    def _build_not(self, formula: Not, body: int) -> int:
+        return self.full_mask ^ body
 
-    def _build_and(self, formula: And, left: BitsFn, right: BitsFn) -> BitsFn:
-        return lambda: left() & right()
+    def _build_and(self, formula: And, left: int, right: int) -> int:
+        return left & right
 
-    def _build_or(self, formula: Or, left: BitsFn, right: BitsFn) -> BitsFn:
-        return lambda: left() | right()
+    def _build_or(self, formula: Or, left: int, right: int) -> int:
+        return left | right
 
-    def _build_implies(self, formula: Implies, antecedent: BitsFn,
-                       consequent: BitsFn) -> BitsFn:
-        return lambda: (self.full_mask ^ antecedent()) | consequent()
+    def _build_implies(self, formula: Implies, antecedent: int,
+                       consequent: int) -> int:
+        return (self.full_mask ^ antecedent) | consequent
 
-    def _build_iff(self, formula: Iff, left: BitsFn, right: BitsFn) -> BitsFn:
-        return lambda: self.full_mask ^ (left() ^ right())
+    def _build_iff(self, formula: Iff, left: int, right: int) -> int:
+        return self.full_mask ^ (left ^ right)
 
     # -- leaf clauses ---------------------------------------------------------
 
-    def _build_prim(self, formula: Prim) -> BitsFn:
+    def _build_prim(self, formula: Prim) -> int:
         holds = self.system.interpretation.holds
         atom = formula.atom
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if holds(atom, run, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if holds(atom, run, k):
-                    bits |= 1 << i
-            return bits
-
-        return compute
-
-    def _build_sees(self, formula: Sees) -> BitsFn | None:
+    def _build_sees(self, formula: Sees) -> int | None:
         principal = formula.principal
         message = formula.message
         if not self.uniform_principal(principal) or free_parameters(message):
             return None
         seen_set = self.interpreter._seen_set
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if message in seen_set(principal, run, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if message in seen_set(principal, run, k):
-                    bits |= 1 << i
-            return bits
-
-        return compute
-
-    def _build_said(self, formula: Said | Says) -> BitsFn | None:
+    def _build_said(self, formula: Said | Says) -> int | None:
         principal = formula.principal
         message = formula.message
         if not self.uniform_principal(principal) or free_parameters(message):
             return None
         present_only = isinstance(formula, Says)
         said_entries = self.interpreter._said_entries
-
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                # First qualifying send time; every later point of the
-                # run satisfies the clause (sends never un-happen).
-                first: int | None = None
-                for sent_at, components in said_entries(principal, run):
-                    if present_only and sent_at <= 0:
-                        continue
-                    if message in components:
-                        if first is None or sent_at < first:
-                            first = sent_at
-                if first is None:
+        bits = 0
+        for run in self.system.runs:
+            # First qualifying send time; every later point of the run
+            # satisfies the clause (sends never un-happen).
+            first: int | None = None
+            for sent_at, components in said_entries(principal, run):
+                if present_only and sent_at <= 0:
                     continue
-                for k in run.times:
-                    if k >= first:
-                        bits |= 1 << self.point_index[(run.name, k)]
-            return bits
+                if message in components:
+                    if first is None or sent_at < first:
+                        first = sent_at
+            if first is None:
+                continue
+            for k in run.times:
+                if k >= first:
+                    bits |= 1 << self.point_index[(run.name, k)]
+        return bits
 
-        return compute
-
-    def _build_controls(self, formula: Controls,
-                        body: BitsFn) -> BitsFn | None:
+    def _build_controls(self, formula: Controls, body: int) -> int | None:
         principal = formula.principal
         body_formula = formula.body
         if not self.uniform_principal(principal):
             return None
         said_entries = self.interpreter._said_entries
+        bits = 0
+        for run in self.system.runs:
+            ok = True
+            for k_prime in run.times:
+                if k_prime < 0:
+                    continue
+                says_here = any(
+                    sent_at > 0
+                    and sent_at <= k_prime
+                    and body_formula in components
+                    for sent_at, components in said_entries(principal, run)
+                )
+                if says_here and not (
+                    (body >> self.point_index[(run.name, k_prime)]) & 1
+                ):
+                    ok = False
+                    break
+            if ok:
+                bits |= self._run_masks[run.name]
+        return bits
 
-        def compute() -> int:
-            body_bits = body()
-            bits = 0
-            for run in self.system.runs:
-                ok = True
-                for k_prime in run.times:
-                    if k_prime < 0:
-                        continue
-                    says_here = any(
-                        sent_at > 0
-                        and sent_at <= k_prime
-                        and body_formula in components
-                        for sent_at, components in said_entries(principal, run)
-                    )
-                    if says_here and not (
-                        (body_bits >> self.point_index[(run.name, k_prime)]) & 1
-                    ):
-                        ok = False
-                        break
-                if ok:
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
-
-    def _build_fresh(self, formula: Fresh) -> BitsFn | None:
+    def _build_fresh(self, formula: Fresh) -> int | None:
         message = formula.message
         if free_parameters(message):
             return None
         past = self.interpreter._past_submsgs
+        bits = 0
+        for run in self.system.runs:
+            if message not in past(run):
+                bits |= self._run_masks[run.name]
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                if message not in past(run):
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
-
-    def _build_has(self, formula: Has) -> BitsFn | None:
+    def _build_has(self, formula: Has) -> int | None:
         principal = formula.principal
         key = formula.key
         if not self.uniform_principal(principal) or free_parameters(key):
             return None
-        points = self.points
+        bits = 0
+        for i, (run, k) in enumerate(self.points):
+            if key in run.keyset(principal, k):
+                bits |= 1 << i
+        return bits
 
-        def compute() -> int:
-            bits = 0
-            for i, (run, k) in enumerate(points):
-                if key in run.keyset(principal, k):
-                    bits |= 1 << i
-            return bits
-
-        return compute
-
-    def _build_shared_key(self, formula: SharedKey) -> BitsFn | None:
+    def _build_shared_key(self, formula: SharedKey) -> int | None:
         key = formula.key
         return self._build_goodness(
             formula.left, formula.right, key,
@@ -493,7 +462,7 @@ class CompiledSystem:
             and component.key == key,
         )
 
-    def _build_public_key_of(self, formula: PublicKeyOf) -> BitsFn | None:
+    def _build_public_key_of(self, formula: PublicKeyOf) -> int | None:
         if not isinstance(formula.key, PublicKey):
             return None
         private = formula.key.partner
@@ -503,7 +472,7 @@ class CompiledSystem:
             and component.key == private,
         )
 
-    def _build_shared_secret(self, formula: SharedSecret) -> BitsFn | None:
+    def _build_shared_secret(self, formula: SharedSecret) -> int | None:
         secret = formula.secret
         return self._build_goodness(
             formula.left, formula.right, secret,
@@ -513,7 +482,7 @@ class CompiledSystem:
 
     def _build_goodness(
         self, left: Message, right: Message, term: Message, matches
-    ) -> BitsFn | None:
+    ) -> int | None:
         """Shared shape of the F5/F6/pk clauses: a run-level quantifier
         over every *other* principal's sends — any matching component
         said by a third party must have been seen (relayed, not made).
@@ -523,32 +492,28 @@ class CompiledSystem:
             return None
         said_entries = self.interpreter._said_entries
         seen_set = self.interpreter._seen_set
-
-        def compute() -> int:
-            bits = 0
-            for run in self.system.runs:
-                good = True
-                for principal in run.all_principals:
-                    if principal == left or principal == right:
-                        continue
-                    for sent_at, components in said_entries(principal, run):
-                        seen = None
-                        for component in components:
-                            if matches(component):
-                                if seen is None:
-                                    seen = seen_set(principal, run, sent_at)
-                                if component not in seen:
-                                    good = False
-                                    break
-                        if not good:
-                            break
+        bits = 0
+        for run in self.system.runs:
+            good = True
+            for principal in run.all_principals:
+                if principal == left or principal == right:
+                    continue
+                for sent_at, components in said_entries(principal, run):
+                    seen = None
+                    for component in components:
+                        if matches(component):
+                            if seen is None:
+                                seen = seen_set(principal, run, sent_at)
+                            if component not in seen:
+                                good = False
+                                break
                     if not good:
                         break
-                if good:
-                    bits |= self._run_masks[run.name]
-            return bits
-
-        return compute
+                if not good:
+                    break
+            if good:
+                bits |= self._run_masks[run.name]
+        return bits
 
     # -- belief ---------------------------------------------------------------
 
@@ -598,16 +563,15 @@ class CompiledSystem:
                 bits |= members
         return bits
 
-    def _build_believes(self, formula: Believes,
-                        body: BitsFn) -> BitsFn | None:
+    def _build_believes(self, formula: Believes, body: int) -> int | None:
         principal = formula.principal
         if not self.uniform_principal(principal):
             return None
-        return lambda: self.belief_bits(principal, body(), self.full_mask)
+        return self.belief_bits(principal, body, self.full_mask)
 
     # -- quantification -------------------------------------------------------
 
-    def _build_forall(self, formula: ForAll) -> BitsFn | None:
+    def _build_forall(self, formula: ForAll) -> int | None:
         constants = self.system.vocabulary.constants(formula.variable.value_sort)
         expansions = self._compile_all(
             substitute(formula.body, {formula.variable: constant})
@@ -617,30 +581,10 @@ class CompiledSystem:
         # over an empty domain, and the verdict is still per run.
         if expansions is None or free_parameters(formula):
             return None
-        full = self.full_mask
-
-        def compute() -> int:
-            bits = full
-            for expansion in expansions:
-                bits &= expansion()
-                if not bits:
-                    break
-            return bits
-
-        return compute
-
-
-def _memoized(compute: Callable[[], int]) -> BitsFn:
-    """A node: ``compute`` run once, on first call."""
-    cell: int | None = None
-
-    def bits() -> int:
-        nonlocal cell
-        if cell is None:
-            cell = compute()
-        return cell
-
-    return bits
+        bits = self.full_mask
+        for expansion in expansions:
+            bits &= expansion
+        return bits
 
 
 def compiled_for(

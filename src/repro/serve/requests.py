@@ -282,7 +282,7 @@ def _execute_system(request: AnalysisRequest, system_for) -> dict[str, Any]:
     vector = _build_vector(request, system)
     compiled = backend.compile(system, vector,
                                pattern_hide=request.pattern_hide)
-    points = list(system.points())
+    points = compiled.points
 
     document: dict[str, Any] = {
         "kind": "system",
@@ -299,10 +299,19 @@ def _execute_system(request: AnalysisRequest, system_for) -> dict[str, Any]:
         document["verdict"] = verdict
         failing = [] if verdict else [(run, k)]
     else:
-        failing = [
-            (run, k) for run, k in points
-            if not compiled.evaluate(formula, run, k)
-        ]
+        # One bitset answers every point; only a formula the compiler
+        # cannot take (non-ground, or refused) is asked point by point.
+        bits = compiled.truth_bits(formula)
+        if bits is None:
+            failing = [
+                (run, k) for run, k in points
+                if not compiled.evaluate(formula, run, k)
+            ]
+        else:
+            failing = [
+                point for i, point in enumerate(points)
+                if not (bits >> i) & 1
+            ]
         document["verdict"] = not failing
         document["failures"] = len(failing)
         document["failing_points"] = [

@@ -165,6 +165,18 @@ class RandomRunGenerator:
             views = self._sorted_keysets[held_set] = (held, private)
         return views
 
+    def _received_view(self, builder: RunBuilder,
+                       sender: Principal) -> list[Message]:
+        """The sender's received messages in printed order, so a draw
+        from them is the same in every process: a frozenset iterates in
+        term-hash order, and term hashes vary between processes.  The
+        printer round-trips, so ``str`` orders terms totally."""
+        received = builder.received(sender)
+        view = self._sorted_received.get(received)
+        if view is None:
+            view = self._sorted_received[received] = sorted(received, key=str)
+        return view
+
     def _build_message(
         self, builder: RunBuilder, sender: Principal, depth: int
     ) -> Message:
@@ -180,9 +192,9 @@ class RandomRunGenerator:
                                       rng.choice(self.principals))
             )
         if depth <= 1 or rng.random() < 0.4:
-            received = builder.received(sender)
+            received = self._received_view(builder, sender)
             if received and rng.random() < 0.3:
-                return rng.choice(list(received))
+                return rng.choice(received)
             return rng.choice(atoms)
         kind = rng.choice(_MESSAGE_KINDS)
         if kind == "group":
@@ -223,12 +235,7 @@ class RandomRunGenerator:
             )
             return combined(body, secret, from_field)
         if kind == "forward":
-            received = builder.received(sender)
-            seen = self._sorted_received.get(received)
-            if seen is None:
-                seen = self._sorted_received[received] = sorted(
-                    received, key=str
-                )
+            seen = self._received_view(builder, sender)
             if seen:
                 return forwarded(rng.choice(seen))
             if sender == builder.environment:

@@ -15,12 +15,17 @@ Three angles on the compiled-vs-interpreted contract:
 Then the one-walk contract of ``CompiledSystem._compile``: which
 formulas compile to ``None``, what a refusal counts and journals, how
 the sweep routes non-ground instances, and foreign runs that share a
-system run's name.
+system run's name.  Last, the bitset contract: a node is its truth
+bitset, computed once when the formula is first compiled, and compiled
+state dies with its context without the cycle collector.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +50,7 @@ from repro.semantics.vector_eval import VectorTruth
 from repro.soundness import GeneratorConfig, generate_system
 from repro.soundness.sweep import sweep_system
 from repro.terms import (
+    And,
     Believes,
     Controls,
     ForAll,
@@ -146,20 +152,14 @@ class TestOracleCatchesPlantedBugs:
         belief = Believes(principal, Prim(system.vocabulary.proposition("p0")))
         points = tuple(system.points())[:4]
 
-        def buggy(self, formula, body):
-            who = formula.principal
-
-            def compute():
-                body_bits = body()
-                bits = 0
-                for member_bits, possible_bits in self._belief_groups_for(who):
-                    if possible_bits and (
-                        possible_bits & body_bits == possible_bits
-                    ):
-                        bits |= member_bits
-                return bits
-
-            return compute
+        def buggy(self, formula, body: int) -> int:
+            bits = 0
+            for member_bits, possible_bits in self._belief_groups_for(
+                formula.principal
+            ):
+                if possible_bits and possible_bits & body == possible_bits:
+                    bits |= member_bits
+            return bits
 
         monkeypatch.setattr(CompiledSystem, "_build_believes", buggy)
         # Drop any honestly-compiled (memoized) nodes for this system.
@@ -606,3 +606,76 @@ class TestForeignRuns:
                 assert compiled.evaluate(formula, run, k) == Evaluator(
                     one
                 ).evaluate(formula, run, k), f"{formula} @ ({run.name}, {k})"
+
+
+# ---------------------------------------------------------------------------
+# The bitset contract: a node is its truth bitset
+# ---------------------------------------------------------------------------
+
+
+def _counting(system):
+    """``system`` with a predicate interpretation that counts its calls
+    per point (``p0`` holds in run ``r1``)."""
+    calls: Counter = Counter()
+
+    def predicate(proposition, run, k):
+        calls[(run.name, k)] += 1
+        return run.name == "r1"
+
+    return system_of(system.runs, Interpretation.from_predicate(predicate),
+                     VOCAB), calls
+
+
+class TestBitsetNodes:
+    def test_dropped_context_frees_compiled_state_without_the_collector(
+        self, system
+    ):
+        """No node refers back to its compiled system, so dropping the
+        context frees the compiled state by reference counting alone."""
+        who = Parameter("Px", Sort.PRINCIPAL)
+        formulas_ = [
+            parse_formula(text, system.vocabulary)
+            for text in ("P1 believes p0", "P2 believes (P1 sees N1)",
+                         "P1 said N2", "~(P3 says N1) | p0")
+        ] + [ForAll(who, Said(who, system.vocabulary.nonce("N1")))]
+        gc.disable()
+        try:
+            ctx = _context.fresh("dropped")
+            with _context.use(ctx):
+                compiled = compiled_for(system, None)
+                for formula in formulas_:
+                    assert compiled.truth_bits(formula) is not None
+            dead = weakref.ref(compiled)
+            del compiled, ctx
+            assert dead() is None
+        finally:
+            gc.enable()
+
+    def test_prim_predicate_runs_once_per_point(self):
+        counted, calls = _counting(_PROPERTY_SYSTEM)
+        p0 = Prim(PROPS[0])
+        with _context.scoped("prim-once"):
+            compiled = CompiledSystem(counted)
+            bits = compiled.truth_bits(p0)
+            assert compiled.truth_bits(p0) == bits
+            for i, (run, k) in enumerate(compiled.points):
+                assert compiled.evaluate(p0, run, k) == bool((bits >> i) & 1)
+            assert compiled.truth_bits(And(p0, Believes(A, p0))) is not None
+        assert calls == Counter({(run.name, k): 1 for run, k in _POINTS})
+
+    def test_refused_parent_leaves_its_children_computed(self):
+        """The children compile first: after a refusal, a compilable
+        child is a hit whose bits were computed on the way."""
+        counted, calls = _counting(_partial_system())
+        p0 = Prim(PROPS[0])
+        with _context.scoped("refused-parent") as ctx:
+            compiled = CompiledSystem(counted)
+            assert compiled.truth_bits(And(p0, Sees(S, Na))) is None
+            computed = sum(calls.values())
+            assert computed == len(compiled.points)
+            hits = ctx.counters.get("compiled_eval.hit", 0)
+            misses = ctx.counters["compiled_eval.miss"]
+            assert compiled.truth_bits(p0) == compiled.run_mask("r1")
+            assert ctx.counters["compiled_eval.hit"] == hits + 1
+            assert ctx.counters["compiled_eval.miss"] == misses
+            assert sum(calls.values()) == computed

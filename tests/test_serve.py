@@ -21,8 +21,12 @@ import asyncio
 
 import pytest
 
+from repro.semantics import Evaluator
 from repro.serve import AnalysisDaemon, ServeConfig
 from repro.serve import client, http
+from repro.serve.requests import MAX_FAILURES_LISTED
+from repro.soundness import GeneratorConfig, generate_system
+from repro.terms.parser import parse_formula
 
 SMALL_SYSTEM = {
     "kind": "system",
@@ -86,6 +90,34 @@ class TestRoundTrip:
                 for event in telemetry["counters"]
             )
             assert "serve.request" in telemetry["spans"]
+
+    def test_whole_system_verdict_reads_one_bitset(self):
+        """A ground formula's verdict over every point is one truth
+        bitset (at most one compiled-cache hit, not one per point), and
+        its failing points are the interpreter's, in point order."""
+        spec = {"kind": "system", "seed": 8, "runs": 4, "steps": 20,
+                "formula": "P1 believes p0"}
+
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            status, body = await _post(spec, host, port)
+            assert status == 200
+            counters = body["telemetry"]["counters"]
+            assert counters.get("compiled_eval.hit", 0) <= 1
+            system = generate_system(GeneratorConfig(
+                seed=spec["seed"], runs=spec["runs"],
+                steps_per_run=spec["steps"],
+            ))
+            formula = parse_formula(spec["formula"], system.vocabulary)
+            interpreter = Evaluator(system)
+            failing = [
+                {"run": run.name, "time": k} for run, k in system.points()
+                if not interpreter.evaluate(formula, run, k)
+            ]
+            assert body["points"] == len(list(system.points())) > 1
+            assert body["verdict"] is False
+            assert body["failures"] == len(failing)
+            assert body["failing_points"] == failing[:MAX_FAILURES_LISTED]
 
     def test_protocol_goal_with_certificate(self):
         @_serve_test(ServeConfig())

@@ -1,7 +1,14 @@
 """Tests for the soundness harness: generators, sweep, incompleteness, audit."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.logic import paper_schemas, schema
 from repro.model import check_run
 from repro.protocols import forwarding, kerberos
@@ -43,6 +50,89 @@ class TestGenerators:
     def test_generate_systems_count(self):
         systems = generate_systems(3, base_seed=10)
         assert len(systems) == 3
+
+    def test_draws_ignore_received_set_iteration_order(self, monkeypatch):
+        """A received set that iterates in another order (as term
+        hashes make it in another process) yields the same system."""
+        from repro.model.builder import RunBuilder
+
+        configs = [GeneratorConfig(seed=seed, runs=6, steps_per_run=30)
+                   for seed in (100003, 100005)]
+        expected = [generate_system(config).runs for config in configs]
+        honest = RunBuilder.received
+
+        class ReverseSorted(frozenset):
+            def __iter__(self):
+                return iter(sorted(frozenset.__iter__(self), key=str,
+                                   reverse=True))
+
+        monkeypatch.setattr(
+            RunBuilder, "received",
+            lambda self, principal: ReverseSorted(honest(self, principal)),
+        )
+        assert [generate_system(config).runs for config in configs] == (
+            expected
+        )
+
+    def test_same_system_and_counters_in_every_process(self):
+        """Two processes with different hash seeds generate the same
+        systems, and a sweep and a construction on them count the same
+        work."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(Path(repro.__file__).parents[1]))
+            done = subprocess.run(
+                [sys.executable, "-c", _CROSS_PROCESS_PROBE], env=env,
+                capture_output=True, text=True, timeout=300, check=True,
+            )
+            outputs.append(json.loads(done.stdout))
+        assert len(outputs[0]["systems"]) == 40
+        for part in ("systems", "sweep", "goodruns"):
+            assert outputs[0][part] == outputs[1][part], part
+
+
+#: Fingerprints of the 6x30 systems at seeds 100000-100039, and the
+#: counter tables of one sweep and one construction, each in a fresh
+#: context, as one JSON line.
+_CROSS_PROCESS_PROBE = """
+import json
+from repro import context
+from repro.goodruns import InitialAssumptions, construct_good_runs
+from repro.soundness import GeneratorConfig, generate_system, sweep_system
+from repro.terms import Believes
+from repro.terms.parser import parse_formula
+
+def fingerprint(system):
+    return [
+        f"{run.name} {principal}: "
+        + "; ".join(map(str, run.history(principal, run.end_time)))
+        for run in system.runs for principal in run.all_principals
+    ]
+
+systems = [generate_system(GeneratorConfig(seed=seed, runs=6,
+                                           steps_per_run=30))
+           for seed in range(100000, 100040)]
+with context.scoped() as ctx:
+    sweep_system(generate_system(GeneratorConfig(seed=249)))
+    sweep = dict(ctx.counters)
+system = systems[3]
+with context.scoped() as ctx:
+    # Belief chains, closed under suffixes (I2).
+    assignment = {}
+    for text in ("P2 believes P3 believes P1 believes P1 <-K3-> P3",
+                 "P1 believes P3 believes P2 believes P1 <-K1-> P2",
+                 "P3 believes P2 believes P1 believes ~p0"):
+        formula = parse_formula(text, system.vocabulary)
+        while isinstance(formula, Believes):
+            assignment.setdefault(formula.principal, []).append(formula)
+            formula = formula.body
+    construct_good_runs(system, InitialAssumptions.of(
+        {who: tuple(chain) for who, chain in assignment.items()}))
+    goodruns = dict(ctx.counters)
+print(json.dumps({"systems": [fingerprint(s) for s in systems],
+                  "sweep": sweep, "goodruns": goodruns}))
+"""
 
 
 class TestPool:
