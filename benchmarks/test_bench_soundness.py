@@ -2,10 +2,17 @@
 exhibit.
 
 E3 regenerates the soundness table (per-schema instance counts and
-violation counts — all zero outside the documented A11 caveat); E4
-re-checks the valid-but-underivable formula from the end of Section 6.
+violation counts — all zero outside the documented A11 caveat) and
+checks that the compiled engine's sweep is no slower than the
+interpreter's; E4 re-checks the valid-but-underivable formula from the
+end of Section 6.
 """
 
+import gc
+import statistics
+import time
+
+from repro import context
 from repro.logic import paper_schemas, schema
 from repro.soundness import (
     GeneratorConfig,
@@ -29,6 +36,34 @@ def test_e3_soundness_sweep(benchmark):
     report = benchmark(sweep)
     assert report.total_instances > 300
     assert not report.essential_violations
+
+
+def test_e3_compiled_sweep_not_slower_than_interpreted():
+    """The compiled engine's E3 sweep gives the interpreter's report and
+    takes no longer.  Pairs alternate which engine goes first, each side
+    sweeps in a fresh context after a full collection, and the median
+    per-pair time ratio is what is bounded, so one slow moment of a
+    shared host cannot decide it."""
+    systems = generate_systems(2, base_seed=0)
+
+    def sweep(engine):
+        gc.collect()
+        with context.scoped(f"bench-{engine}"):
+            start = time.perf_counter()
+            report = sweep_systems(systems, max_instances_per_schema=40,
+                                   engine=engine)
+            return time.perf_counter() - start, report.render()
+
+    engines = ("compiled", "interpreted")
+    ratios = []
+    for pair in range(3):
+        order = engines if pair % 2 == 0 else engines[::-1]
+        seconds, renders = {}, {}
+        for engine in order:
+            seconds[engine], renders[engine] = sweep(engine)
+        assert renders["compiled"] == renders["interpreted"]
+        ratios.append(seconds["compiled"] / seconds["interpreted"])
+    assert statistics.median(ratios) <= 1.0, ratios
 
 
 def test_e3_single_system_full_instances(benchmark):

@@ -9,7 +9,8 @@ Commands
 ``analyze NAME [--logic {ban,at}] [--explain GOAL] [--certify GOAL]``
     Run one protocol's annotation and print the goal outcomes; with
     ``--explain`` also print the derivation tree of a goal, and with
-    ``--certify`` compile the goal into a checked Hilbert proof.
+    ``--certify`` compile the goal into a checked Hilbert proof; a GOAL
+    the protocol does not name exits 2.
 
 ``sweep [--systems N] [--instances M] [--seed S] [--workers W]
 [--backend NAME] [--isolated]``
@@ -21,12 +22,6 @@ Commands
 command under a fresh :class:`repro.context.EngineContext`, so its
 caches, counters, and spans are session-private (nothing read from or
 left behind in the process-default context).
-
-``perf [--systems N] [--instances M] [--seed S] [--workers W] [--output PATH]``
-    Time the E3 sweep and the good-runs construction (naive vs
-    worklist engine, with per-stage span totals), print the cache
-    hit/miss table, and write a machine-readable benchmark record
-    (default ``BENCH_sweep.json``).
 
 ``obs [--systems N] [--instances M] [--seed S] [--workers W]
 [--format {prometheus,json}] [--output PATH] [--journal PATH]
@@ -70,6 +65,7 @@ import sys
 
 from repro.analysis import analyze, compare_corpus
 from repro.protocols import PROTOCOLS
+from repro.semantics.backend import backend_names
 
 
 def _cmd_corpus(_args: argparse.Namespace) -> int:
@@ -79,31 +75,25 @@ def _cmd_corpus(_args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    module = PROTOCOLS.get(args.name)
-    if module is None:
-        print(f"unknown protocol {args.name!r}; choose from: "
-              f"{', '.join(sorted(PROTOCOLS))}", file=sys.stderr)
-        return 2
+    module = PROTOCOLS[args.name]
     protocol = (
         module.ban_protocol() if args.logic == "ban" else module.at_protocol()
     )
     report = analyze(protocol)
+    goals = {result.goal.label: result.goal for result in report.goal_results}
+    for label in (args.explain, args.certify):
+        if label is not None and label not in goals:
+            print(f"no goal labelled {label!r}", file=sys.stderr)
+            return 2
     print(report.pretty())
-    if args.explain:
+    if args.explain is not None:
         print()
         print(f"derivation of {args.explain}:")
         print(report.explain_goal(args.explain))
-    if args.certify:
+    if args.certify is not None:
         from repro.logic import certify
 
-        goal = next(
-            (r.goal for r in report.goal_results
-             if r.goal.label == args.certify),
-            None,
-        )
-        if goal is None:
-            print(f"no goal labelled {args.certify!r}", file=sys.stderr)
-            return 2
+        goal = goals[args.certify]
         proof = certify(report.derivation, goal.formula)
         proof.check()
         print()
@@ -167,133 +157,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(report.render())
     for violation in report.essential_violations[:10]:
         print(" !", violation)
-    return 0 if not report.essential_violations else 1
-
-
-#: Belief-chain depth of the perf CLI's good-runs benchmark workload.
-_GOODRUNS_BENCH_DEPTH = 4
-
-
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro import perf
-    from repro.obs import run_metadata, spans
-    from repro.soundness import generate_systems, sweep_systems
-
-    engines = (
-        ("compiled", "interpreted") if args.engine == "both"
-        else (args.engine,)
-    )
-    spans.reset()
-    with spans.span("perf.generate"):
-        with perf.Stopwatch() as generation:
-            systems = generate_systems(args.systems, base_seed=args.seed)
-    perf.reset_counters()
-    measurements: dict = {
-        "generate_systems_s": round(generation.seconds, 6),
-    }
-    report = None
-    for engine in engines:
-        with spans.span("perf.sweep_cold", engine=engine):
-            with perf.Stopwatch() as cold:
-                engine_report = sweep_systems(
-                    systems,
-                    max_instances_per_schema=args.instances,
-                    workers=args.workers,
-                    engine=engine,
-                    backend=args.backend,
-                )
-        # A second, identical sweep shows what the session caches
-        # (interning, ops memos, hide views, compiled systems) buy on
-        # a warm process.
-        with spans.span("perf.sweep_warm", engine=engine):
-            with perf.Stopwatch() as warm:
-                sweep_systems(
-                    systems,
-                    max_instances_per_schema=args.instances,
-                    workers=args.workers,
-                    engine=engine,
-                    backend=args.backend,
-                )
-        measurements[f"sweep_cold_{engine}_s"] = round(cold.seconds, 6)
-        measurements[f"sweep_warm_{engine}_s"] = round(warm.seconds, 6)
-        if report is None:
-            # The first engine listed is the adopted default.
-            report = engine_report
-        print(
-            f"[{engine}] sweep (cold) {cold.seconds:.3f}s | "
-            f"sweep (warm) {warm.seconds:.3f}s"
-        )
-    # Good-runs fixpoint benchmark: the same multi-depth workload
-    # through both construction engines, each in a fresh context (cold
-    # compilation caches), with the per-stage ``goodruns.stage`` span
-    # totals recorded so the worklist win is measured, not asserted.
-    from repro import context
-    from repro.fuzz.goodruns_oracles import deep_assumptions
-    from repro.goodruns import construct_good_runs
-
-    workloads = [
-        (system, deep_assumptions(system, _GOODRUNS_BENCH_DEPTH))
-        for system in systems
-    ]
-    goodruns_stage_spans: dict = {}
-    for engine in ("naive", "worklist"):
-        engine_ctx = context.fresh(f"perf-goodruns-{engine}")
-        with context.use(engine_ctx):
-            with perf.Stopwatch() as watch:
-                for system, assumptions in workloads:
-                    construct_good_runs(system, assumptions, engine=engine)
-        context.current().absorb(engine_ctx.telemetry())
-        # The grouped summary splits ``goodruns.stage`` into
-        # per-engine rows directly; no manual filtering of the raw
-        # span buffer.
-        row = spans.summary(group_by="engine").get(
-            f"goodruns.stage{{engine={engine}}}",
-            {"count": 0, "total_s": 0.0},
-        )
-        goodruns_stage_spans[engine] = {
-            "stages": row["count"],
-            "stage_total_s": row["total_s"],
-        }
-        measurements[f"goodruns_{engine}_s"] = round(watch.seconds, 6)
-        print(
-            f"[goodruns/{engine}] construct {watch.seconds:.3f}s | "
-            f"{row['count']} stage spans {row['total_s']:.3f}s"
-        )
-    naive_total = goodruns_stage_spans["naive"]["stage_total_s"]
-    worklist_total = goodruns_stage_spans["worklist"]["stage_total_s"]
-    goodruns_stage_spans["stage_delta_s"] = round(
-        naive_total - worklist_total, 6
-    )
-    measurements["goodruns_stage_spans"] = goodruns_stage_spans
-
-    measurements.update(
-        total_instances=report.total_instances,
-        total_violations=report.total_violations,
-        essential_violations=len(report.essential_violations),
-    )
-    print(report.render())
-    print()
-    print(perf.report())
-    print()
-    print(spans.render(group_by="engine"))
-    print()
-    print(f"generation {generation.seconds:.3f}s")
-    perf.write_bench_json(
-        args.output,
-        measurements=measurements,
-        parameters={
-            "systems": args.systems,
-            "instances": args.instances,
-            "seed": args.seed,
-            "workers": args.workers,
-            "engine": args.engine,
-            "backend": args.backend,
-        },
-        spans=spans.summary(),
-        meta=run_metadata(command="perf", workers=args.workers,
-                          backend=args.backend),
-    )
-    print(f"wrote {args.output}")
     return 0 if not report.essential_violations else 1
 
 
@@ -504,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproduction of Abadi & Tuttle, PODC 1991",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    backends = backend_names()
 
     sub.add_parser("corpus", help="render the E10 findings table")
 
@@ -527,31 +391,10 @@ def main(argv: list[str] | None = None) -> int:
         help="evaluation engine for the sweep (default: compiled)",
     )
     sweep_parser.add_argument(
-        "--backend", default="belief",
-        help="semantics backend (belief, epistemic; default: belief)",
+        "--backend", choices=backends, default="belief",
+        help="semantics backend (default: belief)",
     )
     _add_isolated(sweep_parser)
-
-    perf_parser = sub.add_parser(
-        "perf", help="time the E3 sweep and dump cache statistics"
-    )
-    perf_parser.add_argument("--systems", type=int, default=3)
-    perf_parser.add_argument("--instances", type=int, default=60)
-    perf_parser.add_argument("--seed", type=int, default=0)
-    perf_parser.add_argument("--workers", type=int, default=1)
-    perf_parser.add_argument(
-        "--engine", choices=["compiled", "interpreted", "both"],
-        default="both",
-        help="which engine(s) to time (default: both, compiled first)",
-    )
-    perf_parser.add_argument(
-        "--backend", default="belief",
-        help="semantics backend the sweeps run under (default: belief)",
-    )
-    perf_parser.add_argument(
-        "--output", default="BENCH_sweep.json",
-        help="where to write the machine-readable benchmark record",
-    )
 
     obs_parser = sub.add_parser(
         "obs", help="export the unified telemetry snapshot"
@@ -634,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
              "default: all)",
     )
     fuzz_parser.add_argument(
-        "--backend", default="belief",
+        "--backend", choices=backends, default="belief",
         help="semantics backend the engine-replay oracle audits against "
              "(the cross_backend oracle always compares belief vs. "
              "epistemic; default: belief)",
@@ -663,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
         help="per-request execution timeout in seconds",
     )
     serve_parser.add_argument(
-        "--backend", default="belief",
+        "--backend", choices=backends, default="belief",
         help="semantics backend for requests that do not name one "
              "(default: belief)",
     )
@@ -676,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
         "corpus": _cmd_corpus,
         "analyze": _cmd_analyze,
         "sweep": _isolated(_cmd_sweep),
-        "perf": _cmd_perf,
         "obs": _cmd_obs,
         "trace": _isolated(_cmd_trace),
         "fuzz": _isolated(_cmd_fuzz),

@@ -6,8 +6,8 @@ through :mod:`repro.perf`:
 
 * :mod:`repro.obs.spans` — named wall-clock spans with percentile
   summaries; buffered per context, shipped across worker processes in
-  ``EngineContext.telemetry()`` and absorbed losslessly (the ``spans``
-  section of ``BENCH_sweep.json``);
+  ``EngineContext.telemetry()`` and absorbed losslessly (the span
+  percentiles of the unified snapshot);
 * :mod:`repro.obs.metrics` — the *unified snapshot* that folds perf
   counters, cache peaks/hit-rates, span percentiles, and journal depth
   into one document, with Prometheus and JSON exporters (``python -m
@@ -21,7 +21,7 @@ through :mod:`repro.perf`:
   definition, renderable or emitted as JSONL (``python -m repro
   trace``);
 * :mod:`repro.obs.runmeta` — git SHA / interpreter / platform
-  fingerprints embedded in benchmark and fuzz reports so trajectories
+  fingerprints embedded in fuzz, trace and telemetry reports so they
   are attributable across machines.
 """
 

@@ -1,10 +1,11 @@
-"""Run metadata: make benchmark and fuzz records attributable.
+"""Run metadata: make fuzz, trace and telemetry records attributable.
 
-``BENCH_sweep.json`` trajectories are only comparable when each record
-says *where* it was measured — interpreter, platform, commit, worker
-count.  :func:`run_metadata` collects that once, cheaply, and with no
-hard dependency on git being present (source tarballs and installed
-wheels report ``git_sha: null``).
+A record is only comparable with another when it says *where* it was
+made — interpreter, platform, commit, worker count.  :func:`run_metadata`
+collects that once, cheaply, and with no hard dependency on git being
+present (source tarballs and installed wheels report ``git_sha: null``).
+The bench-regression gate (``tools/bench_gate.py``) stamps its history
+lines with the same SHA and timestamp.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def git_sha() -> str | None:
 def run_metadata(**extra: Any) -> dict[str, Any]:
     """Environment fingerprint for a measurement record.
 
-    Keyword arguments (e.g. ``workers=4``, ``command="perf"``) are
+    Keyword arguments (e.g. ``workers=4``, ``command="fuzz"``) are
     merged in, so drivers can stamp their own knobs without a schema.
     """
     meta: dict[str, Any] = {

@@ -139,34 +139,9 @@ class SpanRecorder:
         with self._lock:
             return len(self._buffer)
 
-    def summary(self, group_by: str | None = None) -> dict[str, dict[str, Any]]:
-        """Per-name count/total/min/max/p50/p95/p99, from the buffer.
-
-        With ``group_by`` set to an attribute name, samples carrying
-        that attribute split into per-value rows keyed
-        ``name{attr=value}`` (e.g. ``goodruns.stage`` by ``depth`` or
-        ``engine``); samples without the attribute keep their plain
-        name — no more manual post-filtering of the raw buffer.
-        """
-        return summarize(self.snapshot(), group_by=group_by)
-
-    def render(self, group_by: str | None = None) -> str:
-        """Human-readable span table (the ``perf`` CLI companion)."""
-        summary = self.summary(group_by=group_by)
-        width = max([26] + [len(name) for name in summary])
-        header = (
-            f"{'span':<{width}} {'count':>6} {'total_s':>9} {'p50_s':>9} "
-            f"{'p95_s':>9} {'p99_s':>9} {'max_s':>9}"
-        )
-        lines = [header, "-" * len(header)]
-        for name in sorted(summary):
-            row = summary[name]
-            lines.append(
-                f"{name:<{width}} {row['count']:>6} {row['total_s']:>9.4f} "
-                f"{row['p50_s']:>9.4f} {row['p95_s']:>9.4f} "
-                f"{row['p99_s']:>9.4f} {row['max_s']:>9.4f}"
-            )
-        return "\n".join(lines)
+    def summary(self) -> dict[str, dict[str, Any]]:
+        """Per-name count/total/min/max/p50/p95/p99, from the buffer."""
+        return summarize(self.snapshot())
 
 
 def percentile(durations: list[float], q: float) -> float:
@@ -179,22 +154,11 @@ def percentile(durations: list[float], q: float) -> float:
 
 def summarize(
     samples: Iterable[Mapping[str, Any]],
-    group_by: str | None = None,
 ) -> dict[str, dict[str, Any]]:
-    """Reduce raw span samples to per-name timing statistics.
-
-    ``group_by`` names a span attribute: samples carrying it are keyed
-    ``name{attr=value}`` instead of plain ``name``, yielding per-stage
-    or per-engine rows directly from the buffer.
-    """
+    """Reduce raw span samples to per-name timing statistics."""
     by_name: dict[str, list[float]] = {}
     for sample in samples:
-        key = sample["name"]
-        if group_by is not None:
-            attrs = sample.get("attrs") or {}
-            if group_by in attrs:
-                key = f"{key}{{{group_by}={attrs[group_by]}}}"
-        by_name.setdefault(key, []).append(sample["seconds"])
+        by_name.setdefault(sample["name"], []).append(sample["seconds"])
     out: dict[str, dict[str, Any]] = {}
     for name, durations in by_name.items():
         durations.sort()
@@ -262,10 +226,5 @@ def reset() -> None:
     recorder().reset()
 
 
-def summary(group_by: str | None = None) -> dict[str, dict[str, Any]]:
-    return recorder().summary(group_by=group_by)
-
-
-def render(group_by: str | None = None) -> str:
-    return recorder().render(group_by=group_by)
-
+def summary() -> dict[str, dict[str, Any]]:
+    return recorder().summary()

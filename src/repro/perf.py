@@ -26,7 +26,7 @@ Usage::
     from repro import perf
     perf.reset_counters()
     ...  # run a workload
-    print(perf.report())
+    print(perf.hit_rates())
 
 ``clear_caches()`` empties every registered cache (intern tables, memo
 dicts) — useful for measuring cold-vs-warm behaviour and for bounding
@@ -35,9 +35,7 @@ memory in long-lived processes.
 
 from __future__ import annotations
 
-import json
-import time
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro import context as _context
 
@@ -118,7 +116,7 @@ def hit_rates() -> dict[str, float]:
     """Hit rate per layer, from paired ``<layer>.hit``/``<layer>.miss``.
 
     Layers are derived from *both* suffixes: a cold cache that recorded
-    only misses still appears (at rate 0.0), matching ``report()``.
+    only misses still appears (at rate 0.0).
     """
     table = _context.current().counters
     rates: dict[str, float] = {}
@@ -134,76 +132,3 @@ def hit_rates() -> dict[str, float]:
         if total:
             rates[layer] = hits / total
     return rates
-
-
-def report() -> str:
-    """Human-readable counter/cache summary (the ``perf`` CLI body)."""
-    table = _context.current().counters
-    lines = ["layer                          hits      misses    hit-rate"]
-    lines.append("-" * len(lines[0]))
-    layers = sorted(
-        {e.rsplit(".", 1)[0] for e in table if e.endswith((".hit", ".miss"))}
-    )
-    for layer in layers:
-        hits = table.get(layer + ".hit", 0)
-        misses = table.get(layer + ".miss", 0)
-        total = hits + misses
-        rate = f"{hits / total:8.1%}" if total else "     n/a"
-        lines.append(f"{layer:<28} {hits:>9} {misses:>11} {rate:>11}")
-    other = {
-        e: n for e, n in sorted(table.items())
-        if not e.endswith((".hit", ".miss"))
-    }
-    for event, n in other.items():
-        lines.append(f"{event:<28} {n:>9}")
-    sizes = cache_sizes()
-    if sizes:
-        lines.append("")
-        lines.append("cache sizes: " + ", ".join(
-            f"{name}={size}" for name, size in sorted(sizes.items())
-        ))
-    return "\n".join(lines)
-
-
-class Stopwatch:
-    """Tiny wall-clock timer for the benchmark harness."""
-
-    def __enter__(self) -> "Stopwatch":
-        self.start = time.perf_counter()
-        self.seconds = 0.0
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.seconds = time.perf_counter() - self.start
-
-
-def write_bench_json(
-    path: str,
-    measurements: Mapping[str, Any],
-    parameters: Mapping[str, Any] | None = None,
-    spans: Mapping[str, Any] | None = None,
-    meta: Mapping[str, Any] | None = None,
-) -> None:
-    """Write a machine-readable benchmark record (``BENCH_sweep.json``).
-
-    The file is a single JSON object: ``parameters`` echoes the workload
-    knobs, ``measurements`` holds named timings (seconds) and counts,
-    and ``perf`` embeds the counter snapshot so regressions in cache
-    behaviour are visible alongside the timings.  Optionally, ``spans``
-    carries a :func:`repro.obs.spans.summary` (per-phase wall-clock
-    percentiles) and ``meta`` a :func:`repro.obs.runmeta.run_metadata`
-    fingerprint — both kept as caller-supplied plain mappings so this
-    module stays importable from the bottom of the stack.
-    """
-    record = {
-        "parameters": dict(parameters or {}),
-        "measurements": dict(measurements),
-        "perf": snapshot(),
-    }
-    if spans is not None:
-        record["spans"] = dict(spans)
-    if meta is not None:
-        record["meta"] = dict(meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")

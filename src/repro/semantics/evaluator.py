@@ -124,24 +124,6 @@ class Evaluator:
         self._seen.clear()
         self._past.clear()
 
-    def cache_stats(self) -> dict[str, int]:
-        """Sizes of this evaluator's internal memo tables.
-
-        Hit/miss counts live in the context's counter table under
-        ``eval_memo.hit``/``eval_memo.miss`` — the one canonical
-        accounting, shared with every other memoization layer (the
-        evaluator registers its memos with ``perf`` like the rest; see
-        :func:`repro.perf.snapshot`).
-        """
-        return {
-            "memo_entries": len(self._memo),
-            "hidden_views": len(self._hidden),
-            "possible_indexes": len(self._possible),
-            "said_entries": len(self._said),
-            "seen_sets": len(self._seen),
-            "past_submsg_sets": len(self._past),
-        }
-
     def evaluate(self, formula: Formula, run: Run, k: int) -> bool:
         """``(r, k) |= φ`` after substituting the run's parameter values."""
         if not isinstance(formula, Formula):

@@ -1,8 +1,8 @@
 """A tiny synchronous client for the analysis daemon (stdlib only).
 
-Used by the load generator (``tools/bench_serve.py``), the test-suite,
-and anyone scripting against a local daemon without wanting an HTTP
-library.  Two shapes:
+Used by the benchmark's serve load process (``perfbench/serve_load.py``),
+the test-suite, and anyone scripting against a local daemon without
+wanting an HTTP library.  Two shapes:
 
 * :func:`request` / :func:`post_json` / :func:`get` — one connection
   per call, framed by the daemon closing the socket;

@@ -481,9 +481,10 @@ def _sweep_shard(
 
     Returns the shard report and the shard context's
     :meth:`~repro.context.EngineContext.telemetry`, which the parent
-    absorbs: without it ``BENCH_sweep.json`` would under-report
-    hits/misses, lose per-schema timings, and show ``eval_memo: 0`` for
-    parallel runs whose evaluators die with their shard.
+    absorbs: without it the parent's telemetry (what ``repro obs
+    --workers N`` exports) would under-report hits/misses, lose
+    per-schema timings, and show ``eval_memo: 0`` for parallel runs
+    whose evaluators die with their shard.
     """
     shard_ctx = context.fresh(f"sweep-shard:{schema_names[0]}",
                               corr_id=corr_id)

@@ -1,11 +1,10 @@
 """Regression tests for the perf-counter bugs the fuzzer rig surfaced.
 
 1. ``hit_rates()`` dropped layers that recorded only misses (a layer
-   with 5 misses and 0 hits was absent while ``report()`` showed it at
-   0.0%).
+   with 5 misses and 0 hits was absent, though it had a rate of 0.0%).
 2. ``sweep_system(..., workers=N)`` lost the worker processes' perf
    counters: only ``sweep.parallel_shards`` was counted in the parent,
-   so ``BENCH_sweep.json`` under-reported cache hits/misses for
+   so the parent's snapshot under-reported cache hits/misses for
    parallel runs.
 """
 
@@ -47,7 +46,6 @@ class TestHitRates:
         perf.count("both.hit")
         perf.count("both.miss")
         assert set(perf.hit_rates()) == {"missonly", "both"}
-        assert "missonly" in perf.report()
 
     def test_non_hit_miss_counters_ignored(self):
         perf.count("sweep.parallel_shards", 7)

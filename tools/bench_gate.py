@@ -1,69 +1,91 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: append a perf record to history, fail on slowdowns.
+"""Bench-regression gate: run the benchmark on every workload, fail on regressions.
 
-Reads the ``BENCH_sweep.json`` written by ``python -m repro perf``,
-appends one compact entry to ``BENCH_history.jsonl`` (keyed by git SHA
-and timestamp), then compares the current record's headline timings
-against the best *comparable* prior entry.  Exit status 1 on any
-regression beyond the noise threshold; 0 otherwise.
+Everything the gate runs and checks comes from ``BENCHMARK.json`` at
+the repository root: the benchmark ``command``, its ``workloads``, the
+``run_seconds`` of one run, and each ``end_to_end`` metric's ``bound``
+and ``better`` direction.  For each workload the gate runs the command
+once with ``--workload W --seconds <run_seconds>``, echoes its stdout,
+and reads the JSON result line it ends with.  Exit status 1 when a run
+fails, when a result line is not ``correct: true`` with ``failed: 0``,
+or when a metric is worse than its baseline by more than its bound;
+0 otherwise.
 
-Comparability is strict on purpose: an entry is a baseline candidate
-only if its sweep *parameters* (systems/instances/seed/workers/engine/
-backend) and its *environment* label match the current record's.  CI
-runners set ``--environment github-actions``; local runs default to
-``local``.  Without this split the committed history of a fast dev
-machine would permanently fail the gate on slower shared runners (and
-vice versa).
+The baseline of each (workload, metric) pair is the best value, in the
+metric's ``better`` direction, over the last :data:`WINDOW` comparable
+entries of the history file.  Comparable means the same environment
+label, workload and run length, so the history of one kind of machine
+never gates another (CI runners pass ``--environment github-actions``;
+local runs default to ``local``).  With no comparable history the gate
+passes and the new entry becomes the baseline.  A lower-is-better
+metric regresses above ``baseline * (1 + bound)``, a higher-is-better
+one below ``baseline * (1 - bound)``.
 
-The baseline is the **minimum** over comparable prior entries within
-``--window`` (best-known performance, so slow-then-slow does not ratchet
-the bar downward), and the gate passes vacuously when no comparable
-history exists — a fresh runner's first record seeds its own baseline.
+Each correct result appends one history line: git SHA, timestamp,
+environment, workload, seconds and the end-to-end metric values.  A
+result with wrong answers is never recorded, so it cannot become a
+baseline.
 
 Usage::
 
-    python tools/bench_gate.py                       # gate BENCH_sweep.json
-    python tools/bench_gate.py --threshold 0.30      # looser noise bound
-    python tools/bench_gate.py --no-append --bench X # dry-run a record
+    python tools/bench_gate.py --history bench-history.jsonl --environment local
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
 from pathlib import Path
 
-#: Headline measurements gated by default: the adopted-engine cold E3
-#: sweep.
-DEFAULT_KEYS = ("sweep_cold_compiled_s",)
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-#: Parameters that must match for two entries to be comparable.
-PARAMETER_KEYS = ("systems", "instances", "seed", "workers", "engine",
-                  "backend")
+from repro.obs.runmeta import run_metadata  # noqa: E402
+
+#: How many recent comparable entries form a baseline.
+WINDOW = 50
+
+#: Fields two history entries must share to be comparable.
+COMPARABLE_KEYS = ("environment", "workload", "seconds")
 
 
-def load_bench(path: Path) -> dict:
-    with path.open(encoding="utf-8") as handle:
+def load_spec() -> dict:
+    """The repository's ``BENCHMARK.json``."""
+    with (ROOT / "BENCHMARK.json").open(encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def history_entry(bench: dict, environment: str) -> dict:
-    """One compact history line from a full BENCH record."""
-    meta = bench.get("meta", {})
-    parameters = bench.get("parameters", {})
-    measurements = bench.get("measurements", {})
+def run_workload(spec: dict, workload: str) -> dict | None:
+    """One benchmark run from the repository root; its result line, or
+    None when the run failed or printed no result line."""
+    command = [*spec["command"], "--workload", workload,
+               "--seconds", str(spec["run_seconds"])]
+    done = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
+                          text=True, check=False)
+    sys.stdout.write(done.stdout)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return None
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None
+
+
+def history_entry(spec: dict, workload: str, result: dict,
+                  environment: str, meta: dict) -> dict:
+    """One compact history line for a workload's result line."""
     return {
         "git_sha": meta.get("git_sha"),
         "timestamp": meta.get("timestamp"),
         "environment": environment,
-        "parameters": {
-            key: parameters.get(key) for key in PARAMETER_KEYS
-        },
-        "measurements": {
-            key: value
-            for key, value in sorted(measurements.items())
-            if isinstance(value, (int, float))
+        "workload": workload,
+        "seconds": spec["run_seconds"],
+        "metrics": {
+            metric["name"]: result["metrics"][metric["name"]]["value"]
+            for metric in spec["end_to_end"]
         },
     }
 
@@ -71,16 +93,8 @@ def history_entry(bench: dict, environment: str) -> dict:
 def read_history(path: Path) -> list[dict]:
     if not path.exists():
         return []
-    entries = []
     with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entry = json.loads(line)
-                # Entries from before the backend knob are belief runs.
-                entry["parameters"].setdefault("backend", "belief")
-                entries.append(entry)
-    return entries
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def append_history(path: Path, entry: dict) -> None:
@@ -89,124 +103,83 @@ def append_history(path: Path, entry: dict) -> None:
 
 
 def comparable(entry: dict, current: dict) -> bool:
-    """Same parameters, same environment — a legitimate baseline."""
-    return (
-        entry.get("environment") == current.get("environment")
-        and entry.get("parameters") == current.get("parameters")
-    )
+    return all(entry.get(key) == current[key] for key in COMPARABLE_KEYS)
 
 
-def check_regressions(
-    current: dict,
-    history: list[dict],
-    keys: tuple[str, ...],
-    threshold: float,
-    window: int,
-) -> tuple[list[str], list[str]]:
-    """(regressions, notes) for the current entry against history.
-
-    The baseline per key is the minimum over the last ``window``
-    comparable entries; a key regresses when the current value exceeds
-    ``baseline * (1 + threshold)``.
-    """
-    candidates = [e for e in history if comparable(e, current)]
-    if window > 0:
-        candidates = candidates[-window:]
-    regressions: list[str] = []
-    notes: list[str] = []
+def compare(spec: dict, current: dict,
+            history: list[dict]) -> tuple[list[str], list[str]]:
+    """(regressions, notes) for one entry against its comparable history."""
+    candidates = [e for e in history if comparable(e, current)][-WINDOW:]
     if not candidates:
-        notes.append(
-            "no comparable history (environment/parameters unseen); "
-            "current record seeds the baseline"
-        )
-        return regressions, notes
-    notes.append(f"baseline from {len(candidates)} comparable entr"
-                 f"{'y' if len(candidates) == 1 else 'ies'}")
-    for key in keys:
-        value = current["measurements"].get(key)
-        if value is None:
-            notes.append(f"{key}: absent from current record, skipped")
-            continue
-        prior = [
-            e["measurements"][key]
-            for e in candidates
-            if key in e.get("measurements", {})
-        ]
+        return [], ["no comparable history; this entry seeds the baseline"]
+    regressions: list[str] = []
+    notes = [f"baseline from {len(candidates)} comparable entr"
+             f"{'y' if len(candidates) == 1 else 'ies'}"]
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        lower = metric["better"] == "lower"
+        prior = [e["metrics"][name] for e in candidates
+                 if name in e["metrics"]]
         if not prior:
-            notes.append(f"{key}: no prior samples, skipped")
+            notes.append(f"{name}: no prior value")
             continue
-        baseline = min(prior)
-        limit = baseline * (1.0 + threshold)
-        ratio = value / baseline if baseline > 0 else float("inf")
-        line = (f"{key}: {value:.6f}s vs baseline {baseline:.6f}s "
-                f"({ratio:.2f}x, limit {limit:.6f}s)")
-        if value > limit:
+        baseline = min(prior) if lower else max(prior)
+        value = current["metrics"][name]
+        limit = baseline * (1 + bound) if lower else baseline * (1 - bound)
+        line = (f"{name}: {value:.6g} vs best {baseline:.6g} {metric['unit']} "
+                f"({value / baseline - 1:+.1%}, bound {bound:.0%}, "
+                f"{metric['better']} is better)")
+        if (value > limit) if lower else (value < limit):
             regressions.append(line)
         else:
-            notes.append(line + " — ok")
+            notes.append(line + " ok")
     return regressions, notes
+
+
+def gate(spec: dict, workload: str, result: dict | None, history_path: Path,
+         environment: str, meta: dict) -> bool:
+    """Check one workload's result line against the history, print the
+    verdict, and record a correct result.  True when it passes."""
+    title = (f"bench-gate: {workload} [{environment}, "
+             f"{spec['run_seconds']} s]")
+    if result is None:
+        print(f"{title}: the run failed or printed no result line")
+        return False
+    if result.get("correct") is not True or result.get("failed") != 0:
+        print(f"{title}: wrong answers (correct={result.get('correct')}, "
+              f"failed={result.get('failed')} of {result.get('attempted')})")
+        return False
+    current = history_entry(spec, workload, result, environment, meta)
+    regressions, notes = compare(spec, current, read_history(history_path))
+    append_history(history_path, current)
+    print(f"{title}: {'REGRESSION' if regressions else 'ok'}")
+    for line in regressions:
+        print(f"  REGRESSION {line}")
+    for line in notes:
+        print(f"  {line}")
+    return not regressions
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--bench", default="BENCH_sweep.json",
-        help="benchmark record to gate (from `python -m repro perf`)",
-    )
-    parser.add_argument(
-        "--history", default="BENCH_history.jsonl",
-        help="append-only history file keyed by git SHA",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="fractional slowdown tolerated over the baseline "
-             "(default 0.20 = 20%%)",
-    )
-    parser.add_argument(
-        "--window", type=int, default=50,
-        help="how many recent comparable entries form the baseline "
-             "(0 = all)",
-    )
-    parser.add_argument(
-        "--keys", default=",".join(DEFAULT_KEYS),
-        help="comma-separated measurement keys to gate",
+        "--history", default="bench-history.jsonl",
+        help="append-only history of past results (default: %(default)s)",
     )
     parser.add_argument(
         "--environment", default="local",
-        help="environment label for comparability (CI sets its own)",
-    )
-    parser.add_argument(
-        "--no-append", action="store_true",
-        help="gate without recording the current entry in history",
+        help="label of the machine type; only entries with the same "
+             "label are compared (default: %(default)s)",
     )
     args = parser.parse_args(argv)
-
-    bench_path = Path(args.bench)
-    if not bench_path.exists():
-        print(f"bench-gate: no benchmark record at {bench_path}",
-              file=sys.stderr)
-        return 2
-    keys = tuple(k.strip() for k in args.keys.split(",") if k.strip())
-    current = history_entry(load_bench(bench_path), args.environment)
-    history = read_history(Path(args.history))
-    regressions, notes = check_regressions(
-        current, history, keys, args.threshold, args.window
-    )
-    if not args.no_append:
-        append_history(Path(args.history), current)
-
-    sha = (current.get("git_sha") or "unknown")[:12]
-    print(f"bench-gate: {sha} [{args.environment}] "
-          f"threshold {args.threshold:.0%}")
-    for note in notes:
-        print(f"  {note}")
-    if regressions:
-        print("bench-gate: REGRESSION", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print("bench-gate: ok")
-    return 0
+    spec = load_spec()
+    meta = run_metadata()
+    passed = [
+        gate(spec, workload["name"], run_workload(spec, workload["name"]),
+             Path(args.history), args.environment, meta)
+        for workload in spec["workloads"]
+    ]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
