@@ -12,18 +12,12 @@ Commands
     ``--certify`` compile the goal into a checked Hilbert proof; a GOAL
     the protocol does not name exits 2.
 
-``sweep [--systems N] [--instances M] [--seed S] [--workers W]
-[--backend NAME] [--isolated]``
+``sweep [--systems N] [--instances M] [--seed S] [--backend NAME]``
     Run the empirical Theorem 1 soundness sweep (experiment E3);
-    ``--workers`` shards it over a process pool and ``--backend``
-    selects the semantics backend (``belief`` or ``epistemic``).
+    ``--backend`` selects the semantics backend (``belief`` or
+    ``epistemic``).
 
-``sweep``/``trace``/``fuzz`` accept ``--isolated``: run the whole
-command under a fresh :class:`repro.context.EngineContext`, so its
-caches, counters, and spans are session-private (nothing read from or
-left behind in the process-default context).
-
-``obs [--systems N] [--instances M] [--seed S] [--workers W]
+``obs [--systems N] [--instances M] [--seed S]
 [--format {prometheus,json}] [--output PATH] [--journal PATH]
 [--input PATH]``
     Run the E3 sweep workload under a fresh correlated context and
@@ -40,7 +34,9 @@ left behind in the process-default context).
     instances (or one ``--formula``) over generated systems with the
     explanation tracer on, write the evaluation trees as JSONL
     (default ``TRACE_report.jsonl``), and print the first "why-false"
-    proof tree encountered.
+    proof tree encountered.  A ``--formula`` that does not parse
+    against the systems' vocabulary exits 2 before the output is
+    opened.
 
 ``fuzz [--seed S] [--iterations N] [--report PATH] [--oracles F,..]``
     Run the differential fuzzing and fault-injection campaign: the rows
@@ -49,7 +45,8 @@ left behind in the process-default context).
     (default: all; ``fuzz --help`` lists them) and ``--backend`` picks
     the semantics backend the replay oracle audits against.  Writes a
     JSON report (default ``FUZZ_report.json``) with shrunk
-    counterexamples.
+    counterexamples.  An empty or unknown ``--oracles`` selection
+    exits 2 before any work starts.
 
 ``cointoss``
     Walk the Section 7 construction and optimality story (E5-E7).
@@ -115,34 +112,6 @@ class _FuzzHelp(argparse.HelpFormatter):
         return action.help.replace("FAMILIES", ", ".join(ORACLE_FAMILIES))
 
 
-def _add_isolated(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--isolated", action="store_true",
-        help="run in a fresh engine context (session-private caches, "
-             "counters, and spans; nothing shared with the process "
-             "default)",
-    )
-
-
-def _isolated(handler):
-    """Wrap a subcommand so it runs in a fresh :class:`EngineContext`.
-
-    ``--isolated`` gives the command session-private caches, counters,
-    and spans: nothing read from (or left behind in) the process-default
-    context, which is what a multi-tenant server wants per request.
-    """
-
-    def wrapped(args: argparse.Namespace) -> int:
-        if getattr(args, "isolated", False):
-            from repro import context
-
-            with context.scoped(f"cli-{args.command}"):
-                return handler(args)
-        return handler(args)
-
-    return wrapped
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.soundness import generate_systems, sweep_systems
 
@@ -150,7 +119,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = sweep_systems(
         systems,
         max_instances_per_schema=args.instances,
-        workers=args.workers,
         engine=args.engine,
         backend=args.backend,
     )
@@ -182,14 +150,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             sweep_systems(
                 systems,
                 max_instances_per_schema=args.instances,
-                workers=args.workers,
                 engine=args.engine,
             )
             snapshot = metrics.unified_snapshot(
                 meta=run_metadata(
                     command="obs", systems=args.systems,
                     instances=args.instances, seed=args.seed,
-                    workers=args.workers, engine=args.engine,
+                    engine=args.engine,
                 )
             )
             if args.journal is not None:
@@ -213,11 +180,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import itertools
     import json
 
+    from repro.errors import ReproError
     from repro.logic.axioms import AXIOMS
     from repro.obs import run_metadata
     from repro.obs.trace import render_why, trace_evaluation, trace_records
     from repro.soundness import generate_systems
     from repro.soundness.sweep import pool_from_system
+    from repro.terms.parser import parse_formula
 
     if args.schema is not None and args.schema not in AXIOMS:
         print(f"unknown schema {args.schema!r}; choose from: "
@@ -228,6 +197,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         (AXIOMS[args.schema],) if args.schema is not None
         else tuple(AXIOMS.values())
     )
+    formulas = []
+    if args.formula is not None:
+        # Parse before opening the output, so a bad formula leaves an
+        # existing report untouched.
+        try:
+            formulas = [parse_formula(args.formula, system.vocabulary)
+                        for system in systems]
+        except ReproError as error:
+            print(f"bad --formula: {error}", file=sys.stderr)
+            return 2
 
     evaluations = failures = lines = 0
     first_false: str | None = None
@@ -239,11 +218,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         handle.write(json.dumps({"record": "meta", **meta},
                                sort_keys=True) + "\n")
         for index, system in enumerate(systems):
-            if args.formula is not None:
-                from repro.terms.parser import parse_formula
-
-                targets = [("formula", parse_formula(
-                    args.formula, system.vocabulary))]
+            if formulas:
+                targets = [("formula", formulas[index])]
             else:
                 pool = pool_from_system(system)
                 targets = [
@@ -295,12 +271,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         config = FuzzConfig(
             seed=args.seed,
             iterations=args.iterations,
-            parallel_every=args.parallel_every,
-            parallel_workers=args.workers,
             oracles=oracles,
             backend=args.backend,
         )
-    except ValueError as error:  # an unknown oracle family
+    except ValueError as error:  # an unknown or empty family selection
         print(error)
         return 2
     report = run_fuzz(config)
@@ -383,10 +357,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument("--instances", type=int, default=60)
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for the sweep (1 = in-process)",
-    )
-    sweep_parser.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled",
         help="evaluation engine for the sweep (default: compiled)",
     )
@@ -394,7 +364,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend", choices=backends, default="belief",
         help="semantics backend (default: belief)",
     )
-    _add_isolated(sweep_parser)
 
     obs_parser = sub.add_parser(
         "obs", help="export the unified telemetry snapshot"
@@ -402,10 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     obs_parser.add_argument("--systems", type=int, default=3)
     obs_parser.add_argument("--instances", type=int, default=60)
     obs_parser.add_argument("--seed", type=int, default=0)
-    obs_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for the sweep workload",
-    )
     obs_parser.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled",
     )
@@ -451,7 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         "--only-failures", action="store_true",
         help="write trace records only for false verdicts",
     )
-    _add_isolated(trace_parser)
 
     fuzz_parser = sub.add_parser(
         "fuzz", help="differential run-fuzzing and fault injection",
@@ -464,14 +428,6 @@ def main(argv: list[str] | None = None) -> int:
         help="where to write the JSON campaign report",
     )
     fuzz_parser.add_argument(
-        "--parallel-every", type=int, default=50,
-        help="run the parallel-sweep oracle every Nth iteration (0 = never)",
-    )
-    fuzz_parser.add_argument(
-        "--workers", type=int, default=2,
-        help="process-pool width for the parallel-sweep oracle",
-    )
-    fuzz_parser.add_argument(
         "--oracles", default="all",
         help="comma-separated oracle families to run (FAMILIES; "
              "default: all)",
@@ -482,7 +438,6 @@ def main(argv: list[str] | None = None) -> int:
              "(the cross_backend oracle always compares belief vs. "
              "epistemic; default: belief)",
     )
-    _add_isolated(fuzz_parser)
 
     serve_parser = sub.add_parser(
         "serve", help="run the analysis daemon (HTTP over asyncio)"
@@ -518,10 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "corpus": _cmd_corpus,
         "analyze": _cmd_analyze,
-        "sweep": _isolated(_cmd_sweep),
+        "sweep": _cmd_sweep,
         "obs": _cmd_obs,
-        "trace": _isolated(_cmd_trace),
-        "fuzz": _isolated(_cmd_fuzz),
+        "trace": _cmd_trace,
+        "fuzz": _cmd_fuzz,
         "serve": _cmd_serve,
         "cointoss": _cmd_cointoss,
         "experiments": _cmd_experiments,

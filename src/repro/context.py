@@ -25,18 +25,19 @@ relativized to an explicit context rather than left ambient.  Here the
 operational:
 
 * **Isolation** — two sweeps or fuzz campaigns under separate contexts
-  share no counters, spans, or cache entries (``--isolated`` on the
-  CLI; per-shard contexts in the parallel sweep).
+  share no counters, spans, or cache entries (per-iteration contexts
+  in the fuzzer, per-batch contexts in the daemon).
 * **Memory bounds** — an ephemeral context is dropped wholesale when
   its workload ends, the context-owned memos carry an entry cap with
   wholesale-clear eviction (``<layer>.evict`` counters), and the span
   buffer and the journal are rings that drop (and count) their oldest
   entries, so a long-lived serving process — whose root context absorbs
   every request's telemetry — cannot accumulate unbounded state.
-* **Honest telemetry** — a worker shard runs in a fresh context and
-  ships the *whole* context's :meth:`EngineContext.telemetry` home for
-  the parent to :meth:`EngineContext.absorb`; no mark/delta
-  bookkeeping against a shared table.
+* **Honest telemetry** — a fuzz iteration or a serve batch runs in a
+  fresh context and ships the *whole* context's
+  :meth:`EngineContext.telemetry` home for the parent to
+  :meth:`EngineContext.absorb`; no mark/delta bookkeeping against a
+  shared table.
 
 Cross-context terms stay correct by construction: canonical instances
 are per-context, but term ``__eq__``/``__hash__`` fall back to
@@ -132,14 +133,14 @@ class EngineContext:
       (:class:`repro.obs.journal.Journal`), created lazily;
     * ``corr_id`` — the session's correlation ID (stamped onto journal
       events and span attributes; the per-request ID a serving layer
-      threads through shards and ephemeral contexts);
+      threads through ephemeral contexts);
     * ``evaluators`` — the weak registry of live
       :class:`~repro.semantics.evaluator.Evaluator` instances, so
       ``perf.clear_caches()``/``cache_sizes()`` can reach their
       per-instance truth memos.
 
     Contexts are cheap: creating one allocates a handful of empty
-    containers, which is what makes per-shard and per-iteration
+    containers, which is what makes per-iteration and per-batch
     ephemeral contexts viable.
     """
 
@@ -226,8 +227,8 @@ class EngineContext:
         ``counters``, ``spans``, ``journal`` (events) and ``cache_peaks``
         (the current cache sizes are maxed in first).  An ephemeral
         context starts empty, so its whole telemetry *is* the delta a
-        worker shard, fuzz iteration or serve batch ships home to the
-        parent's :meth:`absorb`.
+        fuzz iteration or serve batch ships home to the parent's
+        :meth:`absorb`.
         """
         from repro import perf
 
@@ -302,11 +303,11 @@ def fresh(name: str | None = None,
     """A new, empty context (does not enter it; pair with :func:`use`).
 
     The new context *inherits the creator's correlation ID* unless an
-    explicit ``corr_id`` is given: ephemeral shard/iteration contexts
-    stay attributable to the request that spawned them, which is how
-    one correlation ID survives the delta-shipping transport.
+    explicit ``corr_id`` is given: ephemeral contexts stay attributable
+    to the request that spawned them, which is how one correlation ID
+    survives the delta-shipping transport.
 
-    Inheritance is right for *shards of one request* and wrong for
+    Inheritance is right for *parts of one request* and wrong for
     *sibling requests*: two requests fanned out from one parent would
     share the parent's ID and their telemetry would be unattributable.
     Anything serving concurrent requests (``repro.serve`` stamps
@@ -328,10 +329,10 @@ class use:
 
     ::
 
-        shard = context.fresh("shard-3")
-        with context.use(shard):
-            ...                      # every cache/counter/span is shard's
-        parent.absorb(shard.telemetry())  # ship the telemetry home
+        child = context.fresh("iteration-3")
+        with context.use(child):
+            ...                      # every cache/counter/span is child's
+        parent.absorb(child.telemetry())  # ship the telemetry home
     """
 
     __slots__ = ("ctx", "_token")
@@ -356,7 +357,7 @@ def scoped(name: str | None = None, memo_cap: int = DEFAULT_MEMO_CAP,
 
     Pass ``corr_id`` when the scope is one *request among siblings*
     (concurrent tasks fanned out from one parent): without it the new
-    context inherits the parent's correlation ID, which is the shard
-    contract, not the request contract.
+    context inherits the parent's correlation ID, which is right for
+    parts of one request, not for siblings.
     """
     return use(fresh(name, memo_cap, corr_id=corr_id))

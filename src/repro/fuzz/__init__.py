@@ -3,9 +3,9 @@
 The soundness of Theorem 1 hinges on the well-formedness restrictions
 of Section 5 and on the semantic kernels behaving identically across
 every fast path (interning, memoization, the ground-formula shortcut,
-the compiled engine, the parallel sweep).  This package *generates*
-hostile runs and checks those invariants differentially instead of
-trusting the hand-built protocol systems:
+the compiled engine).  This package *generates* hostile runs and
+checks those invariants differentially instead of trusting the
+hand-built protocol systems:
 
 * :mod:`repro.fuzz.generate` — seeded random workload generation
   (layered on the E3 system generator, well-formed by construction),
@@ -15,8 +15,8 @@ trusting the hand-built protocol systems:
 * :mod:`repro.fuzz.proof_mutators` — adversarial mutations of checked
   Hilbert proofs, tagged with the verdict the checker must return;
 * :mod:`repro.fuzz.oracles` — the WF-classification oracle and the
-  cache/interning, hide, ground-path, compiled, cross-backend, and
-  parallel-sweep differentials;
+  cache/interning, hide, ground-path, compiled and cross-backend
+  differentials;
 * :mod:`repro.fuzz.logic_oracles` — the derivation-layer oracles:
   engine-vs-semantics replay, proof-mutation checking, and Prim
   interpretation agreement;
@@ -61,7 +61,6 @@ from repro.fuzz.oracles import (
     check_ground_path_differential,
     check_hide_differential,
     check_mutation,
-    check_parallel_sweep,
     deintern,
     sample_goodrun_vector,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "check_ground_path_differential",
     "check_hide_differential",
     "check_mutation",
-    "check_parallel_sweep",
     "deintern",
     "sample_goodrun_vector",
     "PROOF_MUTATORS",

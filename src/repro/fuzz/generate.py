@@ -67,8 +67,7 @@ def randomize_interpretation(rng: random.Random, system: System) -> System:
     with point-level granularity, so the Prim/A12 plumbing is stressed
     with interpretations the generator never produces.  The replacement
     predicate is built with :meth:`Interpretation.from_table`, so it
-    stays plain picklable data and the parallel-sweep oracle keeps its
-    process-pool path.
+    stays plain picklable data.
     """
     propositions = sorted(system.constants(Sort.PROPOSITION), key=str)
     if not propositions:

@@ -64,7 +64,6 @@ from repro.fuzz.oracles import (
     check_ground_path_differential,
     check_hide_differential,
     check_mutation,
-    check_parallel_sweep,
     classification_failure,
     sample_formulas,
     sample_goodrun_vector,
@@ -624,26 +623,6 @@ def _proof_mutation(work: Workload) -> Verdict | None:
     return Verdict({"proof_mutation": applied}, failures, shrunk)
 
 
-#: Instance cap per schema for the parallel-sweep oracle.
-PARALLEL_INSTANCES = 8
-
-
-def _parallel_sweep(work: Workload) -> Verdict | None:
-    """Every ``parallel_every``-th iteration (a full model check, with
-    a tight instance cap): the parallel sweep must render like the
-    sequential one."""
-    every = work.config.parallel_every
-    if not every or work.iteration % every != every - 1:
-        return None
-    failure = check_parallel_sweep(
-        work.system, work.config.parallel_workers, PARALLEL_INSTANCES
-    )
-    return Verdict(
-        {"parallel_sweep_differential": 1},
-        [] if failure is None else [failure],
-    )
-
-
 #: The oracle table, in the order the rows draw from the iteration's
 #: RNG: (family selected by ``--oracles``, oracle name, row).  A row
 #: returns its :class:`Verdict`, or None when it did not run.
@@ -657,7 +636,6 @@ ROWS: tuple[tuple[str, str, Callable[[Workload], Verdict | None]], ...] = (
     ("goodruns_construction", "goodruns_construction", _goodruns_construction),
     ("engine_replay", "engine_replay", _engine_replay),
     ("proof_mutation", "proof_mutation", _proof_mutation),
-    ("parallel", "parallel_sweep", _parallel_sweep),
 )
 
 #: The selectable oracle families (``fuzz --oracles``), in table order.
@@ -672,10 +650,6 @@ class FuzzConfig:
 
     seed: int = 0
     iterations: int = 200
-    #: Run the (expensive) parallel-sweep oracle every Nth iteration.
-    parallel_every: int = 50
-    #: Process-pool width used by the parallel-sweep oracle.
-    parallel_workers: int = 2
     #: Oracle families enabled for this campaign (see ORACLE_FAMILIES).
     oracles: tuple[str, ...] = ORACLE_FAMILIES
     #: Semantics backend the engine-replay workload audits against
@@ -685,10 +659,11 @@ class FuzzConfig:
 
     def __post_init__(self) -> None:
         unknown = set(self.oracles) - set(ORACLE_FAMILIES)
-        if unknown:
+        if unknown or not self.oracles:
+            what = (f"unknown oracle families {sorted(unknown)}" if unknown
+                    else "no oracle family selected")
             raise ValueError(
-                f"unknown oracle families {sorted(unknown)}; "
-                f"choose from {', '.join(ORACLE_FAMILIES)}"
+                f"{what}; choose from {', '.join(ORACLE_FAMILIES)}"
             )
 
 

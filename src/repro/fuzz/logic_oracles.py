@@ -1,8 +1,8 @@
 """Logic-vs-semantics oracles: the derivation layer on the hook.
 
 The original fuzzer only differentials the *model* layer (caches,
-hide, ground paths, the parallel sweep); these three families close
-the loop over the *derivation* layer of Sections 4 and 8:
+hide, ground paths); these three families close the loop over the
+*derivation* layer of Sections 4 and 8:
 
 * **Engine-vs-semantics replay** — sample assumptions that are *true*
   at a random point of a generated system, close them under the
@@ -19,7 +19,7 @@ the loop over the *derivation* layer of Sections 4 and 8:
   interpretations (:func:`repro.fuzz.generate.randomize_interpretation`),
   the evaluator's ``Prim`` verdicts must agree with the interpretation
   predicate directly, on non-interned clones, and after a pickle
-  round-trip (the contract the parallel sweep workers rely on).
+  round-trip (picklability is part of the data model's contract).
 
 The replay rule set excludes the paper-faithful ``A11``
 (:class:`~repro.logic.rules.SeesCipherIntrospection`): as documented in
@@ -267,8 +267,8 @@ def check_interpretation_agreement(
 
     Three legs per (proposition, point): the evaluator against the
     predicate called directly, a non-interned ``Prim`` clone against
-    the same, and the predicate after a pickle round-trip (what the
-    parallel sweep actually ships to worker processes).
+    the same, and the predicate after a pickle round-trip (built-in
+    interpretations are plain data, so they must survive one).
     """
     failures = []
     evaluator = Evaluator(system)

@@ -15,9 +15,8 @@ Four families of checks, each independent of the machinery it audits:
   belief that holds under collapse-hide must also hold under
   pattern-hide.  The evaluator's walked hidden views must group the
   points as the literal ``hidden_local_view`` does.
-* **Path differentials** — the ground-formula fast path must agree with
-  the substitution path, and ``sweep_system(workers=N)`` must render
-  byte-identically to the sequential sweep.
+* **Path differential** — the ground-formula fast path must agree with
+  the substitution path.
 """
 
 from __future__ import annotations
@@ -535,36 +534,3 @@ def check_cross_backend(
                 OracleFailure.at("cross_backend", why, run, k, formula)
             )
     return failures
-
-
-def sweep_fingerprint(report) -> tuple:
-    """Everything observable about a sweep report, as comparable data."""
-    return (
-        report.render(),
-        {
-            name: (
-                r.instances,
-                r.points_checked,
-                [str(v) for v in r.violations],
-            )
-            for name, r in report.per_schema.items()
-        },
-    )
-
-
-def check_parallel_sweep(
-    system: System, workers: int, instances: int
-) -> OracleFailure | None:
-    """``sweep_system(workers=N)`` must be byte-identical to sequential."""
-    from repro.soundness.sweep import sweep_system
-
-    sequential = sweep_system(system, max_instances_per_schema=instances)
-    parallel = sweep_system(
-        system, max_instances_per_schema=instances, workers=workers
-    )
-    if sweep_fingerprint(sequential) != sweep_fingerprint(parallel):
-        return OracleFailure(
-            "parallel_sweep_differential",
-            f"workers={workers} sweep diverged from the sequential render",
-        )
-    return None

@@ -75,10 +75,9 @@ class Interpretation:
     primitive proposition false everywhere.
 
     The built-in constructors produce *picklable* predicates (plain
-    data, no closures), which is what lets the parallel soundness sweep
-    ship whole systems to worker processes.  ``from_predicate`` still
-    accepts arbitrary callables; such interpretations simply force the
-    sweep back onto its in-process path.
+    data, no closures), so a system built from them pickles whole.
+    ``from_predicate`` still accepts arbitrary callables, which need
+    not pickle.
     """
 
     predicate: _PredicateFn = field(default_factory=_FalseEverywhere)

@@ -4,7 +4,7 @@ Where :mod:`repro.perf` counts *how often* and :mod:`repro.obs.spans`
 times *how long*, the journal remembers *what happened last*: a
 bounded, thread-safe ring of structured events (system compilations,
 cache evictions, compiler fallbacks, skipped good-runs stages, oracle
-verdicts, shard merges) that a failing workload can be debugged from
+verdicts) that a failing workload can be debugged from
 after the fact.  Fuzz counterexamples attach the tail of their
 iteration's journal next to the why-false trace, and ``python -m repro
 obs --journal`` dumps a workload's ring as JSONL.
@@ -19,8 +19,8 @@ Design points, mirroring ``spans``:
 * **Plain data** — events are dicts (``seq``/``ts``/``kind``/``corr``
   plus free-form attributes), so they pickle, merge across processes,
   and serialize to JSONL without machinery.
-* **Process-safe by shipping** — a worker shard records into its
-  ephemeral context's journal, whose events travel home in
+* **Shipped, not shared** — a fuzz iteration or serve batch records
+  into its ephemeral context's journal, whose events travel home in
   ``EngineContext.telemetry()`` with its counters and spans; the
   parent's ``absorb()`` appends them to its own ring.
 
@@ -28,9 +28,8 @@ Design points, mirroring ``spans``:
 of the context that recorded it (``EngineContext.corr_id``).  The
 :func:`correlation` context manager installs an ID on the current
 context; ephemeral contexts created with :func:`repro.context.fresh`
-inherit the creator's ID, and the parallel sweep ships its ID to
-worker shards, so one logical request keeps one ID across threads,
-processes, and throwaway contexts.  Span attributes are stamped with
+inherit the creator's ID, so one logical request keeps one ID across
+threads and throwaway contexts.  Span attributes are stamped with
 the same ID (see :func:`repro.obs.spans.span`), which is the
 per-request provenance contract the future ``repro.serve`` daemon
 builds on: one ``corr`` selects a request's events, spans, and
@@ -50,8 +49,8 @@ from typing import Any, Iterable, Iterator, Mapping
 from repro import context as _context
 
 #: Default ring capacity.  Sized for "the recent past of one session":
-#: big enough that a fuzz campaign's last iterations or a sweep's shard
-#: merges are all present, small enough to be ignorable memory.
+#: big enough that a fuzz campaign's last iterations are all present,
+#: small enough to be ignorable memory.
 DEFAULT_CAPACITY = 4096
 
 
@@ -92,7 +91,7 @@ class Journal:
                 self._dropped += 1
             self._ring.append(event)
 
-    # -- transport (the parallel-sweep contract) ------------------------------
+    # -- transport (the telemetry hand-off contract) --------------------------
 
     def mark(self) -> int:
         """A position in the event stream; pair with :meth:`delta_since`.

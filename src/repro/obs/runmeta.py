@@ -34,7 +34,7 @@ def git_sha() -> str | None:
 def run_metadata(**extra: Any) -> dict[str, Any]:
     """Environment fingerprint for a measurement record.
 
-    Keyword arguments (e.g. ``workers=4``, ``command="fuzz"``) are
+    Keyword arguments (e.g. ``seed=0``, ``command="fuzz"``) are
     merged in, so drivers can stamp their own knobs without a schema.
     """
     meta: dict[str, Any] = {

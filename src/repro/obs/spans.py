@@ -4,17 +4,18 @@ Where :mod:`repro.perf` answers "how often did each cache hit?", this
 module answers "where did the time go?".  A *span* is one named,
 monotonic-clock-timed region of work (``with spans.span("sweep.schema",
 schema="A1"): ...``); completed spans land in the current engine
-context's buffer (:mod:`repro.context`) as plain dicts, so they pickle,
-merge across processes, and serialize to JSONL without any machinery.
+context's buffer (:mod:`repro.context`) as plain dicts, so they merge
+across contexts and serialize to JSONL without any machinery.
 
 Design points, mirroring ``perf``:
 
 * **Zero dependencies** — stdlib only, importable from anywhere.
 * **Thread-safe** — buffer appends take a lock; the timing itself is
   lock-free (``time.perf_counter`` before/after).
-* **Process-safe by shipping** — a worker records spans into its
-  ephemeral context's buffer, which travels home as plain data in
-  ``EngineContext.telemetry()``; the parent's ``absorb()`` appends it.
+* **Shipped, not shared** — a fuzz iteration or serve batch records
+  spans into its ephemeral context's buffer, which travels home as
+  plain data in ``EngineContext.telemetry()``; the parent's
+  ``absorb()`` appends it.
 * **Coarse-grained by convention** — spans wrap phases (a schema sweep,
   a good-runs stage, a fuzz iteration), not individual ``_eval`` calls;
   buffers stay small and summaries stay meaningful.  The per-formula
@@ -27,7 +28,7 @@ Design points, mirroring ``perf``:
 ``summary()`` reduces the buffer to per-name count/total/min/max plus
 p50/p95/p99 percentiles (nearest-rank).  It is a derived view — the
 buffer of raw samples remains the single source of truth, which is
-what makes the parallel-sweep merge lossless (below the capacity).
+what makes the telemetry hand-off lossless (below the capacity).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class SpanRecorder:
         """Record a zero-duration marker (a point event)."""
         self.record(name, 0.0, **attrs)
 
-    # -- transport (the parallel-sweep contract) ------------------------------
+    # -- transport (the telemetry hand-off contract) --------------------------
 
     def mark(self) -> int:
         """A sequence number; pair with :meth:`delta_since`.

@@ -158,7 +158,8 @@ class AnalysisDaemon:
     One instance owns a *root* engine context.  All steady-state
     telemetry (admission counters, per-batch absorbed counters/spans/
     journal events) accumulates there; ``/metrics`` and ``/stats``
-    read it, and shard telemetry merges into it on shutdown.
+    read it, and batch telemetry still in flight merges into it on
+    shutdown.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:

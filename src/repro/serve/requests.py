@@ -176,7 +176,8 @@ def parse_request(payload: Any,
     parsed_point: tuple[str, int] | None = None
     if point is not None:
         _require(isinstance(point, Mapping) and isinstance(point.get("run"), str)
-                 and isinstance(point.get("time"), int),
+                 and isinstance(point.get("time"), int)
+                 and not isinstance(point.get("time"), bool),
                  "'point' must be {\"run\": name, \"time\": k}")
         parsed_point = (point["run"], point["time"])
 

@@ -16,14 +16,12 @@ system principals.
 from __future__ import annotations
 
 import itertools
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro import context, perf
+from repro import perf
 from repro.logic.axioms import AXIOMS, InstancePool, Schema
-from repro.obs import journal, spans
+from repro.obs import spans
 from repro.logic.rules import transparent
 from repro.model.actions import Send
 from repro.model.system import System
@@ -266,43 +264,12 @@ def sweep_system(
     max_instances_per_schema: int = DEFAULT_MAX_INSTANCES_PER_SCHEMA,
     pattern_hide: bool = False,
     max_violations_per_schema: int = DEFAULT_MAX_VIOLATIONS_PER_SCHEMA,
-    workers: int = 1,
     engine: str = DEFAULT_ENGINE,
     backend: str = DEFAULT_BACKEND,
 ) -> SweepReport:
-    """Model-check every schema instance at every point of one system.
-
-    With ``workers > 1`` the schemas are sharded across a process pool
-    (each worker evaluates a contiguous slice of the schema list over
-    the whole system); the merged report is identical to the in-process
-    one.  Falls back to the in-process path when the system cannot be
-    shipped to workers (e.g. a closure-based interpretation).
-    """
-    resolved = tuple(schemas) if schemas is not None else tuple(AXIOMS.values())
-    if workers > 1:
-        report = _sweep_parallel(
-            (system,), resolved, goodruns, max_instances_per_schema,
-            pattern_hide, max_violations_per_schema, workers, engine,
-            backend,
-        )
-        if report is not None:
-            return report
-    return _sweep_in_process(
-        system, resolved, goodruns, max_instances_per_schema,
-        pattern_hide, max_violations_per_schema, engine, backend,
-    )
-
-
-def _sweep_in_process(
-    system: System,
-    schemas: tuple[Schema, ...],
-    goodruns: GoodRunVector | None,
-    max_instances_per_schema: int,
-    pattern_hide: bool,
-    max_violations_per_schema: int,
-    engine: str = DEFAULT_ENGINE,
-    backend: str = DEFAULT_BACKEND,
-) -> SweepReport:
+    """Model-check every schema instance at every point of one system."""
+    if schemas is None:
+        schemas = tuple(AXIOMS.values())
     evaluator = _resolve_engine(system, goodruns, pattern_hide, engine, backend)
     compiled = evaluator if isinstance(evaluator, CompiledSystem) else None
     pool = pool_from_system(system)
@@ -388,195 +355,21 @@ def sweep_systems(
     max_instances_per_schema: int = DEFAULT_MAX_INSTANCES_PER_SCHEMA,
     pattern_hide: bool = False,
     max_violations_per_schema: int = DEFAULT_MAX_VIOLATIONS_PER_SCHEMA,
-    workers: int = 1,
     engine: str = DEFAULT_ENGINE,
     backend: str = DEFAULT_BACKEND,
 ) -> SweepReport:
     """Merge sweeps over several systems (the E3 experiment driver).
 
     All knobs — including ``goodruns`` and ``max_violations_per_schema``
-    — are forwarded to every per-system sweep.  With ``workers > 1``
-    the (system × schema-slice) shards run on a process pool; reports
-    are merged in deterministic shard order, so the result (and its
-    render) is identical to ``workers=1``.
+    — are forwarded to every per-system sweep, and the reports merge in
+    system order.
     """
-    systems = tuple(systems)
-    resolved = tuple(schemas) if schemas is not None else tuple(AXIOMS.values())
-    if workers > 1:
-        report = _sweep_parallel(
-            systems, resolved, goodruns, max_instances_per_schema,
-            pattern_hide, max_violations_per_schema, workers, engine,
-            backend,
-        )
-        if report is not None:
-            return report
     total = SweepReport()
     for system in systems:
         total.merge(
-            _sweep_in_process(
-                system, resolved, goodruns, max_instances_per_schema,
+            sweep_system(
+                system, schemas, goodruns, max_instances_per_schema,
                 pattern_hide, max_violations_per_schema, engine, backend,
             )
-        )
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Parallel sharding
-# ---------------------------------------------------------------------------
-
-
-def _schema_names(schemas: Sequence[Schema]) -> tuple[str, ...] | None:
-    """Map schemas to registry names, or None if any is unregistered.
-
-    Workers re-resolve schemas from :data:`repro.logic.axioms.AXIOMS` by
-    name, because a ``Schema`` carries arbitrary callables that may not
-    survive pickling; a custom schema object outside the registry simply
-    keeps the sweep on the in-process path.
-    """
-    names = []
-    for schema in schemas:
-        if AXIOMS.get(schema.name) is not schema:
-            return None
-        names.append(schema.name)
-    return tuple(names)
-
-
-def _slice_names(
-    names: tuple[str, ...], slices: int
-) -> tuple[tuple[str, ...], ...]:
-    """Split the schema list into at most ``slices`` contiguous groups."""
-    slices = max(1, min(slices, len(names)))
-    quotient, remainder = divmod(len(names), slices)
-    out = []
-    start = 0
-    for index in range(slices):
-        width = quotient + (1 if index < remainder else 0)
-        out.append(names[start:start + width])
-        start += width
-    return tuple(out)
-
-
-def _sweep_shard(
-    system: System,
-    schema_names: tuple[str, ...],
-    goodruns: GoodRunVector | None,
-    max_instances_per_schema: int,
-    pattern_hide: bool,
-    max_violations_per_schema: int,
-    engine: str = DEFAULT_ENGINE,
-    backend: str = DEFAULT_BACKEND,
-    corr_id: str | None = None,
-) -> tuple[SweepReport, dict]:
-    """Worker entry point: one system, one contiguous slice of schemas.
-
-    The shard runs under an **ephemeral engine context**: its caches,
-    counters, spans, and journal are born empty and die with the shard,
-    so executor-process reuse cannot bleed one shard's state into the
-    next, and the shard's whole telemetry *is* the delta to ship home —
-    no mark/``delta_since`` bookkeeping against a shared global table.
-    The parent's correlation ID rides along, so every journal event and
-    span the shard records stays attributable to the request that
-    spawned the pool.
-
-    Returns the shard report and the shard context's
-    :meth:`~repro.context.EngineContext.telemetry`, which the parent
-    absorbs: without it the parent's telemetry (what ``repro obs
-    --workers N`` exports) would under-report hits/misses, lose
-    per-schema timings, and show ``eval_memo: 0`` for parallel runs
-    whose evaluators die with their shard.
-    """
-    shard_ctx = context.fresh(f"sweep-shard:{schema_names[0]}",
-                              corr_id=corr_id)
-    with context.use(shard_ctx):
-        schemas = tuple(AXIOMS[name] for name in schema_names)
-        report = _sweep_in_process(
-            system, schemas, goodruns, max_instances_per_schema,
-            pattern_hide, max_violations_per_schema, engine, backend,
-        )
-    return report, shard_ctx.telemetry()
-
-
-def _sweep_parallel(
-    systems: tuple[System, ...],
-    schemas: tuple[Schema, ...],
-    goodruns: GoodRunVector | None,
-    max_instances_per_schema: int,
-    pattern_hide: bool,
-    max_violations_per_schema: int,
-    workers: int,
-    engine: str = DEFAULT_ENGINE,
-    backend: str = DEFAULT_BACKEND,
-) -> SweepReport | None:
-    """Shard (system × schema slice) over a process pool.
-
-    Returns None when the workload cannot be parallelized safely — the
-    schemas are unregistered, the systems do not pickle, or the platform
-    refuses to *spawn* workers — in which case the caller falls back to
-    the in-process sweep.  A worker that crashes **mid-shard** (its
-    exception arrives through ``future.result()``, after the pool
-    spawned fine) is a different animal: the original exception is
-    re-raised to the caller, and no shard telemetry is merged.  The two
-    used to share one ``except`` clause, so an ``OSError`` raised by a
-    poisoned shard triggered the in-process fallback *after* earlier
-    shards' counters and spans had already been folded in — a silent
-    partial merge double-counted by the fallback's own run.  All shard
-    results are therefore collected before anything merges: the merge
-    is all-or-nothing.
-    """
-    names = _schema_names(schemas)
-    if not systems or names is None or not names:
-        return None
-    try:
-        pickle.dumps((systems, goodruns))
-    except Exception:
-        return None
-    slices = _slice_names(names, max(1, workers // len(systems)))
-    shards = [
-        (system, group) for system in systems for group in slices
-    ]
-    corr_id = context.current().corr_id
-    with spans.span("sweep.pool", shards=len(shards),
-                    workers=min(workers, len(shards))):
-        try:
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(shards)))
-        except (OSError, PermissionError):
-            # No subprocess support on this platform/sandbox.
-            return None
-        try:
-            try:
-                futures = [
-                    pool.submit(
-                        _sweep_shard, system, group, goodruns,
-                        max_instances_per_schema, pattern_hide,
-                        max_violations_per_schema, engine, backend, corr_id,
-                    )
-                    for system, group in shards
-                ]
-            except (OSError, PermissionError):
-                # The platform refused to fork/spawn the worker
-                # processes at submission time: fall back in-process.
-                # (Nothing has merged; shard contexts die unobserved.)
-                return None
-            perf.count("sweep.parallel_shards", len(shards))
-            # Collect every shard before merging any: a crash in shard
-            # k must not leave shards 0..k-1's telemetry behind.
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-    total = SweepReport()
-    parent = context.current()
-    # Merge in submission order: (system, schema-slice) order matches
-    # the sequential sweep, so totals, violation lists, and renders are
-    # identical to workers=1.
-    for index, (report, telemetry) in enumerate(results):
-        total.merge(report)
-        parent.absorb(telemetry)
-        journal.record(
-            "shard_merge", shard=index,
-            schemas=",".join(shards[index][1]),
-            events=len(telemetry["journal"]),
-            counters=len(telemetry["counters"]),
-            spans=len(telemetry["spans"]),
         )
     return total

@@ -26,10 +26,9 @@ hash) structurally equal: ``Message.__eq__``/``__hash__`` never depend
 on canonicity, only profit from it.
 
 Interning survives pickling: ``Message.__reduce__`` rebuilds terms
-through their constructors, so terms arriving from a worker process
-(the parallel soundness sweep) are re-interned into the *receiving*
-context's table — and re-hashed, which matters because Python string
-hashing is per-process randomized.
+through their constructors, so terms arriving from another process
+are re-interned into the *receiving* context's table — and re-hashed,
+which matters because Python string hashing is per-process randomized.
 
 The table holds *weak* references: terms no longer referenced anywhere
 else are garbage-collected normally, so long-lived processes do not

@@ -132,3 +132,18 @@ def propositional_formulas() -> st.SearchStrategy[Formula]:
         )
 
     return st.recursive(atoms, extend, max_leaves=8)
+
+
+def sweep_fingerprint(report) -> tuple:
+    """Everything observable about a sweep report, as comparable data."""
+    return (
+        report.render(),
+        {
+            name: (
+                r.instances,
+                r.points_checked,
+                [str(v) for v in r.violations],
+            )
+            for name, r in report.per_schema.items()
+        },
+    )

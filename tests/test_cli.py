@@ -102,6 +102,19 @@ class TestCLI:
     def test_trace_unknown_schema(self, capsys):
         assert main(["trace", "--schema", "ZZ"]) == 2
 
+    @pytest.mark.parametrize("formula", ["P1 believes", "P9 sees N1"])
+    def test_trace_bad_formula_leaves_output_untouched(
+        self, tmp_path, capsys, formula
+    ):
+        out_path = tmp_path / "TRACE_report.jsonl"
+        out_path.write_text("sentinel\n")
+        assert main([
+            "trace", "--systems", "1", "--formula", formula,
+            "--output", str(out_path),
+        ]) == 2
+        assert "bad --formula:" in capsys.readouterr().err
+        assert out_path.read_text() == "sentinel\n"
+
     def test_obs_prometheus_exposition(self, capsys):
         assert main([
             "obs", "--systems", "1", "--instances", "10",

@@ -5,8 +5,6 @@ The PR 5 acceptance bar, as tests:
 * two threads sweeping under separate contexts produce **disjoint**
   counters, spans, and cache entries, and the **same verdicts** as a
   sequential run;
-* a ``workers=4`` parallel sweep renders byte-identically to
-  ``workers=1`` with per-shard ephemeral contexts in play;
 * pickled terms re-intern into the *receiving* context;
 * :class:`~repro.context.BoundedMemo` enforces its cap and counts
   evictions;
@@ -210,13 +208,6 @@ class TestSweepIsolation:
         assert render_a == sequential[0][1]
         assert render_b == sequential[1][1]
 
-    def test_parallel_sweep_render_matches_sequential(self):
-        with context.scoped("parallel-vs-sequential"):
-            system = generate_system(GeneratorConfig(seed=13))
-            one = sweep_system(system, max_instances_per_schema=8, workers=1)
-            four = sweep_system(system, max_instances_per_schema=8, workers=4)
-            assert one.render() == four.render()
-
 
 class TestDefaultCompatibility:
     """Code that never mentions contexts behaves exactly as before."""
@@ -249,9 +240,9 @@ class TestAsyncSiblingIsolation:
     The serving contract (ISSUE 9): two requests interleaving on one
     event loop must get disjoint counters, spans, journals, and —
     because ``fresh()`` *inherits* the creator's correlation ID, which
-    is right for shards and wrong for siblings — explicitly stamped,
-    distinct ``corr_id``s.  And isolation must not change answers:
-    verdicts match the same work run sequentially.
+    is right for parts of one request and wrong for siblings —
+    explicitly stamped, distinct ``corr_id``s.  And isolation must not
+    change answers: verdicts match the same work run sequentially.
     """
 
     @staticmethod
@@ -335,11 +326,11 @@ class TestAsyncSiblingIsolation:
 
     def test_sibling_corr_ids_must_be_explicit(self):
         # Documents *why* the daemon stamps per-request IDs: without an
-        # explicit corr_id, scoped() inherits the parent's (the shard
-        # contract), so siblings would share one.
+        # explicit corr_id, scoped() inherits the parent's (right for
+        # parts of one request), so siblings would share one.
         parent = context.fresh("parent", corr_id="req-parent")
         with context.use(parent):
-            with context.scoped("shard") as shard:
-                assert shard.corr_id == "req-parent"
+            with context.scoped("part") as part:
+                assert part.corr_id == "req-parent"
             with context.scoped("request", corr_id="req-child") as child:
                 assert child.corr_id == "req-child"

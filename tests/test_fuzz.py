@@ -178,7 +178,7 @@ class TestShrink:
 
 class TestHarness:
     def test_fixed_seed_campaign_is_green_and_reproducible(self):
-        config = FuzzConfig(seed=7, iterations=6, parallel_every=0)
+        config = FuzzConfig(seed=7, iterations=6)
         first = run_fuzz(config)
         second = run_fuzz(config)
         assert first.ok, [c.to_json() for c in first.counterexamples]
@@ -211,7 +211,6 @@ class TestCli:
                 "fuzz",
                 "--seed", "0",
                 "--iterations", "4",
-                "--parallel-every", "0",
                 "--report", str(report_path),
             ]
         )
@@ -232,7 +231,6 @@ class TestCli:
                 "fuzz",
                 "--seed", "0",
                 "--iterations", "2",
-                "--parallel-every", "0",
                 "--report", str(report_path),
                 "--oracles", "engine_replay,proof_mutation",
             ]
@@ -250,6 +248,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 2
         assert "unknown oracle families" in out
+
+    @pytest.mark.parametrize("selection", [",", ""])
+    def test_fuzz_oracles_flag_rejects_empty_selection(
+        self, tmp_path, capsys, selection
+    ):
+        # A campaign that checks nothing must not pass.
+        report_path = tmp_path / "FUZZ_report.json"
+        code = main(["fuzz", "--iterations", "1", "--oracles", selection,
+                     "--report", str(report_path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "no oracle family selected" in out
+        assert not report_path.exists()
 
 
 class TestMutatorRegistryOrder:
@@ -423,7 +434,7 @@ class TestEngineReplay:
     def test_planted_unsound_rule_is_caught_and_shrunk(self, tmp_path):
         # Seed re-pinned when the goodruns_construction family joined
         # the campaign (the added rng draws shifted every workload).
-        config = FuzzConfig(seed=0, iterations=5, parallel_every=0)
+        config = FuzzConfig(seed=0, iterations=5)
         rules = replay_rules() + (_UnsoundSeesSays(),)
         report = run_fuzz(config, replay_rules=rules)
         assert not report.ok
@@ -532,7 +543,6 @@ class TestOracleSelection:
         config = FuzzConfig(
             seed=2,
             iterations=3,
-            parallel_every=0,
             oracles=("engine_replay", "proof_mutation"),
         )
         report = run_fuzz(config)
@@ -545,6 +555,10 @@ class TestOracleSelection:
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown oracle families"):
             run_fuzz(FuzzConfig(iterations=1, oracles=("bogus",)))
+
+    def test_empty_selection_raises(self):
+        with pytest.raises(ValueError, match="no oracle family selected"):
+            FuzzConfig(oracles=())
 
 
 def _skip_first_stratum(system, assumptions, pattern_hide=False,
@@ -582,7 +596,7 @@ class TestGoodrunsFamilyInHarness:
 
     def test_goodruns_campaign_is_green(self):
         config = FuzzConfig(
-            seed=0, iterations=4, parallel_every=0,
+            seed=0, iterations=4,
             oracles=("goodruns_construction",),
         )
         report = run_fuzz(config)
@@ -597,7 +611,7 @@ class TestGoodrunsFamilyInHarness:
             _skip_first_stratum,
         )
         config = FuzzConfig(
-            seed=0, iterations=4, parallel_every=0,
+            seed=0, iterations=4,
             oracles=("goodruns_construction",),
         )
         report = run_fuzz(config)
@@ -785,7 +799,7 @@ class TestShrinkingRowsPlantedBugs:
     ):
         plant(monkeypatch)
         report = run_fuzz(FuzzConfig(
-            seed=0, iterations=iterations, parallel_every=0, oracles=oracles,
+            seed=0, iterations=iterations, oracles=oracles,
         ))
         assert [c.failure.oracle for c in report.counterexamples] == (
             [oracle] * count

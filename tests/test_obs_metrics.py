@@ -3,9 +3,10 @@
 The exporters are pinned first (a byte-exact golden Prometheus
 exposition from hand-built deterministic data, plus line-shape
 validation, label escaping, and JSON round-trip), then the unified
-snapshot's sections, and finally the real consumer: the parallel
-soundness sweep must ship home the same per-schema ``sweep.schema``
-span attributes at ``workers=4`` as at ``workers=1``.
+snapshot's sections, and finally the telemetry hand-off: a soundness
+sweep run in a fresh child context and absorbed by its parent must
+leave the parent the same per-schema ``sweep.schema`` span attributes,
+journal and counters as the same sweep run in the parent directly.
 """
 
 from __future__ import annotations
@@ -131,51 +132,46 @@ SCHEMA_ATTRS = ("schema", "engine", "instances", "points")
 
 
 class TestSweepIntegration:
-    def test_parallel_merge_matches_sequential(self):
-        """workers=4 must merge to the same schema telemetry as workers=1.
+    def test_absorbed_child_matches_direct_run(self):
+        """A child context's ``telemetry()``, absorbed, is lossless.
 
         Each ``sweep.schema`` span carries its schema, engine, instance
-        count and point count; shards ship their spans home in
-        ``telemetry()`` and the parent's ``absorb()`` must be lossless.
+        count and point count; the child ships its spans, journal
+        events and counters home, and the parent's ``absorb()`` must
+        leave it what the same sweep run in the parent leaves.
         """
         from repro.soundness import generate_systems, sweep_systems
 
-        systems = generate_systems(2, base_seed=1)
+        def run(via_child):
+            parent = context.fresh(f"metrics-sweep-{via_child}",
+                                   corr_id=f"req-sweep-{via_child}")
+            with context.use(parent):
+                perf.count("earlier.hit", 3)
+                child = context.fresh("metrics-sweep-child")
+                with context.use(child if via_child else parent):
+                    sweep_systems(generate_systems(2, base_seed=1),
+                                  max_instances_per_schema=20)
+                if via_child:
+                    telemetry = child.telemetry()
+                    assert "earlier.hit" not in telemetry["counters"]
+                    parent.absorb(telemetry)
+            schema_rows = sorted(
+                tuple(s["attrs"][key] for key in SCHEMA_ATTRS)
+                for s in parent.spans.snapshot()
+                if s["name"] == "sweep.schema"
+            )
+            return schema_rows, parent.journal.snapshot(), parent.counters
 
-        def run(workers):
-            ctx = context.fresh(f"metrics-sweep-{workers}")
-            with context.use(ctx):
-                ctx.corr_id = f"req-sweep-{workers}"
-                sweep_systems(systems, max_instances_per_schema=20,
-                              workers=workers)
-                schema_rows = sorted(
-                    tuple(s["attrs"][key] for key in SCHEMA_ATTRS)
-                    for s in ctx.spans.snapshot()
-                    if s["name"] == "sweep.schema"
-                )
-                return schema_rows, ctx.journal.snapshot()
-
-        sequential_rows, sequential_journal = run(1)
-        parallel_rows, parallel_journal = run(4)
+        direct_rows, direct_journal, direct_counters = run(False)
+        child_rows, child_journal, child_counters = run(True)
 
         # Equal multisets of (schema, engine, instances, points) rows.
-        assert parallel_rows == sequential_rows
-        assert sum(row[2] for row in sequential_rows) > 0
-
-        # The parallel journal additionally records one shard_merge
-        # event per shard; every shipped event keeps the parent's
-        # correlation ID.
-        merges = [e for e in parallel_journal if e["kind"] == "shard_merge"]
-        assert merges
-        shipped = [e for e in parallel_journal if e["kind"] != "shard_merge"]
-        for event in shipped:
-            assert event["corr"] == "req-sweep-4"
-        # Kind coverage matches; exact counts may not (each shard
-        # process compiles the systems for itself, so the parallel run
-        # legitimately journals *more* compile events, never fewer).
-        sequential_kinds = [e["kind"] for e in sequential_journal]
-        parallel_kinds = [e["kind"] for e in shipped]
-        assert set(parallel_kinds) == set(sequential_kinds)
-        for kind in set(sequential_kinds):
-            assert (parallel_kinds.count(kind)
-                    >= sequential_kinds.count(kind))
+        assert child_rows == direct_rows
+        assert sum(row[2] for row in direct_rows) > 0
+        # The same events, each under the parent's correlation ID.
+        assert child_journal
+        assert [e["kind"] for e in child_journal] == [
+            e["kind"] for e in direct_journal
+        ]
+        assert {e["corr"] for e in child_journal} == {"req-sweep-True"}
+        assert child_counters == direct_counters

@@ -2,8 +2,9 @@
 
 The recorder is pinned in isolation (timing, percentiles, the
 mark/delta/merge transport contract, derived views), then against its
-real consumer: the parallel soundness sweep must surface exactly the
-same per-schema spans at ``workers=4`` as at ``workers=1``.
+real consumers: a soundness sweep absorbed from a child context must
+surface exactly the same per-schema spans as one run in place, and the
+good-runs construction records one span per stage.
 """
 
 from __future__ import annotations
@@ -171,40 +172,30 @@ class TestViews:
 
 
 class TestSweepSpans:
-    """The telemetry contract of the parallel soundness sweep."""
+    """The span telemetry of the soundness sweep and the construction."""
 
-    def test_workers_4_spans_match_workers_1(self):
+    def test_absorbed_child_spans_match_direct_run(self):
+        from repro import context
         from repro.soundness import generate_systems, sweep_systems
 
-        systems = generate_systems(1, base_seed=0)
-        global_spans.reset()
-        sweep_systems(systems, max_instances_per_schema=8, workers=1)
-        sequential = sorted(
-            s["attrs"]["schema"] for s in global_spans.snapshot()
-            if s["name"] == "sweep.schema"
-        )
-        global_spans.reset()
-        sweep_systems(systems, max_instances_per_schema=8, workers=4)
-        parallel = sorted(
-            s["attrs"]["schema"] for s in global_spans.snapshot()
-            if s["name"] == "sweep.schema"
-        )
-        global_spans.reset()
-        # Every worker's per-schema span is shipped home: the parallel
-        # run shows the same schema coverage, once each, plus the one
-        # parent-side pool span.
-        assert parallel == sequential
-        assert len(sequential) > 0
+        def schema_spans(via_child):
+            parent = context.fresh(f"span-sweep-{via_child}")
+            child = context.fresh("span-sweep-child")
+            with context.use(child if via_child else parent):
+                sweep_systems(generate_systems(1, base_seed=0),
+                              max_instances_per_schema=8)
+            if via_child:
+                parent.absorb(child.telemetry())
+            return sorted(
+                s["attrs"]["schema"] for s in parent.spans.snapshot()
+                if s["name"] == "sweep.schema"
+            )
 
-    def test_parallel_sweep_adds_pool_span(self):
-        from repro.soundness import generate_systems, sweep_systems
-
-        systems = generate_systems(1, base_seed=3)
-        global_spans.reset()
-        sweep_systems(systems, max_instances_per_schema=5, workers=2)
-        names = [s["name"] for s in global_spans.snapshot()]
-        global_spans.reset()
-        assert names.count("sweep.pool") == 1
+        # Every per-schema span the child recorded is shipped home: the
+        # same schema coverage, once each.
+        direct = schema_spans(False)
+        assert schema_spans(True) == direct
+        assert len(direct) == len(set(direct)) > 0
 
     def test_goodruns_stage_spans(self):
         from repro.goodruns import (

@@ -1,11 +1,11 @@
-"""Regression tests for the perf-counter bugs the fuzzer rig surfaced.
+"""Perf-counter regressions and the counter hand-off between contexts.
 
 1. ``hit_rates()`` dropped layers that recorded only misses (a layer
    with 5 misses and 0 hits was absent, though it had a rate of 0.0%).
-2. ``sweep_system(..., workers=N)`` lost the worker processes' perf
-   counters: only ``sweep.parallel_shards`` was counted in the parent,
-   so the parent's snapshot under-reported cache hits/misses for
-   parallel runs.
+2. Work run in a fresh child context reaches its parent only through
+   ``telemetry()`` and ``absorb()``: a sweep absorbed that way must
+   leave the parent the counters and cache peaks of the same sweep run
+   in the parent directly, and the child must ship only its own work.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro import context, perf
 from repro.soundness import GeneratorConfig, generate_system, sweep_system
-from repro.soundness.sweep import _schema_names, _slice_names, _sweep_shard
 from repro.logic.axioms import AXIOMS
 
 
@@ -48,7 +47,7 @@ class TestHitRates:
         assert set(perf.hit_rates()) == {"missonly", "both"}
 
     def test_non_hit_miss_counters_ignored(self):
-        perf.count("sweep.parallel_shards", 7)
+        perf.count("fuzz.iterations", 7)
         assert perf.hit_rates() == {}
 
 
@@ -61,68 +60,46 @@ class TestMergeCounters:
         assert ctx.counters["other.miss"] == 1
 
 
-class TestParallelSweepCounters:
-    def _shards(self, system, workers):
-        names = _schema_names(tuple(AXIOMS.values()))
-        return [(system, group) for group in _slice_names(names, workers)]
-
+class TestSweepCounterHandOff:
     @staticmethod
-    def _eval_memo_events(counters):
-        # compiled_eval is scoped to the per-shard compiled system, so
-        # its counts are identical whichever process runs the shard.
-        # The node-attached structural memos (ops.*) and the term-keyed
-        # layers warm differently depending on whether the system's
-        # terms arrived warm (in-process) or freshly unpickled (worker
-        # process), so only compiled_eval events are comparable.
-        return {
-            event: n for event, n in counters.items()
-            if event.startswith("compiled_eval.")
-        }
+    def _sweep(via_child, instances):
+        """One seed-11 sweep, in a fresh parent that already counted
+        something, or in a child of it whose telemetry it absorbs.
+        Returns the parent and the child's telemetry."""
+        parent = context.fresh(f"counter-sweep-{via_child}")
+        with context.use(parent):
+            perf.count("preexisting.hit", 99)
+            child = context.fresh("counter-sweep-child")
+            with context.use(child if via_child else parent):
+                sweep_system(generate_system(GeneratorConfig(seed=11)),
+                             max_instances_per_schema=instances)
+        telemetry = child.telemetry()
+        if via_child:
+            parent.absorb(telemetry)
+        return parent, telemetry
 
-    def test_parallel_sweep_merges_worker_counters(self):
-        system = generate_system(GeneratorConfig(seed=11))
-        shards = self._shards(system, 2)
+    def test_absorbed_child_counters_match_direct_run(self):
+        # Nothing the child counted is lost, nothing double-counted.
+        direct, _ = self._sweep(False, 12)
+        absorbed, _ = self._sweep(True, 12)
+        assert absorbed.counters == direct.counters
+        assert absorbed.counters.get("compiled_eval.miss", 0) > 0
 
-        # Expected: the same shards executed in-process, sequentially.
-        # Each shard runs in its own ephemeral context and *returns*
-        # its telemetry (no side effect on the caller's table), so the
-        # expected totals are the absorbed shard counters.
-        ctx = context.current()
-        perf.reset_counters()
-        for shard_system, group in shards:
-            _report, telemetry = _sweep_shard(
-                shard_system, group, None, 12, False, 25
-            )
-            ctx.absorb({"counters": telemetry["counters"]})
-        expected = self._eval_memo_events(ctx.counters)
-
-        perf.reset_counters()
-        sweep_system(system, max_instances_per_schema=12, workers=2)
-        assert ctx.counters.get("sweep.parallel_shards") == len(shards)
-        merged = self._eval_memo_events(ctx.counters)
-
-        # Identical totals for the same workload: nothing from the
-        # workers is lost, nothing double-counted on process reuse.
-        assert merged == expected
-        assert sum(merged.values()) > 0
-
-    def test_shard_returns_delta_not_raw_table(self):
-        system = generate_system(GeneratorConfig(seed=11))
-        (shard_system, group) = self._shards(system, 1)[0]
-        perf.count("preexisting.hit", 99)
-        _report, telemetry = _sweep_shard(
-            shard_system, group, None, 5, False, 25
-        )
+    def test_child_telemetry_is_its_own_delta(self):
+        _parent, telemetry = self._sweep(True, 5)
         delta, span_delta = telemetry["counters"], telemetry["spans"]
         assert "preexisting.hit" not in delta
         assert any(event.startswith("compiled_eval.") for event in delta)
-        # The span delta is likewise shard-local: one sweep.schema span
-        # per schema in the slice, nothing from before the mark.
-        assert [s["name"] for s in span_delta].count("sweep.schema") == len(group)
+        # One sweep.schema span per schema, nothing from the parent.
+        assert [s["name"] for s in span_delta].count("sweep.schema") == len(
+            AXIOMS
+        )
 
-    def test_bench_snapshot_includes_worker_counters(self):
-        system = generate_system(GeneratorConfig(seed=4))
-        perf.reset_counters()
-        sweep_system(system, max_instances_per_schema=8, workers=2)
-        snapshot = perf.snapshot()
+    def test_snapshot_includes_absorbed_counters_and_peaks(self):
+        direct, _ = self._sweep(False, 8)
+        absorbed, _ = self._sweep(True, 8)
+        with context.use(absorbed):
+            snapshot = perf.snapshot()
         assert snapshot["counters"].get("compiled_eval.miss", 0) > 0
+        assert snapshot["cache_peaks"] == direct.cache_peaks
+        assert snapshot["cache_peaks"].get("compiled_eval", 0) > 0

@@ -37,7 +37,6 @@ from repro.fuzz.oracles import (
     check_compiled_differential,
     sample_formulas,
     sample_points,
-    sweep_fingerprint,
 )
 from repro.logic.axioms import Schema
 from repro.model import Interpretation, RunBuilder, system_of
@@ -83,6 +82,7 @@ from tests.strategies import (
     VOCAB,
     formulas,
     principals,
+    sweep_fingerprint,
 )
 from repro.terms.messages import encrypted, group
 

@@ -143,6 +143,8 @@ class TestRoundTrip:
                 ({"kind": "protocol"}, "protocol"),
                 ({"kind": "system", "formula": "((("}, "ParseError"),
                 ({"kind": "protocol", "protocol": "no-such"}, "unknown"),
+                (dict(SMALL_SYSTEM, point={"run": "run-1", "time": True}),
+                 "'point'"),
             ):
                 status, body = await _post(payload, host, port)
                 assert status == 400, body

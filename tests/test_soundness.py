@@ -1,7 +1,9 @@
 """Tests for the soundness harness: generators, sweep, incompleteness, audit."""
 
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +12,11 @@ import pytest
 
 import repro
 from repro.logic import paper_schemas, schema
-from repro.model import check_run
+from repro.model import RunBuilder, check_run, system_of
 from repro.protocols import forwarding, kerberos
 from repro.semantics import GoodRunVector
 from repro.soundness import (
+    DEFAULT_MAX_INSTANCES_PER_SCHEMA,
     GeneratorConfig,
     audit_protocol,
     check_incompleteness,
@@ -24,7 +27,35 @@ from repro.soundness import (
     sweep_system,
     sweep_systems,
 )
-from repro.terms import Key, Nonce, Principal, Says
+from repro.terms import (
+    Key,
+    Nonce,
+    Principal,
+    Says,
+    Vocabulary,
+    encrypted,
+    group,
+)
+from tests.strategies import sweep_fingerprint
+
+
+def _a11_violation_system():
+    """The documented A11 nesting counterexample: B sends A a ciphertext
+    A can open whose body nests one A cannot."""
+    vocab = Vocabulary()
+    A, B = vocab.principals("A", "B")
+    K1, K2 = vocab.keys("K1", "K2")
+    N1, N2, N3 = vocab.nonces("N1", "N2", "N3")
+
+    def build(name, inner):
+        builder = RunBuilder([A, B], keysets={A: [K1], B: [K1, K2]})
+        builder.send(
+            B, encrypted(group(N1, encrypted(inner, K2, B)), K1, B), A
+        )
+        builder.receive(A)
+        return builder.build(name)
+
+    return system_of([build("r1", N2), build("r2", N3)], vocabulary=vocab)
 
 
 class TestGenerators:
@@ -50,6 +81,14 @@ class TestGenerators:
     def test_generate_systems_count(self):
         systems = generate_systems(3, base_seed=10)
         assert len(systems) == 3
+
+    def test_generated_systems_are_picklable(self):
+        # Built-in interpretations carry data, not closures.
+        system = generate_system(GeneratorConfig(seed=1))
+        revived = pickle.loads(pickle.dumps(system))
+        assert [run.name for run in revived.runs] == [
+            run.name for run in system.runs
+        ]
 
     def test_draws_ignore_received_set_iteration_order(self, monkeypatch):
         """A received set that iterates in another order (as term
@@ -177,30 +216,45 @@ class TestSweep:
     def test_a11_nesting_counterexample_detected(self):
         """The documented caveat: A11 with an opaque (nested-unreadable)
         body is falsifiable; the sweep classifies it as non-essential."""
-        from repro.model import RunBuilder, system_of
-        from repro.terms import Vocabulary, encrypted, group
-
-        vocab = Vocabulary()
-        A, B = vocab.principals("A", "B")
-        K1, K2 = vocab.keys("K1", "K2")
-        N1, N2, N3 = vocab.nonces("N1", "N2", "N3")
-
-        def build(name, inner):
-            builder = RunBuilder([A, B], keysets={A: [K1], B: [K1, K2]})
-            builder.send(
-                B, encrypted(group(N1, encrypted(inner, K2, B)), K1, B), A
-            )
-            builder.receive(A)
-            return builder.build(name)
-
-        system = system_of([build("r1", N2), build("r2", N3)],
-                           vocabulary=vocab)
-        report = sweep_system(system, schemas=(schema("A11"),),
+        report = sweep_system(_a11_violation_system(),
+                              schemas=(schema("A11"),),
                               max_instances_per_schema=200)
         a11 = report.per_schema["A11"]
         assert a11.violations, "expected the nesting counterexample"
         assert all(v.transparent_body is False for v in a11.violations)
         assert not a11.essential_violations
+
+
+class TestForwardingFixes:
+    def test_sweep_systems_forwards_max_violations(self):
+        system = _a11_violation_system()
+        schemas = (schema("A11"),)
+        capped = sweep_systems([system], schemas=schemas,
+                               max_instances_per_schema=100,
+                               max_violations_per_schema=1)
+        uncapped = sweep_systems([system], schemas=schemas,
+                                 max_instances_per_schema=100)
+        assert len(capped.per_schema["A11"].violations) == 1
+        assert len(uncapped.per_schema["A11"].violations) > 1
+
+    def test_sweep_systems_forwards_goodruns(self):
+        # A trusting good-run vector restricts belief; forwarding it
+        # must produce the same report as the per-system call.
+        system = generate_system(GeneratorConfig(seed=5))
+        principal = system.principals()[0]
+        vector = GoodRunVector.of({principal: [system.runs[0].name]})
+        via_systems = sweep_systems([system], goodruns=vector,
+                                    max_instances_per_schema=10)
+        direct = sweep_system(system, goodruns=vector,
+                              max_instances_per_schema=10)
+        assert sweep_fingerprint(via_systems) == sweep_fingerprint(direct)
+
+    def test_unified_default_instances(self):
+        for fn in (sweep_system, sweep_systems):
+            default = inspect.signature(fn).parameters[
+                "max_instances_per_schema"
+            ].default
+            assert default == DEFAULT_MAX_INSTANCES_PER_SCHEMA
 
 
 class TestIncompleteness:
