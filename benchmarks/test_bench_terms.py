@@ -83,8 +83,9 @@ def test_bench_interned_reconstruction(benchmark):
 def test_bench_fresh_atom_construction(benchmark):
     """Cold-path cost: constructing (and interning) a fresh atom.
 
-    Names cycle so the weak table keeps none of them alive; this prices
-    the intern layer's overhead on never-repeated terms.
+    Names never repeat, so every call misses (the table keeps each atom
+    until its memo cap clears it); this prices the intern layer's
+    overhead on never-repeated terms.
     """
     counter = iter(range(10**9))
     benchmark(lambda: Nonce(f"cold{next(counter)}"))

@@ -53,6 +53,10 @@ Commands
 
 ``experiments``
     Run all experiment assertions E1-E14 and print a summary line each.
+
+Counts and sizes (``--systems``, ``--instances``, ``--iterations``,
+``--workers``, ``--queue-size``) below 1 and a ``--timeout`` not above 0
+exit 2 before any work starts, file is written or port is bound.
 """
 
 from __future__ import annotations
@@ -335,6 +339,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(cast):
+    """An argparse ``type=``: ``cast``, then reject values not above 0."""
+    def convert(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    convert.__name__ = cast.__name__  # argparse names it in "invalid int"
+    return convert
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -342,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     backends = backend_names()
+    count = _positive(int)
 
     sub.add_parser("corpus", help="render the E10 findings table")
 
@@ -353,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     analyze_parser.add_argument("--certify", metavar="GOAL", default=None)
 
     sweep_parser = sub.add_parser("sweep", help="empirical Theorem 1 (E3)")
-    sweep_parser.add_argument("--systems", type=int, default=3)
-    sweep_parser.add_argument("--instances", type=int, default=60)
+    sweep_parser.add_argument("--systems", type=count, default=3)
+    sweep_parser.add_argument("--instances", type=count, default=60)
     sweep_parser.add_argument("--seed", type=int, default=0)
     sweep_parser.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled",
@@ -368,8 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     obs_parser = sub.add_parser(
         "obs", help="export the unified telemetry snapshot"
     )
-    obs_parser.add_argument("--systems", type=int, default=3)
-    obs_parser.add_argument("--instances", type=int, default=60)
+    obs_parser.add_argument("--systems", type=count, default=3)
+    obs_parser.add_argument("--instances", type=count, default=60)
     obs_parser.add_argument("--seed", type=int, default=0)
     obs_parser.add_argument(
         "--engine", choices=["compiled", "interpreted"], default="compiled",
@@ -394,14 +411,14 @@ def main(argv: list[str] | None = None) -> int:
     trace_parser = sub.add_parser(
         "trace", help="explanation-trace schema instances over systems"
     )
-    trace_parser.add_argument("--systems", type=int, default=1)
+    trace_parser.add_argument("--systems", type=count, default=1)
     trace_parser.add_argument("--seed", type=int, default=0)
     trace_parser.add_argument(
         "--schema", default=None,
         help="trace one axiom schema (default: all registered schemas)",
     )
     trace_parser.add_argument(
-        "--instances", type=int, default=2,
+        "--instances", type=count, default=2,
         help="instances per schema to trace (each at every point)",
     )
     trace_parser.add_argument(
@@ -422,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         formatter_class=_FuzzHelp,
     )
     fuzz_parser.add_argument("--seed", type=int, default=0)
-    fuzz_parser.add_argument("--iterations", type=int, default=200)
+    fuzz_parser.add_argument("--iterations", type=count, default=200)
     fuzz_parser.add_argument(
         "--report", default="FUZZ_report.json",
         help="where to write the JSON campaign report",
@@ -445,11 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8642)
     serve_parser.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=count, default=2,
         help="concurrent analysis workers (default: 2)",
     )
     serve_parser.add_argument(
-        "--queue-size", type=int, default=64,
+        "--queue-size", type=count, default=64,
         help="admission queue bound; beyond it requests get 429",
     )
     serve_parser.add_argument(
@@ -457,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         help="max same-system requests batched into one engine context",
     )
     serve_parser.add_argument(
-        "--timeout", type=float, default=30.0,
+        "--timeout", type=_positive(float), default=30.0,
         help="per-request execution timeout in seconds",
     )
     serve_parser.add_argument(

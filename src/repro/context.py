@@ -28,11 +28,11 @@ operational:
   share no counters, spans, or cache entries (per-iteration contexts
   in the fuzzer, per-batch contexts in the daemon).
 * **Memory bounds** — an ephemeral context is dropped wholesale when
-  its workload ends, the context-owned memos carry an entry cap with
-  wholesale-clear eviction (``<layer>.evict`` counters), and the span
-  buffer and the journal are rings that drop (and count) their oldest
-  entries, so a long-lived serving process — whose root context absorbs
-  every request's telemetry — cannot accumulate unbounded state.
+  its workload ends, its intern table and memos carry an entry cap with
+  wholesale-clear eviction (:func:`evict`), and the span buffer and the
+  journal are rings that drop (and count) their oldest entries, so a
+  long-lived serving process — whose root context absorbs every
+  request's telemetry — cannot accumulate unbounded state.
 * **Honest telemetry** — a fuzz iteration or a serve batch runs in a
   fresh context and ships the *whole* context's
   :meth:`EngineContext.telemetry` home for the parent to
@@ -65,9 +65,8 @@ import threading
 import weakref
 from typing import Any, Mapping
 
-#: Default entry cap for each context-owned memo dict.  On overflow the
-#: memo is cleared wholesale (O(1) amortized, no LRU bookkeeping on the
-#: hot path) and an ``<layer>.evict`` counter is incremented.
+#: Default entry cap for the intern table and each context-owned memo
+#: dict.  On overflow the table is cleared wholesale (:func:`evict`).
 DEFAULT_MEMO_CAP = 1 << 17
 
 _NAME_LOCK = threading.Lock()
@@ -80,16 +79,28 @@ def _next_name(prefix: str) -> str:
         return f"{prefix}-{_NAME_COUNTER[0]}"
 
 
+def evict(table: dict, layer: str, cap: int) -> None:
+    """The one eviction policy of context-owned tables: clear ``table``
+    (full at ``cap``) wholesale, count ``<layer>.evict`` and journal a
+    ``cache_evict`` event.  Crude, but O(1) amortized and free of LRU
+    bookkeeping on the hot path; the entries are cheap to rebuild."""
+    ctx = current()
+    counters = ctx.counters
+    event = layer + ".evict"
+    counters[event] = counters.get(event, 0) + 1
+    ctx.journal.record(
+        "cache_evict", corr=ctx.corr_id,
+        layer=layer, entries=len(table), cap=cap,
+    )
+    table.clear()
+
+
 class BoundedMemo(dict):
     """A memo dict with an entry cap and wholesale-clear eviction.
 
     The pre-context memos (``_HIDE_MEMO``, ``_SEEN_MEMO``) held strong
-    references to terms forever, defeating the weak intern table in
-    long-lived processes.  A bounded memo clears itself completely when
-    it would exceed ``cap`` — crude, but O(1), allocation-free on the
-    hot path, and exactly the right trade for memos whose entries are
-    cheap to recompute.  Evictions are counted in the current context's
-    counters under ``<layer>.evict``.
+    references to terms forever.  A bounded memo instead goes through
+    :func:`evict` when an insert would exceed ``cap``.
     """
 
     __slots__ = ("layer", "cap")
@@ -101,15 +112,7 @@ class BoundedMemo(dict):
 
     def __setitem__(self, key: Any, value: Any) -> None:
         if len(self) >= self.cap and key not in self:
-            ctx = current()
-            counters = ctx.counters
-            event = self.layer + ".evict"
-            counters[event] = counters.get(event, 0) + 1
-            ctx.journal.record(
-                "cache_evict", corr=ctx.corr_id,
-                layer=self.layer, entries=len(self), cap=self.cap,
-            )
-            self.clear()
+            evict(self, self.layer, self.cap)
         super().__setitem__(key, value)
 
     def __reduce__(self):  # pragma: no cover - memos are never shipped
@@ -121,7 +124,7 @@ class EngineContext:
 
     Owns, per instance:
 
-    * ``intern_table`` — the weak canonical-term table
+    * ``intern_table`` — the canonical-term table, a capped plain dict
       (:mod:`repro.terms.intern` resolves it via :func:`current`);
     * ``hide_memo`` / ``seen_memo`` — the semantic-kernel memos, entry
       capped (:class:`BoundedMemo`);
@@ -166,9 +169,7 @@ class EngineContext:
         self.name = name if name is not None else _next_name("ctx")
         self.memo_cap = memo_cap
         self.corr_id = corr_id
-        self.intern_table: "weakref.WeakValueDictionary[tuple, Any]" = (
-            weakref.WeakValueDictionary()
-        )
+        self.intern_table: dict[tuple, Any] = {}
         self.hide_memo = BoundedMemo("hide", memo_cap)
         self.seen_memo = BoundedMemo("seen_submsgs", memo_cap)
         self.counters: dict[str, int] = {}

@@ -1,7 +1,7 @@
 """Hash-consing for the term language (maximal structural sharing).
 
 Every term constructor routes through :class:`InternMeta`, which keeps
-one canonical instance per structurally-distinct term in a weak intern
+one canonical instance per structurally-distinct term in an intern
 table.  The payoff, for a symbolic workload whose memo tables all key
 on terms, is threefold:
 
@@ -30,10 +30,10 @@ through their constructors, so terms arriving from another process
 are re-interned into the *receiving* context's table — and re-hashed,
 which matters because Python string hashing is per-process randomized.
 
-The table holds *weak* references: terms no longer referenced anywhere
-else are garbage-collected normally, so long-lived processes do not
-accumulate every term they ever built.  ``repro.perf.clear_caches()``
-empties the current context's table explicitly.
+The table is a plain dict the context owns, capped at ``memo_cap``
+entries and cleared wholesale on overflow (:func:`repro.context.evict`).
+A term built before an eviction (or ``repro.perf.clear_caches()``)
+stays equal and hash-equal to its rebuild, just not the same object.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class InternMeta(type):
                 return canonical
         counters["intern.miss"] = counters.get("intern.miss", 0) + 1
         object.__setattr__(obj, "_hash", hash(key))
+        if len(table) >= ctx.memo_cap:
+            _context.evict(table, "intern", ctx.memo_cap)
         table[key] = obj
         return obj
 

@@ -38,6 +38,60 @@ class TestCLI:
         assert exited.value.code == 2
         assert "belief" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--systems", "1", "--instances", "-1"],
+        ["sweep", "--systems", "-2"],
+        ["sweep", "--systems", "0"],
+        ["sweep", "--instances", "0"],
+        ["obs", "--systems", "0", "--output", "OUT"],
+        ["obs", "--instances", "-1", "--output", "OUT"],
+        ["trace", "--systems", "-1", "--output", "OUT"],
+        ["trace", "--instances", "0", "--output", "OUT"],
+        ["fuzz", "--iterations", "-1", "--report", "OUT"],
+        ["fuzz", "--iterations", "0", "--report", "OUT"],
+    ])
+    def test_count_below_one_is_a_usage_error(self, argv, tmp_path, capsys):
+        # A run over no systems, instances or iterations checks nothing:
+        # argparse rejects it before any work starts or file is written.
+        out_path = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([str(out_path) if arg == "OUT" else arg for arg in argv])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be positive" in captured.err and captured.out == ""
+        assert not out_path.exists()
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The configs a stubbed ``run_daemon`` was started with."""
+        configs = []
+
+        async def run_daemon(config):
+            configs.append(config)
+
+        monkeypatch.setattr("repro.serve.run_daemon", run_daemon)
+        return configs
+
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"], ["--workers", "-3"], ["--queue-size", "0"],
+        ["--timeout", "0"], ["--timeout", "-1"], ["--timeout", "nan"],
+    ])
+    def test_serve_sizing_that_cannot_answer_is_a_usage_error(
+        self, flags, started, capsys
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", *flags])
+        assert exited.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert started == []  # no daemon started, no port bound
+
+    def test_serve_takes_the_smallest_sizes(self, started):
+        assert main(["serve", "--workers", "1", "--queue-size", "1",
+                     "--timeout", "0.5"]) == 0
+        (config,) = started
+        assert (config.workers, config.queue_size,
+                config.request_timeout_s) == (1, 1, 0.5)
+
     def test_cointoss(self, capsys):
         assert main(["cointoss"]) == 0
         out = capsys.readouterr().out

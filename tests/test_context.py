@@ -6,14 +6,16 @@ The PR 5 acceptance bar, as tests:
   counters, spans, and cache entries, and the **same verdicts** as a
   sequential run;
 * pickled terms re-intern into the *receiving* context;
-* :class:`~repro.context.BoundedMemo` enforces its cap and counts
-  evictions;
+* :class:`~repro.context.BoundedMemo` and the intern table enforce
+  their cap and count evictions, and the intern table holds its terms
+  for the context's life;
 * ``use()`` nests and restores correctly, and code that never mentions
   contexts keeps hitting the process-default tables.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import threading
 
@@ -144,6 +146,43 @@ class TestBoundedMemo:
             memo["a"] = 3  # in-place update at cap: no eviction
             assert len(memo) == 2
             assert "seen_submsgs.evict" not in ctx.counters
+
+
+class TestInternTable:
+    def test_table_holds_its_terms_for_the_context_life(self):
+        with context.scoped("intern-owned") as ctx:
+            body, key, sender = Nonce("N1"), Key("K"), Principal("P")
+            term = Encrypted(body, key, sender)
+            size = len(ctx.intern_table)
+            del term  # no reference outside the table is left
+            gc.collect()
+            assert len(ctx.intern_table) == size
+            hits = ctx.counters.get("intern.hit", 0)
+            misses = ctx.counters["intern.miss"]
+            Encrypted(body, key, sender)
+            assert ctx.counters["intern.hit"] == hits + 1
+            assert ctx.counters["intern.miss"] == misses
+
+    def test_insert_at_cap_evicts_wholesale(self):
+        cap = 4
+        with context.scoped("intern-cap", memo_cap=cap) as ctx:
+            kept = [Nonce(f"N{i}") for i in range(cap)]
+            assert len(ctx.intern_table) == cap
+            assert "intern.evict" not in ctx.counters
+            kept.append(Nonce("N-over"))  # the insert that would exceed it
+            assert len(ctx.intern_table) == 1
+            assert ctx.counters["intern.evict"] == 1
+            events = [
+                (e["attrs"]["layer"], e["attrs"]["entries"])
+                for e in ctx.journal.snapshot() if e["kind"] == "cache_evict"
+            ]
+            assert events == [("intern", cap)]
+            for i in range(2 * cap):
+                kept.append(Nonce(f"M{i}"))
+                assert len(ctx.intern_table) <= ctx.memo_cap
+            early, rebuilt = kept[0], Nonce("N0")
+            assert rebuilt == early and hash(rebuilt) == hash(early)
+            assert rebuilt is not early
 
 
 class TestSweepIsolation:

@@ -87,8 +87,8 @@ class TestInterning:
     def test_intern_stats_shape(self):
         stats = intern_stats()
         assert set(stats) == {"size", "hits", "misses"}
-        keep_alive = Nonce("stats-probe")  # noqa: F841 — holds the weak entry
-        assert Nonce("stats-probe") is keep_alive
+        first = Nonce("stats-probe")
+        assert Nonce("stats-probe") is first  # a hit: the canonical instance
         assert intern_stats()["hits"] > stats["hits"]
 
 
