@@ -55,8 +55,9 @@ Commands
     Run all experiment assertions E1-E14 and print a summary line each.
 
 Counts and sizes (``--systems``, ``--instances``, ``--iterations``,
-``--workers``, ``--queue-size``) below 1 and a ``--timeout`` not above 0
-exit 2 before any work starts, file is written or port is bound.
+``--workers``, ``--queue-size``) below 1, a ``--timeout`` not above 0
+and a ``serve --port`` outside 0-65535 exit 2 before any work starts,
+file is written or port is bound.
 """
 
 from __future__ import annotations
@@ -328,8 +329,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        queue_size=args.queue_size, max_batch=args.max_batch,
-        request_timeout_s=args.timeout,
+        queue_size=args.queue_size, request_timeout_s=args.timeout,
         default_backend=args.backend,
     )
     try:
@@ -349,6 +349,18 @@ def _positive(cast):
 
     convert.__name__ = cast.__name__  # argparse names it in "invalid int"
     return convert
+
+
+def _port(text: str) -> int:
+    """An argparse ``type=`` for a TCP port; 0 asks for an ephemeral one."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be within 0-65535, got {text}")
+    return value
+
+
+_port.__name__ = "int"  # argparse names it in "invalid int"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -460,7 +472,10 @@ def main(argv: list[str] | None = None) -> int:
         "serve", help="run the analysis daemon (HTTP over asyncio)"
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8642)
+    serve_parser.add_argument(
+        "--port", type=_port, default=8642,
+        help="TCP port, 0-65535; 0 binds an ephemeral port (default: 8642)",
+    )
     serve_parser.add_argument(
         "--workers", type=count, default=2,
         help="concurrent analysis workers (default: 2)",
@@ -468,10 +483,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--queue-size", type=count, default=64,
         help="admission queue bound; beyond it requests get 429",
-    )
-    serve_parser.add_argument(
-        "--max-batch", type=int, default=8,
-        help="max same-system requests batched into one engine context",
     )
     serve_parser.add_argument(
         "--timeout", type=_positive(float), default=30.0,

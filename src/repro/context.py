@@ -26,18 +26,19 @@ operational:
 
 * **Isolation** — two sweeps or fuzz campaigns under separate contexts
   share no counters, spans, or cache entries (per-iteration contexts
-  in the fuzzer, per-batch contexts in the daemon).
+  in the fuzzer, per-request contexts in the daemon).
 * **Memory bounds** — an ephemeral context is dropped wholesale when
   its workload ends, its intern table and memos carry an entry cap with
   wholesale-clear eviction (:func:`evict`), and the span buffer and the
   journal are rings that drop (and count) their oldest entries, so a
   long-lived serving process — whose root context absorbs every
   request's telemetry — cannot accumulate unbounded state.
-* **Honest telemetry** — a fuzz iteration or a serve batch runs in a
+* **Honest telemetry** — a fuzz iteration or a serve request runs in a
   fresh context and ships the *whole* context's
   :meth:`EngineContext.telemetry` home for the parent to
-  :meth:`EngineContext.absorb`; no mark/delta bookkeeping against a
-  shared table.
+  :meth:`EngineContext.absorb`.  That is the one way a unit of work
+  reports what it did: nothing reads a delta off a shared table, span
+  buffer or journal.
 
 Cross-context terms stay correct by construction: canonical instances
 are per-context, but term ``__eq__``/``__hash__`` fall back to
@@ -143,7 +144,7 @@ class EngineContext:
       per-instance truth memos.
 
     Contexts are cheap: creating one allocates a handful of empty
-    containers, which is what makes per-iteration and per-batch
+    containers, which is what makes per-iteration and per-request
     ephemeral contexts viable.
     """
 
@@ -228,7 +229,7 @@ class EngineContext:
         ``counters``, ``spans``, ``journal`` (events) and ``cache_peaks``
         (the current cache sizes are maxed in first).  An ephemeral
         context starts empty, so its whole telemetry *is* the delta a
-        fuzz iteration or serve batch ships home to the parent's
+        fuzz iteration or serve request ships home to the parent's
         :meth:`absorb`.
         """
         from repro import perf

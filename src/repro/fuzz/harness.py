@@ -4,8 +4,8 @@ One iteration = one seeded workload: generate a well-formed base
 system, then run the enabled rows of the oracle table :data:`ROWS`
 over it in table order, which is the order they draw from the
 iteration's RNG.  A row is one function of the iteration's
-:class:`Workload`; one loop does every row's bookkeeping — a
-``fuzz.<oracle>`` span, its ``oracle_checks`` counts, one
+:class:`Workload`; one loop does the bookkeeping of every row that
+ran — a ``fuzz.<oracle>`` span, its ``oracle_checks`` counts, one
 ``oracle_verdict`` journal event, and its counterexamples.  Failures
 are greedily shrunk before being recorded, so the report carries
 minimal reproductions, not raw random noise.
@@ -684,7 +684,7 @@ def run_fuzz(
         command="fuzz", seed=config.seed, iterations=config.iterations,
         oracles=sorted(enabled), backend=config.backend,
     )
-    span_mark = spans.mark()
+    iteration_spans: list[dict] = []
     started = time.perf_counter()
     for iteration in range(config.iterations):
         # Each iteration runs in an ephemeral engine context: its
@@ -692,7 +692,9 @@ def run_fuzz(
         # dropped wholesale when the workload ends (bounding memory for
         # long campaigns), while its telemetry (counters, spans,
         # journal events, cache peaks) is absorbed into the caller's
-        # context so campaign telemetry stays whole.  The deterministic
+        # context so campaign telemetry stays whole.  The report's span
+        # summary is built from the iterations' own telemetry, not read
+        # back from the caller's bounded buffer.  The deterministic
         # correlation ID ties an iteration's journal events, span
         # attributes, and counterexamples together — and keeps reports
         # bit-reproducible per seed.
@@ -712,12 +714,14 @@ def run_fuzz(
                 for example in fresh_examples:
                     example.corr_id = corr_id
                     example.journal = events
-        context.current().absorb(iter_ctx.telemetry())
+        telemetry = iter_ctx.telemetry()
+        context.current().absorb(telemetry)
+        iteration_spans.extend(telemetry["spans"])
         report.iterations += 1
         if progress is not None:
             progress(report)
     report.elapsed_s = time.perf_counter() - started
-    report.spans = summarize(spans.delta_since(span_mark))
+    report.spans = summarize(iteration_spans)
     return report
 
 
@@ -737,10 +741,11 @@ def _fuzz_iteration(
     for family, oracle, row in ROWS:
         if family not in enabled:
             continue
-        with spans.span(f"fuzz.{oracle}"):
-            verdict = row(work)
+        row_started = time.perf_counter()
+        verdict = row(work)
         if verdict is None:
             continue
+        spans.record(f"fuzz.{oracle}", time.perf_counter() - row_started)
         for key, n in verdict.checks.items():
             report.count_check(key, n)
         journal.record("oracle_verdict", oracle=oracle,

@@ -19,7 +19,7 @@ Design points, mirroring ``spans``:
 * **Plain data** — events are dicts (``seq``/``ts``/``kind``/``corr``
   plus free-form attributes), so they pickle, merge across processes,
   and serialize to JSONL without machinery.
-* **Shipped, not shared** — a fuzz iteration or serve batch records
+* **Shipped, not shared** — a fuzz iteration or serve request records
   into its ephemeral context's journal, whose events travel home in
   ``EngineContext.telemetry()`` with its counters and spans; the
   parent's ``absorb()`` appends them to its own ring.
@@ -31,8 +31,8 @@ context; ephemeral contexts created with :func:`repro.context.fresh`
 inherit the creator's ID, so one logical request keeps one ID across
 threads and throwaway contexts.  Span attributes are stamped with
 the same ID (see :func:`repro.obs.spans.span`), which is the
-per-request provenance contract the future ``repro.serve`` daemon
-builds on: one ``corr`` selects a request's events, spans, and
+per-request provenance contract the ``repro.serve`` daemon builds
+on: one ``corr`` selects a request's events, spans, and
 counterexamples out of any merged stream.
 """
 
@@ -93,28 +93,8 @@ class Journal:
 
     # -- transport (the telemetry hand-off contract) --------------------------
 
-    def mark(self) -> int:
-        """A position in the event stream; pair with :meth:`delta_since`.
-
-        Positions are sequence numbers, not buffer indices, so a mark
-        stays meaningful even after the ring wraps past it.
-        """
-        with self._lock:
-            return self._seq
-
-    def delta_since(self, mark: int) -> list[dict[str, Any]]:
-        """Every *retained* event recorded after ``mark``, as plain data.
-
-        Events that wrapped out of the ring between ``mark`` and now are
-        gone — by design; :attr:`dropped` keeps the honest count.
-        """
-        with self._lock:
-            return [
-                dict(event) for event in self._ring if event["seq"] > mark
-            ]
-
     def merge(self, events: Iterable[Mapping[str, Any]]) -> None:
-        """Fold another context's journal delta into this ring.
+        """Fold another context's journal events into this ring.
 
         Merged events keep their original ``seq``/``ts``/``corr`` — the
         correlation ID, not the local sequence, is what ties a merged

@@ -12,10 +12,11 @@ Design points, mirroring ``perf``:
 * **Zero dependencies** — stdlib only, importable from anywhere.
 * **Thread-safe** — buffer appends take a lock; the timing itself is
   lock-free (``time.perf_counter`` before/after).
-* **Shipped, not shared** — a fuzz iteration or serve batch records
+* **Shipped, not shared** — a fuzz iteration or serve request records
   spans into its ephemeral context's buffer, which travels home as
   plain data in ``EngineContext.telemetry()``; the parent's
-  ``absorb()`` appends it.
+  ``absorb()`` appends it.  A unit of work never slices a shared
+  buffer: its own context's buffer is its whole story.
 * **Coarse-grained by convention** — spans wrap phases (a schema sweep,
   a good-runs stage, a fuzz iteration), not individual ``_eval`` calls;
   buffers stay small and summaries stay meaningful.  The per-formula
@@ -38,7 +39,6 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from itertools import islice
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro import context as _context
@@ -58,8 +58,6 @@ class SpanRecorder:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._buffer: deque[dict[str, Any]] = deque(maxlen=CAPACITY)
-        #: Spans ever appended: the sequence number of the newest one.
-        self._seq = 0
         self.dropped = 0
 
     def _append(self, sample: dict[str, Any]) -> None:
@@ -67,7 +65,6 @@ class SpanRecorder:
         if len(self._buffer) == CAPACITY:
             self.dropped += 1
         self._buffer.append(sample)
-        self._seq += 1
 
     # -- recording -----------------------------------------------------------
 
@@ -101,23 +98,6 @@ class SpanRecorder:
         self.record(name, 0.0, **attrs)
 
     # -- transport (the telemetry hand-off contract) --------------------------
-
-    def mark(self) -> int:
-        """A sequence number; pair with :meth:`delta_since`.
-
-        Sequence numbers, not buffer indices, so a mark stays meaningful
-        after the buffer drops spans from its front.
-        """
-        with self._lock:
-            return self._seq
-
-    def delta_since(self, mark: int) -> list[dict[str, Any]]:
-        """Every *retained* span recorded after ``mark``, as plain
-        picklable data (spans dropped since are gone)."""
-        with self._lock:
-            newer = min(self._seq - mark, len(self._buffer))
-            start = len(self._buffer) - newer
-            return [dict(sample) for sample in islice(self._buffer, start, None)]
 
     def merge(self, samples: Iterable[Mapping[str, Any]]) -> None:
         """Append another context's span samples (copied) to this buffer."""
@@ -191,7 +171,7 @@ def _stamp_corr(attrs: dict[str, Any]) -> dict[str, Any]:
     The same ID lands on journal events (:mod:`repro.obs.journal`), so
     one ``corr`` value selects a request's spans *and* events out of
     any merged telemetry stream — the provenance contract fuzz
-    counterexamples and the future serve daemon rely on.
+    counterexamples and the serve daemon rely on.
     """
     corr = _context.current().corr_id
     if corr is not None:
@@ -209,14 +189,6 @@ def record(name: str, seconds: float, **attrs: Any) -> None:
 
 def event(name: str, **attrs: Any) -> None:
     recorder().event(name, **_stamp_corr(attrs))
-
-
-def mark() -> int:
-    return recorder().mark()
-
-
-def delta_since(position: int) -> list[dict[str, Any]]:
-    return recorder().delta_since(position)
 
 
 def snapshot() -> tuple[dict[str, Any], ...]:

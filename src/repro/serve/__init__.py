@@ -1,10 +1,10 @@
 """Serving layer: the analysis daemon and its wire protocol.
 
 ``python -m repro serve`` boots :class:`AnalysisDaemon`, an asyncio
-HTTP daemon that runs analysis requests in scoped engine contexts with
-bounded concurrency, request batching over shared compiled systems,
-per-request correlation IDs and telemetry, and graceful drain on
-shutdown.  See :mod:`repro.serve.daemon` for the concurrency story and
+HTTP daemon that runs each analysis request in its own fresh engine
+context with bounded concurrency, per-request correlation IDs and
+telemetry, and graceful drain on shutdown.  See
+:mod:`repro.serve.daemon` for the concurrency story and
 :mod:`repro.serve.requests` for the request schema.
 """
 

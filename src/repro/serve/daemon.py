@@ -1,33 +1,35 @@
 """The analysis daemon: bounded concurrency over scoped engine contexts.
 
 ``python -m repro serve`` runs an asyncio HTTP daemon that accepts
-analysis requests (:mod:`repro.serve.requests`), executes each inside a
-*scoped* :class:`~repro.context.EngineContext` with a unique
-correlation ID, and answers with the verdict plus a per-request
-telemetry slice.  The concurrency story, end to end:
+analysis requests (:mod:`repro.serve.requests`), executes each inside
+its own fresh :class:`~repro.context.EngineContext` under a unique
+correlation ID, and answers with the verdict plus that context's
+telemetry.  The concurrency story, end to end:
 
-* **Backpressure** — accepted requests enter a bounded queue; when it
-  is full the daemon answers 429 immediately instead of buffering
-  (memory stays bounded no matter how fast clients push).
-* **Batching** — the dispatcher drains consecutive queued requests
-  that target the *same* interned system (equal ``system_key``) into
-  one batch sharing one engine context, so the batch shares a single
-  warm ``compiled_systems`` entry (visible as a nonzero
-  ``compiled_eval.hit``/``system_hit`` rate).
+* **Backpressure** — accepted requests enter a bounded
+  :class:`asyncio.Queue`; when it is full the daemon answers 429
+  immediately instead of buffering (memory stays bounded no matter how
+  fast clients push).
+* **One context per request** — a worker takes one request at a time
+  and runs it in a fresh engine context, which is dropped wholesale
+  when the request completes.  Only the daemon-level model caches
+  (generated systems, protocol reports) outlive a request.
 * **Timeouts & cancellation** — each request runs in a worker thread
   under ``asyncio.wait_for``; on timeout the client gets 408 and the
-  batch context is *abandoned, not absorbed* — the timed-out thread
-  may still be writing into it, so its telemetry is forfeit rather
-  than racily merged (counted as ``serve.context_abandoned``).
+  request's context is *abandoned, not absorbed* — the timed-out
+  thread may still be writing into it, so its telemetry is forfeit
+  rather than racily merged (counted as ``serve.context_abandoned``).
 * **Correlation** — every accepted request is stamped a fresh
-  ``journal.new_corr_id()``; contexts created for its execution carry
-  that ID explicitly (never inherited from a sibling — see
+  ``journal.new_corr_id()``; the context created for its execution
+  carries that ID explicitly (never inherited from a sibling — see
   :func:`repro.context.fresh`).
+* **Per-request telemetry** — a request's whole context *is* its
+  telemetry: the response echoes its counters, span summary and
+  journal tail, and the daemon absorbs its ``telemetry()`` into the
+  root when the request completes, so nothing observable is lost.
 * **Graceful shutdown** — ``POST /shutdown`` (or SIGINT) stops
-  accepting, drains queued work within a grace period, fails the
-  remainder with 503, and merges every surviving batch context's
-  ``telemetry()`` into the daemon root via ``absorb()`` so nothing
-  observable is lost.
+  accepting, waits for queued work within a grace period, and fails
+  the remainder with 503.
 
 Endpoints: ``POST /analyze``, ``GET /healthz``, ``GET /stats``,
 ``GET /metrics`` (Prometheus text), ``POST /shutdown``.
@@ -62,7 +64,6 @@ class ServeConfig:
     port: int = 0  # 0 = ephemeral, report the bound port
     workers: int = 2
     queue_size: int = 64
-    max_batch: int = 8
     request_timeout_s: float = 30.0
     shutdown_grace_s: float = 5.0
     max_body_bytes: int = http.DEFAULT_MAX_BODY_BYTES
@@ -74,13 +75,12 @@ class ServeConfig:
     #: timeouts and backpressure; never enable when facing clients).
     debug_delays: bool = False
 
-
-class QueueFull(Exception):
-    """The admission queue is at capacity; reject, don't buffer."""
-
-
-class QueueClosed(Exception):
-    """The daemon is draining; no new work is admitted."""
+    def __post_init__(self) -> None:
+        # asyncio.Queue(0) is unbounded, and without workers no request
+        # is ever answered.
+        if self.workers < 1 or self.queue_size < 1:
+            raise ValueError("workers and queue_size must be positive, got "
+                             f"{self.workers} and {self.queue_size}")
 
 
 @dataclass
@@ -88,85 +88,22 @@ class _Job:
     request: req_mod.AnalysisRequest
     corr_id: str
     future: asyncio.Future
-    enqueued_at: float
-
-
-class _JobQueue:
-    """A bounded FIFO with same-system batch draining.
-
-    ``get_batch`` pops the head job, then greedily drains *consecutive*
-    queued jobs with the same ``system_key`` (up to ``max_batch``).
-    Consecutive-only keeps admission order fair: a burst against one
-    system batches, but a lone request never waits behind an unrelated
-    batch that arrived after it.
-    """
-
-    def __init__(self, maxsize: int, max_batch: int) -> None:
-        self._jobs: list[_Job] = []
-        self._maxsize = maxsize
-        self._max_batch = max(1, max_batch)
-        self._closed = False
-        self._condition = asyncio.Condition()
-
-    def __len__(self) -> int:
-        return len(self._jobs)
-
-    async def put(self, job: _Job) -> None:
-        async with self._condition:
-            if self._closed:
-                raise QueueClosed
-            if len(self._jobs) >= self._maxsize:
-                raise QueueFull
-            self._jobs.append(job)
-            self._condition.notify()
-
-    async def get_batch(self) -> list[_Job] | None:
-        """The next batch, or None when closed and drained."""
-        async with self._condition:
-            while not self._jobs and not self._closed:
-                await self._condition.wait()
-            if not self._jobs:
-                return None  # closed and drained
-            head = self._jobs.pop(0)
-            batch = [head]
-            while (self._jobs and len(batch) < self._max_batch
-                   and self._jobs[0].request.system_key
-                   == head.request.system_key):
-                batch.append(self._jobs.pop(0))
-            return batch
-
-    async def close(self) -> list[_Job]:
-        """Stop admissions; returns jobs still queued (caller decides
-        whether workers drain them or they are failed outright)."""
-        async with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-            return list(self._jobs)
-
-    async def clear(self) -> list[_Job]:
-        """Remove and return every queued job (for fail-fast shutdown)."""
-        async with self._condition:
-            remainder = self._jobs[:]
-            self._jobs.clear()
-            self._condition.notify_all()
-            return remainder
 
 
 class AnalysisDaemon:
     """The serving loop: admission, dispatch, execution, telemetry.
 
     One instance owns a *root* engine context.  All steady-state
-    telemetry (admission counters, per-batch absorbed counters/spans/
-    journal events) accumulates there; ``/metrics`` and ``/stats``
-    read it, and batch telemetry still in flight merges into it on
-    shutdown.
+    telemetry (admission counters, and the counters, spans and journal
+    events of every completed request's context) accumulates there;
+    ``/metrics`` and ``/stats`` read it.
     """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
         self.root = context.fresh("serve-root",
                                   corr_id=journal_mod.new_corr_id("serve"))
-        self._queue = _JobQueue(self.config.queue_size, self.config.max_batch)
+        self._queue: asyncio.Queue[_Job] = asyncio.Queue(self.config.queue_size)
         # Headroom over the dispatch width: a timed-out request's thread
         # keeps its slot until it finishes on its own, and must not
         # starve the workers that moved on without it.
@@ -180,10 +117,8 @@ class AnalysisDaemon:
         self._draining = False
         self._shutdown_event = asyncio.Event()
         self._started_at = time.monotonic()
-        self._batch_serial = 0
-        # Model caches are daemon-level (shared across batches) so equal
-        # specs resolve to the *same* objects — the serial-keyed compiled
-        # cache only shares work for identical System instances.
+        # Model caches are daemon-level (shared across requests) so equal
+        # specs resolve to the *same* objects instead of regenerating.
         self._model_lock = threading.Lock()
         self._systems: dict[tuple, Any] = {}
         self._reports: dict[tuple, Any] = {}
@@ -239,7 +174,7 @@ class AnalysisDaemon:
             limit=http.MAX_HEADER_BYTES,
         )
         self._workers = [
-            loop.create_task(self._worker_loop(index), name=f"serve-worker-{index}")
+            loop.create_task(self._worker_loop(), name=f"serve-worker-{index}")
             for index in range(self.config.workers)
         ]
         host, port = self._server.sockets[0].getsockname()[:2]
@@ -258,7 +193,7 @@ class AnalysisDaemon:
         await self._shutdown_event.wait()
 
     async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, drain (or fail) queued work, merge telemetry."""
+        """Stop accepting, drain (or fail) queued work, stop the workers."""
         if self._draining:
             return  # a shutdown is already in flight; let it finish
         self._draining = True
@@ -266,19 +201,17 @@ class AnalysisDaemon:
             self._server.close()
             await self._server.wait_closed()
         if not drain:
-            for job in await self._queue.clear():
-                self._fail(job, 503, "daemon is shutting down")
-        await self._queue.close()
-        pending: set[asyncio.Task] = set()
-        if self._workers:
-            _done, pending = await asyncio.wait(
-                self._workers, timeout=self.config.shutdown_grace_s)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        for job in await self._queue.clear():
-            self._fail(job, 503, "daemon shut down before this request ran")
+            self._fail_queued("daemon is shutting down")
+        try:
+            await asyncio.wait_for(self._queue.join(),
+                                   self.config.shutdown_grace_s)
+            drained = drain
+        except asyncio.TimeoutError:
+            drained = False
+        for task in self._workers:
+            task.cancel()
+        await asyncio.gather(*self._workers, return_exceptions=True)
+        self._fail_queued("daemon shut down before this request ran")
         # Reap idle keep-alive connections (skipping whichever handler
         # is running this shutdown — its response is already on the
         # wire and it exits on its own once we return).
@@ -290,8 +223,7 @@ class AnalysisDaemon:
             await asyncio.gather(*lingering, return_exceptions=True)
         self._executor.shutdown(wait=True, cancel_futures=True)
         self.root.journal.record(
-            "serve_stop", corr=self.root.corr_id,
-            drained=bool(drain and not pending),
+            "serve_stop", corr=self.root.corr_id, drained=drained,
         )
         self._shutdown_event.set()
 
@@ -306,106 +238,87 @@ class AnalysisDaemon:
                 "error": message, "corr_id": job.corr_id,
             }))
 
+    def _fail_queued(self, message: str) -> None:
+        """Answer every job still in the queue with 503."""
+        while not self._queue.empty():
+            self._fail(self._queue.get_nowait(), 503, message)
+            self._queue.task_done()
+
     # -- dispatch --------------------------------------------------------------
 
-    async def _worker_loop(self, index: int) -> None:
-        loop = asyncio.get_running_loop()
+    async def _worker_loop(self) -> None:
         while True:
-            batch = await self._queue.get_batch()
-            if batch is None:
-                return
-            self._batch_serial += 1
-            batch_ctx = context.fresh(
-                f"serve-batch-{self._batch_serial}",
-                corr_id=batch[0].corr_id,
-            )
-            self._count("serve.batches")
-            if len(batch) > 1:
-                self._count("serve.batched_requests", len(batch))
-            for position, job in enumerate(batch):
-                if job.future.done():
-                    continue
-                try:
-                    status, payload = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._executor, self._run_one, batch_ctx, job),
-                        timeout=self.config.request_timeout_s,
-                    )
-                except asyncio.TimeoutError:
-                    self._fail(job, 408, "analysis exceeded "
-                               f"{self.config.request_timeout_s}s")
-                    self._count("serve.timeouts")
-                    # The abandoned thread may still be writing into
-                    # batch_ctx: forfeit its telemetry instead of merging
-                    # a context that is not quiescent.
-                    self._count("serve.context_abandoned")
-                    remaining = batch[position + 1:]
-                    if remaining:
-                        batch_ctx = context.fresh(
-                            f"serve-batch-{self._batch_serial}-retry",
-                            corr_id=remaining[0].corr_id,
-                        )
-                    else:
-                        batch_ctx = None
-                    continue
+            job = await self._queue.get()
+            try:
                 if not job.future.done():
-                    job.future.set_result((status, payload))
-            if batch_ctx is not None:
-                self.root.absorb(batch_ctx.telemetry())
+                    await self._execute(job)
+            finally:
+                self._queue.task_done()
 
-    def _run_one(self, batch_ctx: context.EngineContext,
+    async def _execute(self, job: _Job) -> None:
+        """Run one job in its own fresh context, then absorb the context
+        into the root (or forfeit it, on a timeout) and answer."""
+        request_ctx = context.fresh(f"serve-{job.corr_id}",
+                                    corr_id=job.corr_id)
+        try:
+            result = await asyncio.wait_for(
+                asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._run_one, request_ctx, job),
+                timeout=self.config.request_timeout_s,
+            )
+        except asyncio.TimeoutError:
+            self._fail(job, 408, "analysis exceeded "
+                       f"{self.config.request_timeout_s}s")
+            self._count("serve.timeouts")
+            # The abandoned thread may still be writing into
+            # request_ctx: forfeit its telemetry instead of merging a
+            # context that is not quiescent.
+            self._count("serve.context_abandoned")
+            return
+        self.root.absorb(request_ctx.telemetry())
+        if not job.future.done():
+            job.future.set_result(result)
+
+    def _run_one(self, request_ctx: context.EngineContext,
                  job: _Job) -> tuple[int, dict[str, Any]]:
-        """Execute one request inside the batch context (worker thread)."""
-        with context.use(batch_ctx):
-            with journal_mod.correlation(job.corr_id):
-                counters_before = dict(batch_ctx.counters)
-                journal_mark = batch_ctx.journal.mark()
-                span_mark = batch_ctx.spans.mark()
-                started = time.monotonic()
-                status = 200
-                try:
-                    if self.config.debug_delays and job.request.delay_s:
-                        time.sleep(job.request.delay_s)
-                    with spans_mod.span("serve.request",
-                                        corr=job.corr_id,
-                                        kind=job.request.kind):
-                        document = req_mod.execute(
-                            job.request, self._system_for, self._report_for)
-                except Exception as exc:
-                    recoverable = isinstance(
-                        exc, (req_mod.RequestError, req_mod.ReproError))
-                    status = 400 if recoverable else 500
-                    document = {"error": req_mod.describe_error(exc)}
-                    batch_ctx.journal.record(
-                        "serve_error", corr=job.corr_id, status=status,
-                        error=type(exc).__name__,
-                    )
-                document["corr_id"] = job.corr_id
-                document["telemetry"] = self._telemetry_slice(
-                    batch_ctx, job, counters_before, journal_mark,
-                    span_mark, started)
-                return status, document
+        """Execute one request inside its own context (worker thread)."""
+        with context.use(request_ctx):
+            started = time.monotonic()
+            status = 200
+            try:
+                if self.config.debug_delays and job.request.delay_s:
+                    time.sleep(job.request.delay_s)
+                with spans_mod.span("serve.request",
+                                    corr=job.corr_id,
+                                    kind=job.request.kind):
+                    document = req_mod.execute(
+                        job.request, self._system_for, self._report_for)
+            except Exception as exc:
+                recoverable = isinstance(
+                    exc, (req_mod.RequestError, req_mod.ReproError))
+                status = 400 if recoverable else 500
+                document = {"error": req_mod.describe_error(exc)}
+                request_ctx.journal.record(
+                    "serve_error", corr=job.corr_id, status=status,
+                    error=type(exc).__name__,
+                )
+            document["corr_id"] = job.corr_id
+            document["telemetry"] = self._telemetry_slice(
+                request_ctx, job, started)
+            return status, document
 
-    def _telemetry_slice(self, batch_ctx, job, counters_before,
-                         journal_mark, span_mark, started) -> dict[str, Any]:
-        """What this request did to its context, as response metadata."""
-        delta = {
-            event: count - counters_before.get(event, 0)
-            for event, count in batch_ctx.counters.items()
-            if count != counters_before.get(event, 0)
-        }
-        own_spans = batch_ctx.spans.delta_since(span_mark)
+    def _telemetry_slice(self, request_ctx, job, started) -> dict[str, Any]:
+        """The request's whole context, as response metadata."""
         return {
             "corr_id": job.corr_id,
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
-            "context": batch_ctx.name,
-            "counters": delta,
-            "spans": spans_mod.summarize(own_spans),
-            "journal_tail": batch_ctx.journal.delta_since(
-                journal_mark)[-TELEMETRY_JOURNAL_TAIL:],
+            "context": request_ctx.name,
+            "counters": dict(request_ctx.counters),
+            "spans": request_ctx.spans.summary(),
+            "journal_tail": request_ctx.journal.tail(TELEMETRY_JOURNAL_TAIL),
             "snapshot": {
                 "perf": perf.snapshot(),
-                "journal": batch_ctx.journal.depth(),
+                "journal": request_ctx.journal.depth(),
             },
         }
 
@@ -460,7 +373,7 @@ class AnalysisDaemon:
             return 200, {
                 "status": "draining" if self._draining else "ok",
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
-                "queued": len(self._queue),
+                "queued": self._queue.qsize(),
             }
         if route == ("GET", "/stats"):
             return 200, self._stats()
@@ -496,23 +409,20 @@ class AnalysisDaemon:
         job = _Job(
             request=parsed, corr_id=corr_id,
             future=asyncio.get_running_loop().create_future(),
-            enqueued_at=time.monotonic(),
         )
         try:
-            await self._queue.put(job)
-        except QueueFull:
+            self._queue.put_nowait(job)
+        except asyncio.QueueFull:
             self._count("serve.rejected")
             return 429, {"error": "queue full; retry later",
-                         "queued": len(self._queue),
+                         "queued": self._queue.qsize(),
                          "corr_id": corr_id}
-        except QueueClosed:
-            return 503, {"error": "daemon is draining; not accepting work"}
         self._count("serve.accepted")
         if parsed.kind == "system":
             self._count(f"serve.backend.{parsed.backend}")
         self.root.journal.record(
             "serve_accept", corr=corr_id, request_kind=parsed.kind,
-            queued=len(self._queue),
+            queued=self._queue.qsize(),
         )
         status, payload = await job.future
         return status, payload
@@ -520,7 +430,7 @@ class AnalysisDaemon:
     def _stats(self) -> dict[str, Any]:
         return {
             "uptime_s": round(time.monotonic() - self._started_at, 3),
-            "queued": len(self._queue),
+            "queued": self._queue.qsize(),
             "draining": self._draining,
             "counters": dict(self.root.counters),
             "cached_systems": len(self._systems),

@@ -4,9 +4,9 @@ One request names a *model* (a registered protocol, or a generated
 system spec), an optional *assumption vector*, and a *query* (a formula
 to evaluate semantically, or a protocol goal to derive).  Execution
 runs entirely inside whatever :class:`~repro.context.EngineContext` is
-current — the daemon decides the context (one per batch, correlation ID
-per request); this module only knows how to turn a validated request
-into a verdict document.
+current — the daemon decides the context (a fresh one per request,
+under the request's correlation ID); this module only knows how to
+turn a validated request into a verdict document.
 
 Two request kinds:
 
@@ -75,10 +75,9 @@ def _int_field(payload: Mapping[str, Any], name: str, default: int,
 class AnalysisRequest:
     """One validated analysis request.
 
-    ``system_key`` is the batching key: requests with equal keys are
-    evaluated against the *same* interned :class:`System` (or the same
-    cached protocol report), so a batch shares one warm
-    ``compiled_systems`` entry.
+    ``system_key`` is the model-cache key of a system request: the
+    generator spec, so requests with equal keys are evaluated against
+    the *same* cached :class:`System`, whatever their backend.
     """
 
     kind: str
@@ -92,9 +91,7 @@ class AnalysisRequest:
     point: tuple[str, int] | None = None
     pattern_hide: bool = False
     trace: bool = False
-    #: Semantics backend the verdict is computed under.  Part of the
-    #: batching key: the compiled caches are keyed per backend, so a
-    #: batch only shares warm state when the backend matches too.
+    #: Semantics backend the verdict is computed under.
     backend: str = "belief"
     # -- protocol requests ----------------------------------------------------
     protocol: str | None = None
@@ -106,10 +103,7 @@ class AnalysisRequest:
 
     @property
     def system_key(self) -> tuple:
-        if self.kind == "protocol":
-            return ("protocol", self.protocol, self.logic)
-        return ("system", self.seed, self.runs, self.steps,
-                self.principals, self.backend)
+        return (self.seed, self.runs, self.steps, self.principals)
 
 
 def parse_request(payload: Any,
@@ -209,11 +203,11 @@ def execute(
     report_for: Callable[[str, str], Any],
 ) -> dict[str, Any]:
     """Run one request in the current engine context; returns the verdict
-    document (no telemetry — the daemon slices that per request).
+    document (no telemetry — the daemon adds the request context's).
 
-    ``system_for`` / ``report_for`` are the daemon's interned-model
-    providers: equal ``system_key``s must yield the *same* objects, so
-    batched requests share compiled state.
+    ``system_for`` / ``report_for`` are the daemon's cached-model
+    providers: equal ``system_key``s yield the *same* system, so a
+    request does not regenerate the model of an earlier one.
     """
     if request.kind == "protocol":
         return _execute_protocol(request, report_for)

@@ -85,6 +85,23 @@ class TestCLI:
         assert "must be positive" in capsys.readouterr().err
         assert started == []  # no daemon started, no port bound
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_outside_its_range_is_a_usage_error(
+        self, port, started, capsys
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", "--port", port])
+        assert exited.value.code == 2
+        assert "must be within 0-65535" in capsys.readouterr().err
+        assert started == []  # no daemon started, no port bound
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_serve_takes_the_port_range_ends(self, port, started):
+        # 0 asks for an ephemeral port (how the benchmark starts serve).
+        assert main(["serve", "--port", str(port)]) == 0
+        (config,) = started
+        assert config.port == port
+
     def test_serve_takes_the_smallest_sizes(self, started):
         assert main(["serve", "--workers", "1", "--queue-size", "1",
                      "--timeout", "0.5"]) == 0

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import context
 from repro.__main__ import main
 from repro.errors import ProofError
 from repro.fuzz import (
@@ -40,6 +41,7 @@ from repro.fuzz import (
     shrink_proof,
     shrink_run,
 )
+from repro.fuzz import harness
 from repro.fuzz import mutators as mutators_module
 from repro.fuzz import proof_mutators as proof_mutators_module
 from repro.fuzz.generate import iteration_rng
@@ -189,6 +191,30 @@ class TestHarness:
         assert first.oracle_checks.get("cache_differential", 0) > 0
         assert first.oracle_checks.get("hide_differential", 0) > 0
         assert first.oracle_checks.get("hide_views", 0) > 0
+
+    def test_span_summary_counts_every_iteration(self, monkeypatch):
+        # The summary comes from the iterations' own telemetry, so a
+        # caller's small span buffer cannot truncate it.
+        monkeypatch.setattr("repro.obs.spans.CAPACITY", 16)
+        with context.scoped("fuzz-small-buffer"):
+            report = run_fuzz(FuzzConfig(seed=0, iterations=10,
+                                         oracles=("interpretation",)))
+        assert report.spans["fuzz.iteration"]["count"] == 10
+
+    def test_row_span_counts_runs_not_iterations(self, monkeypatch):
+        def every_other(work):
+            if work.iteration % 2:
+                return None  # the row did not run
+            return harness.Verdict({"every_other": 1}, [])
+
+        monkeypatch.setattr(harness, "ROWS", (
+            ("interpretation", "every_other", every_other),))
+        with context.scoped("fuzz-row-spans"):
+            report = run_fuzz(FuzzConfig(seed=0, iterations=6,
+                                         oracles=("interpretation",)))
+        assert report.oracle_checks == {"every_other": 3}
+        assert report.spans["fuzz.every_other"]["count"] == 3
+        assert report.spans["fuzz.iteration"]["count"] == 6
 
     def test_generate_base_system_deterministic(self):
         config = FuzzConfig(seed=3)

@@ -1,7 +1,7 @@
 """Tests for the flight recorder (bounded event journal).
 
-The :class:`Journal` ring is pinned in isolation (bounding, the
-seq-based mark/delta/merge transport, tails, JSONL), then the
+The :class:`Journal` ring is pinned in isolation (bounding, sequence
+numbers, the snapshot/merge transport, tails, JSONL), then the
 correlation-ID contract (context inheritance, the ``correlation``
 manager, span stamping), and finally the overhead guard: recording the
 journal on the E3 compiled sweep must cost under 5% against the
@@ -55,7 +55,11 @@ class TestRing:
         ring.enabled = False
         ring.record("tick")
         assert len(ring) == 0
-        assert ring.mark() == 0
+        # Not even a sequence number was spent.
+        ring.enabled = True
+        ring.record("tock")
+        assert [(e["seq"], e["kind"]) for e in ring.snapshot()] == [
+            (1, "tock")]
 
     def test_tail_returns_most_recent(self):
         ring = Journal()
@@ -76,32 +80,12 @@ class TestRing:
 
 
 class TestTransport:
-    def test_mark_delta_roundtrip(self):
-        ring = Journal()
-        ring.record("before")
-        mark = ring.mark()
-        ring.record("after", n=1)
-        delta = ring.delta_since(mark)
-        assert [event["kind"] for event in delta] == ["after"]
-
-    def test_marks_survive_ring_wrap(self):
-        # Positions are sequence numbers, not buffer indices: a mark
-        # taken before the ring wraps still selects only newer events.
-        ring = Journal(capacity=3)
-        ring.record("old")
-        mark = ring.mark()
-        for index in range(5):
-            ring.record("new", index=index)
-        delta = ring.delta_since(mark)
-        assert all(event["kind"] == "new" for event in delta)
-        assert [e["attrs"]["index"] for e in delta] == [2, 3, 4]
-
     def test_merge_preserves_origin_seq_ts_corr(self):
         source = Journal()
         source.record("compile", corr="shard-7", runs=2)
         target = Journal()
         target.record("local")
-        target.merge(source.delta_since(0))
+        target.merge(source.snapshot())
         merged = target.snapshot()[-1]
         original = source.snapshot()[0]
         assert merged["corr"] == "shard-7"
@@ -113,7 +97,7 @@ class TestTransport:
         source = Journal()
         for index in range(5):
             source.record("tick", index=index)
-        target.merge(source.delta_since(0))
+        target.merge(source.snapshot())
         assert len(target) == 2
         assert target.dropped == 3
 

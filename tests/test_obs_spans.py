@@ -1,7 +1,7 @@
 """Tests for the span half of the observability layer.
 
 The recorder is pinned in isolation (timing, percentiles, the
-mark/delta/merge transport contract, derived views), then against its
+snapshot/merge transport contract, derived views), then against its
 real consumers: a soundness sweep absorbed from a child context must
 surface exactly the same per-schema spans as one run in place, and the
 good-runs construction records one span per stage.
@@ -72,37 +72,25 @@ class TestRecorder:
 
 
 class TestTransport:
-    def test_mark_delta_merge_roundtrip(self):
-        worker = SpanRecorder()
-        worker.record("warmup", 0.1)
-        mark = worker.mark()
-        worker.record("shard", 0.2, index=0)
-        worker.record("shard", 0.3, index=1)
-        delta = worker.delta_since(mark)
-        assert [s["seconds"] for s in delta] == [0.2, 0.3]
-
-        parent = SpanRecorder()
-        parent.record("local", 0.5)
-        parent.merge(delta)
-        names = [s["name"] for s in parent.snapshot()]
-        assert names == ["local", "shard", "shard"]
-
     def test_delta_is_plain_picklable_data(self):
         import pickle
 
         worker = SpanRecorder()
         worker.record("shard", 0.2, schema="A1")
-        delta = worker.delta_since(0)
+        delta = worker.snapshot()
         assert pickle.loads(pickle.dumps(delta)) == delta
 
     def test_merge_copies_samples(self):
         source = SpanRecorder()
         source.record("x", 1.0)
-        delta = source.delta_since(0)
+        delta = list(source.snapshot())
         sink = SpanRecorder()
+        sink.record("local", 0.5)
         sink.merge(delta)
         delta[0]["seconds"] = 99.0
-        assert sink.snapshot()[0]["seconds"] == 1.0
+        # Merged spans append after the sink's own, as copies.
+        assert [(s["name"], s["seconds"]) for s in sink.snapshot()] == [
+            ("local", 0.5), ("x", 1.0)]
 
 
 class TestBound:
@@ -117,22 +105,6 @@ class TestBound:
         assert recorder.dropped == 5
         assert snap[0]["attrs"]["index"] == 5
         assert snap[-1]["attrs"]["index"] == CAPACITY + 4
-
-    def test_delta_since_across_a_wrap(self):
-        recorder = SpanRecorder()
-        for index in range(10):
-            recorder.record("before", 0.0, index=index)
-        mark = recorder.mark()
-        for index in range(CAPACITY + 3):
-            recorder.record("after", 0.0, index=index)
-        # Only retained spans come back, and only those after the mark.
-        assert recorder.delta_since(mark) == [
-            sample for sample in recorder.snapshot()
-            if sample["name"] == "after"
-        ]
-        late = recorder.mark()
-        recorder.record("last", 0.0)
-        assert [s["name"] for s in recorder.delta_since(late)] == ["last"]
 
     def test_absorb_past_capacity_leaves_root_at_capacity(self):
         from repro import context

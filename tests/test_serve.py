@@ -1,18 +1,21 @@
-"""The analysis daemon: round trips, batching, backpressure, drain.
+"""The analysis daemon: round trips, one context per request,
+backpressure, drain.
 
-The ISSUE 9 serving contract as tests:
+The serving contract as tests:
 
 * a request round-trips to a verdict with why-false trace and a
   checked Hilbert certificate;
-* same-system requests batch into one engine context and *share* its
-  compiled system (nonzero ``compiled_eval`` hit rate across a batch);
+* every request runs in its own fresh engine context, also when it
+  queued behind another for the same system, and its response's
+  telemetry is that whole context;
+* requests for one generated system share the daemon's cached system,
+  whatever their backend;
 * a request exceeding the per-request timeout gets 408 and poisons
   nothing else;
 * a full admission queue rejects fast with 429 instead of buffering;
-* graceful shutdown drains in-flight work and merges every batch
-  context's telemetry into the daemon root losslessly;
-* every response carries a unique correlation ID and a telemetry
-  slice scoped to that request.
+* graceful shutdown drains in-flight work, and the daemon root holds
+  every request context's telemetry losslessly;
+* every response carries a unique correlation ID.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ async def _post(payload, host, port, timeout=120.0):
         None, lambda: client.post_json(host, port, "/analyze", payload,
                                        timeout=timeout)
     )
+
+
+def _compiled_eval_totals(counter_tables):
+    """The ``compiled_eval.*`` counters of ``counter_tables``, summed."""
+    totals: dict[str, int] = {}
+    for table in counter_tables:
+        for event, count in table.items():
+            if event.startswith("compiled_eval."):
+                totals[event] = totals.get(event, 0) + count
+    return totals
 
 
 async def _get(path, host, port):
@@ -159,34 +172,35 @@ class TestRoundTrip:
             assert status == 405
 
 
-class TestBatching:
-    def test_same_system_requests_share_compiled_state(self):
+class TestOneContextPerRequest:
+    def test_queued_same_system_requests_get_their_own_contexts(self):
         clients = 6
+        responses = []
 
-        @_serve_test(ServeConfig(workers=1, max_batch=clients,
-                                 debug_delays=True))
+        @_serve_test(ServeConfig(workers=1, debug_delays=True))
         async def daemon(daemon, host, port):
             # The first request holds the single worker briefly so the
-            # rest pile up in the queue and drain as one same-system
-            # batch sharing one engine context.
+            # rest pile up in the queue behind it, all for one system.
             first = _post(dict(SMALL_SYSTEM, delay_s=0.4), host, port)
             rest = [
                 _post(SMALL_SYSTEM, host, port) for _ in range(clients - 1)
             ]
-            responses = await asyncio.gather(first, *rest)
-            assert all(status == 200 for status, _ in responses)
-            corr_ids = [body["corr_id"] for _, body in responses]
-            assert len(set(corr_ids)) == clients
+            responses.extend(await asyncio.gather(first, *rest))
 
-        counters = daemon.root.counters
-        assert counters["serve.accepted"] == clients
-        # Batching happened (fewer batches than requests) ...
-        assert counters["serve.batches"] < clients
-        assert counters.get("serve.batched_requests", 0) > 0
-        # ... and paid off: later batch members hit the compiled system
-        # (and formula bitsets) their batch-mate compiled.
-        assert counters.get("compiled_eval.system_hit", 0) > 0
-        assert counters.get("compiled_eval.hit", 0) > 0
+        assert [status for status, _ in responses] == [200] * clients
+        slices = [body["telemetry"] for _, body in responses]
+        assert len({body["corr_id"] for _, body in responses}) == clients
+        assert len({telemetry["context"] for telemetry in slices}) == clients
+        for telemetry in slices:
+            counters = telemetry["counters"]
+            # Each request compiled its system in its own context ...
+            assert counters["compiled_eval.system_miss"] == 1
+            # ... and reports that context's whole counter table.
+            assert counters == telemetry["snapshot"]["perf"]["counters"]
+        assert daemon.root.counters["serve.accepted"] == clients
+        # The root absorbed every request context, counter by counter.
+        assert _compiled_eval_totals([daemon.root.counters]) == (
+            _compiled_eval_totals(t["counters"] for t in slices))
 
 
 class TestBackpressure:
@@ -231,13 +245,18 @@ class TestBackpressure:
 
         assert daemon.root.counters["serve.rejected"] == 1
 
+    @pytest.mark.parametrize("sizing", [{"queue_size": 0}, {"workers": 0}])
+    def test_config_that_cannot_bound_or_answer_is_refused(self, sizing):
+        # An unbounded queue (asyncio's maxsize 0) or no worker at all.
+        with pytest.raises(ValueError, match="must be positive"):
+            ServeConfig(**sizing)
+
 
 class TestGracefulShutdown:
     def test_drain_completes_work_and_merges_telemetry(self):
         responses = []
 
-        @_serve_test(ServeConfig(workers=1, max_batch=4,
-                                 debug_delays=True))
+        @_serve_test(ServeConfig(workers=1, debug_delays=True))
         async def daemon(daemon, host, port):
             pending = [
                 asyncio.ensure_future(_post(
@@ -259,21 +278,13 @@ class TestGracefulShutdown:
         assert [status for status, _ in responses] == [200] * 4
 
         # Lossless merge: the per-response telemetry slices are exactly
-        # the evaluator work the root context absorbed from the batch
+        # the evaluator work the root context absorbed from the request
         # contexts — counter by counter.
-        absorbed = {
-            event: count
-            for event, count in daemon.root.counters.items()
-            if event.startswith("compiled_eval.")
-        }
-        expected: dict[str, int] = {}
-        for _status, body in responses:
-            for event, count in body["telemetry"]["counters"].items():
-                if event.startswith("compiled_eval."):
-                    expected[event] = expected.get(event, 0) + count
-        assert absorbed == expected
+        absorbed = _compiled_eval_totals([daemon.root.counters])
+        assert absorbed == _compiled_eval_totals(
+            body["telemetry"]["counters"] for _status, body in responses)
         assert sum(absorbed.values()) > 0
-        # The batch contexts' cache high-water marks came home too, and
+        # The request contexts' cache high-water marks came home too, and
         # the root's Prometheus export reports them.
         assert daemon.root.cache_peaks["compiled_eval"] > 0
         status, text = asyncio.run(
@@ -354,14 +365,20 @@ class TestBackends:
             assert body["backends"] == ["belief", "epistemic"]
             assert body["default_backend"] == "belief"
 
-    def test_backend_is_part_of_the_batch_key(self):
-        """Same generated system under different backends must not share
-        warm compiled state: the batch key includes the backend name."""
-        from repro.serve.requests import parse_request
-
-        belief = parse_request(dict(SMALL_SYSTEM))
-        epistemic = parse_request(dict(SMALL_SYSTEM, backend="epistemic"))
-        assert belief.system_key != epistemic.system_key
+    def test_backends_share_one_cached_system(self):
+        """The backend never changes the generated system: one spec under
+        both backends caches one system, and each request still answers
+        under its own backend."""
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for backend in ("belief", "epistemic"):
+                status, body = await _post(
+                    dict(SMALL_SYSTEM, backend=backend), host, port)
+                assert status == 200
+                assert body["backend"] == backend
+            status, stats = await _get("/stats", host, port)
+            assert status == 200
+            assert stats["cached_systems"] == 1
 
 
 class TestKeepAliveClient:
