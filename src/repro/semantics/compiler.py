@@ -13,10 +13,13 @@ truth value over the *whole system*:
   int: compiling a formula computes its bitset from its children's.
 * Connectives become direct bitwise ops on those ints (``&``, ``|``,
   ``^``) — no ``match`` re-dispatch, no per-point memo lookups.
-* ``Sees``/``Said``/``Says``/``Fresh`` and the key-goodness clauses
-  read the interpreter's memoized ``_seen_set``/``_said_entries``/
-  ``_past_submsgs`` tables and emit their truth vector in one pass
-  over the points.
+* ``Sees``/``Has``/``Said``/``Says``/``Controls`` answer with one
+  dict lookup: per principal, the compiler builds message -> point
+  bitset indices on first use from the interpreter's memoized
+  ``_seen_set``, ``run.keyset`` and ``_said_entries`` kernels (what a
+  principal sees, has and said depends on the system only).
+  ``Fresh`` and the key-goodness clauses read ``_past_submsgs``/
+  ``_said_entries``/``_seen_set`` per run.
 * ``Believes`` precomputes the principal's possibility index: points
   are grouped by hidden view, every view class is a bitset, and the
   belief check collapses to one subset test per class
@@ -63,7 +66,7 @@ memoization layer.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro import context as _context
 from repro import perf
@@ -186,6 +189,20 @@ class CompiledSystem:
         #: Belief groups per principal: tuple of (members, possible) bit
         #: pairs — one entry per hidden-view class.
         self._belief_groups: dict[Principal, tuple[tuple[int, int], ...]] = {}
+        #: (kind, principal) -> message -> point bitset, kind one of
+        #: ``seen``/``has``/``said``/``says`` (see :meth:`_index`).
+        self._indices: dict[tuple[str, Principal], dict[Message, int]] = {}
+        #: Formula class -> (builder, first child field, second child
+        #: field), resolved from the class once per compiled system, so
+        #: a builder patched on the class applies to later systems;
+        #: functions, not bound methods, so no cycle holds ``self``.
+        self._builders = {
+            kind: (getattr(type(self), name), *(fields + (None, None))[:2])
+            for kind, (fields, name) in self._CLAUSES.items()
+        }
+        #: ``compiled_eval.hit``/``.miss`` of the running walk, added to
+        #: the context's counters once per :meth:`truth_bits` call.
+        self._hits = self._misses = 0
         self._interpreter: Evaluator | None = None
 
     # -- public API -----------------------------------------------------------
@@ -272,7 +289,14 @@ class CompiledSystem:
         # makes "first" cheap to detect): the flight recorder wants
         # "this shape fell back", not one event per point of a hot loop.
         known = formula in self._nodes
-        bits = self._compile(formula)
+        try:
+            bits = self._compile(formula)
+        finally:
+            if self._hits:
+                perf.count("compiled_eval.hit", self._hits)
+            if self._misses:
+                perf.count("compiled_eval.miss", self._misses)
+            self._hits = self._misses = 0
         if bits is not None:
             return bits
         if free_parameters(formula):
@@ -310,31 +334,59 @@ class CompiledSystem:
     def _compile(self, formula: Formula) -> int | None:
         """The formula's truth bitset, or ``None`` when a gate refuses
         it — the one walk that decides groundness and support while it
-        computes; both verdicts are memoized."""
+        computes; both verdicts are memoized.  A refused first child
+        leaves the second uncompiled."""
         bits = self._nodes.get(formula, _UNCOMPILED)
         if bits is not _UNCOMPILED:
-            perf.count("compiled_eval.hit")
+            self._hits += 1
             return bits  # type: ignore[return-value]
-        perf.count("compiled_eval.miss")
+        self._misses += 1
         bits = None
-        clause = self._CLAUSES.get(type(formula))
+        clause = self._builders.get(type(formula))
         if clause is not None:
-            fields, builder = clause
-            children = self._compile_all(getattr(formula, f) for f in fields)
-            if children is not None:
-                bits = getattr(self, builder)(formula, *children)
+            build, first, second = clause
+            if first is None:
+                bits = build(self, formula)
+            elif (one := self._compile(getattr(formula, first))) is not None:
+                if second is None:
+                    bits = build(self, formula, one)
+                elif (two := self._compile(getattr(formula, second))) is not None:
+                    bits = build(self, formula, one, two)
         self._nodes[formula] = bits
         return bits
 
-    def _compile_all(self, formulas: Iterable[Formula]) -> list[int] | None:
-        """The bitsets of ``formulas``, or ``None`` at the first refusal."""
-        bitsets = []
-        for formula in formulas:
-            bits = self._compile(formula)
-            if bits is None:
-                return None
-            bitsets.append(bits)
-        return bitsets
+    def _index(self, kind: str, principal: Principal) -> dict[Message, int]:
+        """Message -> the points where ``principal`` sees/has it, or
+        said/says it (from its first qualifying send onward; ``says``
+        skips sends at time <= 0), built once per principal and kind."""
+        index = self._indices.get((kind, principal))
+        if index is not None:
+            return index
+        if kind in ("seen", "has"):
+            facts = (self.interpreter._seen_set if kind == "seen" else
+                     lambda who, run, k: run.keyset(who, k))
+            index = {}
+            for i, (run, k) in enumerate(self.points):
+                for message in facts(principal, run, k):
+                    index[message] = index.get(message, 0) | (1 << i)
+            self._indices[(kind, principal)] = index
+            return index
+        said: dict[Message, int] = {}
+        says: dict[Message, int] = {}
+        for run in self.system.runs:
+            for sent_at, components in self.interpreter._said_entries(
+                principal, run
+            ):
+                # Points are numbered run by run, oldest first.
+                first = self.point_index[(run.name, sent_at)]
+                later = self._run_masks[run.name] >> first << first
+                for message in components:
+                    said[message] = said.get(message, 0) | later
+                    if sent_at > 0:
+                        says[message] = says.get(message, 0) | later
+        self._indices[("said", principal)] = said
+        self._indices[("says", principal)] = says
+        return self._indices[(kind, principal)]
 
     # -- connectives ----------------------------------------------------------
 
@@ -373,63 +425,27 @@ class CompiledSystem:
         message = formula.message
         if not self.uniform_principal(principal) or free_parameters(message):
             return None
-        seen_set = self.interpreter._seen_set
-        bits = 0
-        for i, (run, k) in enumerate(self.points):
-            if message in seen_set(principal, run, k):
-                bits |= 1 << i
-        return bits
+        return self._index("seen", principal).get(message, 0)
 
     def _build_said(self, formula: Said | Says) -> int | None:
         principal = formula.principal
         message = formula.message
         if not self.uniform_principal(principal) or free_parameters(message):
             return None
-        present_only = isinstance(formula, Says)
-        said_entries = self.interpreter._said_entries
-        bits = 0
-        for run in self.system.runs:
-            # First qualifying send time; every later point of the run
-            # satisfies the clause (sends never un-happen).
-            first: int | None = None
-            for sent_at, components in said_entries(principal, run):
-                if present_only and sent_at <= 0:
-                    continue
-                if message in components:
-                    if first is None or sent_at < first:
-                        first = sent_at
-            if first is None:
-                continue
-            for k in run.times:
-                if k >= first:
-                    bits |= 1 << self.point_index[(run.name, k)]
-        return bits
+        kind = "says" if isinstance(formula, Says) else "said"
+        return self._index(kind, principal).get(message, 0)
 
     def _build_controls(self, formula: Controls, body: int) -> int | None:
+        """Keeps a run iff the body holds wherever the principal says it
+        (``says`` holds at times > 0 only)."""
         principal = formula.principal
-        body_formula = formula.body
         if not self.uniform_principal(principal):
             return None
-        said_entries = self.interpreter._said_entries
+        unmet = self._index("says", principal).get(formula.body, 0) & ~body
         bits = 0
-        for run in self.system.runs:
-            ok = True
-            for k_prime in run.times:
-                if k_prime < 0:
-                    continue
-                says_here = any(
-                    sent_at > 0
-                    and sent_at <= k_prime
-                    and body_formula in components
-                    for sent_at, components in said_entries(principal, run)
-                )
-                if says_here and not (
-                    (body >> self.point_index[(run.name, k_prime)]) & 1
-                ):
-                    ok = False
-                    break
-            if ok:
-                bits |= self._run_masks[run.name]
+        for run_mask in self._run_masks.values():
+            if not unmet & run_mask:
+                bits |= run_mask
         return bits
 
     def _build_fresh(self, formula: Fresh) -> int | None:
@@ -448,11 +464,7 @@ class CompiledSystem:
         key = formula.key
         if not self.uniform_principal(principal) or free_parameters(key):
             return None
-        bits = 0
-        for i, (run, k) in enumerate(self.points):
-            if key in run.keyset(principal, k):
-                bits |= 1 << i
-        return bits
+        return self._index("has", principal).get(key, 0)
 
     def _build_shared_key(self, formula: SharedKey) -> int | None:
         key = formula.key
@@ -573,18 +585,17 @@ class CompiledSystem:
 
     def _build_forall(self, formula: ForAll) -> int | None:
         constants = self.system.vocabulary.constants(formula.variable.value_sort)
-        expansions = self._compile_all(
-            substitute(formula.body, {formula.variable: constant})
-            for constant in constants
-        )
+        bits = self.full_mask
+        for constant in constants:
+            expansion = self._compile(
+                substitute(formula.body, {formula.variable: constant})
+            )
+            if expansion is None:
+                return None
+            bits &= expansion
         # With another parameter free, every expansion compiles only
         # over an empty domain, and the verdict is still per run.
-        if expansions is None or free_parameters(formula):
-            return None
-        bits = self.full_mask
-        for expansion in expansions:
-            bits &= expansion
-        return bits
+        return None if free_parameters(formula) else bits
 
 
 def compiled_for(

@@ -29,7 +29,8 @@ telemetry.  The concurrency story, end to end:
   root when the request completes, so nothing observable is lost.
 * **Graceful shutdown** — ``POST /shutdown`` (or SIGINT) stops
   accepting, waits for queued work within a grace period, and fails
-  the remainder with 503.
+  the remainder with 503: a request still running when the grace runs
+  out is answered 503 and its context forfeit, as on a timeout.
 
 Endpoints: ``POST /analyze``, ``GET /healthz``, ``GET /stats``,
 ``GET /metrics`` (Prometheus text), ``POST /shutdown``.
@@ -113,6 +114,8 @@ class AnalysisDaemon:
         )
         self._workers: list[asyncio.Task] = []
         self._client_tasks: set[asyncio.Task] = set()
+        #: Client handlers waiting for their connection's next request.
+        self._idle_clients: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
         self._shutdown_event = asyncio.Event()
@@ -212,11 +215,16 @@ class AnalysisDaemon:
             task.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._fail_queued("daemon shut down before this request ran")
-        # Reap idle keep-alive connections (skipping whichever handler
-        # is running this shutdown — its response is already on the
-        # wire and it exits on its own once we return).
+        # Every admitted request has its answer now: let the handlers
+        # holding one write it, then reap idle keep-alive connections
+        # (skipping whichever handler is running this shutdown — its
+        # response is already on the wire and it exits on its own once
+        # we return).
         current = asyncio.current_task()
         lingering = [t for t in self._client_tasks if t is not current]
+        answering = [t for t in lingering if t not in self._idle_clients]
+        if answering:
+            await asyncio.wait(answering, timeout=self.config.shutdown_grace_s)
         for task in lingering:
             task.cancel()
         if lingering:
@@ -275,6 +283,11 @@ class AnalysisDaemon:
             # context that is not quiescent.
             self._count("serve.context_abandoned")
             return
+        except asyncio.CancelledError:
+            # Shutdown's grace ran out: answer, forfeit as on a timeout.
+            self._fail(job, 503, "daemon shut down while this request ran")
+            self._count("serve.context_abandoned")
+            raise
         self.root.absorb(request_ctx.telemetry())
         if not job.future.done():
             job.future.set_result(result)
@@ -309,6 +322,8 @@ class AnalysisDaemon:
 
     def _telemetry_slice(self, request_ctx, job, started) -> dict[str, Any]:
         """The request's whole context, as response metadata."""
+        snapshot = perf.snapshot()
+        del snapshot["counters"]  # sent once, as "counters"
         return {
             "corr_id": job.corr_id,
             "elapsed_ms": round((time.monotonic() - started) * 1000, 3),
@@ -317,7 +332,7 @@ class AnalysisDaemon:
             "spans": request_ctx.spans.summary(),
             "journal_tail": request_ctx.journal.tail(TELEMETRY_JOURNAL_TAIL),
             "snapshot": {
-                "perf": perf.snapshot(),
+                "perf": snapshot,
                 "journal": request_ctx.journal.depth(),
             },
         }
@@ -331,16 +346,20 @@ class AnalysisDaemon:
             self._client_tasks.add(task)
         try:
             while True:
+                # Idle while it waits for a request: shutdown may reap it.
+                self._idle_clients.add(task)
                 try:
                     request = await http.read_request(
                         reader, self.config.max_body_bytes)
                 except http.HttpError as exc:
+                    self._idle_clients.discard(task)
                     await http.write_response(
                         writer, exc.status,
                         {"error": exc.message}, keep_alive=False)
                     return
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     return
+                self._idle_clients.discard(task)
                 if request is None:
                     return
                 status, payload = await self._dispatch(request)
@@ -356,8 +375,8 @@ class AnalysisDaemon:
             # streams protocol callback from logging the cancellation.
             pass
         finally:
-            if task is not None:
-                self._client_tasks.discard(task)
+            self._client_tasks.discard(task)
+            self._idle_clients.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -15,9 +15,13 @@ Three angles on the compiled-vs-interpreted contract:
 Then the one-walk contract of ``CompiledSystem._compile``: which
 formulas compile to ``None``, what a refusal counts and journals, how
 the sweep routes non-ground instances, and foreign runs that share a
-system run's name.  Last, the bitset contract: a node is its truth
+system run's name.  Then the bitset contract: a node is its truth
 bitset, computed once when the formula is first compiled, and compiled
-state dies with its context without the cycle collector.
+state dies with its context without the cycle collector.  Last, the
+indexed leaves (every ``sees``/``has``/``said``/``says``/``controls``
+leaf compiles to the interpreter's bitset, and a planted ``says`` bug
+is caught) and the compile counters (one ``truth_bits`` call counts
+exactly the nodes it visited).
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from repro.fuzz.oracles import (
     sample_points,
 )
 from repro.logic.axioms import Schema
-from repro.model import Interpretation, RunBuilder, system_of
+from repro.model import ENVIRONMENT, Interpretation, RunBuilder, system_of
+from repro.model.actions import NewKey
 from repro.obs import journal
 from repro.obs.trace import Tracer, render_why, trace_records
 from repro.semantics import Evaluator
@@ -58,6 +63,7 @@ from repro.terms import (
     Key,
     Nonce,
     Not,
+    Or,
     Parameter,
     Prim,
     Principal,
@@ -70,7 +76,8 @@ from repro.terms import (
     Sort,
     Vocabulary,
 )
-from repro.terms.ops import is_ground, transform
+from repro.terms.formulas import Formula
+from repro.terms.ops import is_ground, submessages_of_all, transform
 from repro.terms.parser import parse_formula
 
 from tests.strategies import (
@@ -679,3 +686,165 @@ class TestBitsetNodes:
             assert ctx.counters["compiled_eval.hit"] == hits + 1
             assert ctx.counters["compiled_eval.miss"] == misses
             assert sum(calls.values()) == computed
+
+
+# ---------------------------------------------------------------------------
+# Indexed leaves: one lookup per sees/has/said/says/controls node
+# ---------------------------------------------------------------------------
+
+
+def _leaves(system):
+    """Every sees/has/said/says/controls leaf over the system's messages
+    and keys, plus a message and a key nobody sent or held, for each
+    principal (the environment included)."""
+    messages = {Nonce("Nunsent")}
+    keys = {Key("Kunheld")}
+    for run in system.runs:
+        messages |= submessages_of_all(run.messages_sent_by(run.end_time))
+        for principal in run.all_principals:
+            for k in run.times:
+                keys |= run.keyset(principal, k)
+    bodies = [m for m in messages if isinstance(m, Formula)] + [
+        Prim(proposition) for proposition in PROPS
+    ]
+    leaves = []
+    for principal in system.principals() + (ENVIRONMENT,):
+        for message in sorted(messages, key=str):
+            leaves += [Sees(principal, message), Said(principal, message),
+                       Says(principal, message)]
+        leaves += [Has(principal, key) for key in sorted(keys, key=str)]
+        leaves += [Controls(principal, body) for body in bodies]
+    return leaves
+
+
+def _newkey_system(seed):
+    system = generate_system(GeneratorConfig(seed=seed))
+    assert any(
+        isinstance(action, NewKey)
+        for run in system.runs
+        for _who, action in run.state(run.end_time).env.history
+    )
+    return system
+
+
+def _jurisdiction_system():
+    """A says ``p0`` only before the epoch and ``p1`` after it, in both
+    runs; both hold in ``r1`` only.  So A controls ``p1`` in ``r1``
+    alone, and ``p0`` everywhere: a pre-epoch send is no saying."""
+    p0, p1 = Prim(PROPS[0]), Prim(PROPS[1])
+
+    def build(name):
+        builder = RunBuilder([A, B], keysets={A: [Kab], B: [Kab]})
+        builder.send(A, p0, B)
+        builder.receive(B)
+        builder.mark_epoch()
+        builder.send(A, p1, B)
+        builder.receive(B)
+        return builder.build(name)
+
+    interp = Interpretation.from_run_table({PROPS[0]: ["r1"],
+                                            PROPS[1]: ["r1"]})
+    return system_of([build("r1"), build("r2")], interp, VOCAB)
+
+
+_JURISDICTION_SYSTEM = _jurisdiction_system()
+
+
+class TestIndexedLeaves:
+    def test_leaves_compile_to_the_interpreters_bitsets(self):
+        kinds = Counter()
+        for system in (_PROPERTY_SYSTEM, _JURISDICTION_SYSTEM,
+                       _newkey_system(1), _newkey_system(3)):
+            interpreter = Evaluator(system)
+            points = tuple(system.points())
+            with _context.scoped("indexed-leaves"):
+                compiled = CompiledSystem(system)
+                for leaf in _leaves(system):
+                    expected = sum(
+                        1 << i for i, (run, k) in enumerate(points)
+                        if interpreter.evaluate(leaf, run, k)
+                    )
+                    assert compiled.truth_bits(leaf) == expected, str(leaf)
+                    kinds[type(leaf).__name__, "holds"] += expected != 0
+                    kinds[type(leaf).__name__, "fails"] += (
+                        expected != compiled.full_mask)
+        # Every clause holds at some point and fails at another.
+        for kind in ("Sees", "Said", "Says", "Has", "Controls"):
+            assert kinds[kind, "holds"] and kinds[kind, "fails"], kind
+
+    def test_pre_epoch_sends_make_said_and_says_differ(self):
+        said = [leaf for leaf in _leaves(_PROPERTY_SYSTEM)
+                if isinstance(leaf, Said)]
+        compiled = CompiledSystem(_PROPERTY_SYSTEM)
+        assert any(
+            compiled.truth_bits(leaf)
+            != compiled.truth_bits(Says(leaf.principal, leaf.message))
+            for leaf in said
+        )
+
+    @pytest.mark.parametrize("clause", [Says, Controls],
+                             ids=lambda clause: clause.__name__)
+    def test_says_index_keeping_old_sends_is_caught(self, clause,
+                                                    monkeypatch):
+        """A planted bug: a ``says`` index that keeps sends at time <= 0
+        (the ``said`` index).  The differential oracle must catch it,
+        on ``says`` leaves and on ``controls`` leaves alike."""
+        system = _JURISDICTION_SYSTEM
+        points = tuple(system.points())
+        leaves = [leaf for leaf in _leaves(system) if isinstance(leaf, clause)]
+        with _context.scoped("honest-says"):
+            assert check_compiled_differential(system, leaves, points) == []
+        honest = CompiledSystem._index
+
+        def keeps_old_sends(self, kind, principal):
+            return honest(self, "said" if kind == "says" else kind, principal)
+
+        monkeypatch.setattr(CompiledSystem, "_index", keeps_old_sends)
+        with _context.scoped("planted-says"):
+            failures = check_compiled_differential(system, leaves, points)
+        assert failures
+        assert {f.oracle for f in failures} == {"compiled_vs_interpreted"}
+
+
+# ---------------------------------------------------------------------------
+# Compile counters: each truth_bits call counts the nodes it visited
+# ---------------------------------------------------------------------------
+
+
+def _tally(ctx):
+    counters = ctx.counters
+    return (counters.get("compiled_eval.hit", 0),
+            counters.get("compiled_eval.miss", 0))
+
+
+class TestCompileCounters:
+    def test_one_call_counts_exactly_the_nodes_it_visited(self):
+        p, q = Prim(PROPS[0]), Prim(PROPS[1])
+        with _context.scoped("tally") as ctx:
+            compiled = CompiledSystem(_PROPERTY_SYSTEM)
+            compiled.truth_bits(And(p, q))
+            assert _tally(ctx) == (0, 3)
+            compiled.truth_bits(And(p, q))
+            assert _tally(ctx) == (1, 3)
+            compiled.truth_bits(Or(q, Not(p)))
+            assert _tally(ctx) == (3, 5)
+
+    def test_raising_builder_leaves_no_stale_tally(self, monkeypatch):
+        """The walk's tallies reach the context even when a builder
+        raises, and the next call counts only its own nodes."""
+        p, q = Prim(PROPS[0]), Prim(PROPS[1])
+
+        def broken(self, formula, left, right):
+            raise RuntimeError("planted")
+
+        # Patched before the compiled system exists, as a class-level
+        # builder patch must be to take effect.
+        monkeypatch.setattr(CompiledSystem, "_build_or", broken)
+        compiled = CompiledSystem(_PROPERTY_SYSTEM)
+        with _context.scoped("raising") as ctx:
+            with pytest.raises(RuntimeError, match="planted"):
+                compiled.truth_bits(Or(p, q))
+            assert _tally(ctx) == (0, 3)
+        with _context.scoped("after") as ctx:
+            assert compiled.truth_bits(p) == compiled.run_mask("r1")
+            assert _tally(ctx) == (1, 0)

@@ -14,7 +14,8 @@ The serving contract as tests:
   nothing else;
 * a full admission queue rejects fast with 429 instead of buffering;
 * graceful shutdown drains in-flight work, and the daemon root holds
-  every request context's telemetry losslessly;
+  every request context's telemetry losslessly; a request still running
+  when the grace period runs out is answered 503;
 * every response carries a unique correlation ID.
 """
 
@@ -173,9 +174,19 @@ class TestRoundTrip:
 
 
 class TestOneContextPerRequest:
-    def test_queued_same_system_requests_get_their_own_contexts(self):
+    def test_queued_same_system_requests_get_their_own_contexts(
+        self, monkeypatch
+    ):
         clients = 6
         responses = []
+        contexts = {}
+        run_one = AnalysisDaemon._run_one
+
+        def recording(self, request_ctx, job):
+            contexts[job.corr_id] = request_ctx
+            return run_one(self, request_ctx, job)
+
+        monkeypatch.setattr(AnalysisDaemon, "_run_one", recording)
 
         @_serve_test(ServeConfig(workers=1, debug_delays=True))
         async def daemon(daemon, host, port):
@@ -195,8 +206,9 @@ class TestOneContextPerRequest:
             counters = telemetry["counters"]
             # Each request compiled its system in its own context ...
             assert counters["compiled_eval.system_miss"] == 1
-            # ... and reports that context's whole counter table.
-            assert counters == telemetry["snapshot"]["perf"]["counters"]
+            # ... and reports that context's whole counter table, once.
+            assert counters == contexts[telemetry["corr_id"]].counters
+            assert "counters" not in telemetry["snapshot"]["perf"]
         assert daemon.root.counters["serve.accepted"] == clients
         # The root absorbed every request context, counter by counter.
         assert _compiled_eval_totals([daemon.root.counters]) == (
@@ -303,6 +315,43 @@ class TestGracefulShutdown:
             if event["kind"] == "serve_accept"
         }
         assert len(corr_ids) == 4
+
+    def test_request_running_past_the_grace_gets_503(self):
+        """A request still running when the grace period runs out is
+        answered 503 with its correlation ID, and its context is forfeit
+        as a timed-out request's is; its handler writes the answer
+        before the idle keep-alive connection is reaped."""
+        answers = []
+
+        @_serve_test(ServeConfig(workers=1, shutdown_grace_s=0.2,
+                                 debug_delays=True))
+        async def daemon(daemon, host, port):
+            loop = asyncio.get_running_loop()
+            idle = client.ServeClient(host, port, timeout=30.0)
+            try:
+                status, _ = await loop.run_in_executor(
+                    None, lambda: idle.get("/healthz"))
+                assert status == 200  # the connection stays open, idle
+                slow = asyncio.ensure_future(
+                    _post(dict(SMALL_SYSTEM, delay_s=1.0), host, port))
+                await asyncio.sleep(0.3)  # in flight on the only worker
+                await daemon.shutdown(drain=True)
+                answers.append(await slow)
+                # The daemon closed the idle connection: end of stream.
+                assert await loop.run_in_executor(
+                    None, lambda: idle._sock.recv(1)) == b""
+            finally:
+                idle.close()
+
+        [(status, body)] = answers
+        assert status == 503
+        assert "shut down" in body["error"]
+        assert body["corr_id"].startswith("req-")
+        assert daemon.root.counters["serve.context_abandoned"] == 1
+        assert "serve.timeouts" not in daemon.root.counters
+        [stop] = [event for event in daemon.root.journal.snapshot()
+                  if event["kind"] == "serve_stop"]
+        assert stop["attrs"]["drained"] is False
 
     def test_shutdown_closes_the_listener(self):
         @_serve_test(ServeConfig(workers=1))
