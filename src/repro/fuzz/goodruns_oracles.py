@@ -23,7 +23,7 @@ checkable invariants:
   so everything that survived the staged filters survives the replay
   against the final (smaller) vector.
 * **engine agreement** — the worklist and naive engines produce
-  byte-identical stage tuples.
+  byte-identical stage tuples, under every (backend, hide) variant.
 * **optimality** (Theorem 3) — on small systems with depth-1
   run-constant assumptions (where I2 is vacuous and the theorem's
   premises hold), the constructed vector equals the brute-force
@@ -45,11 +45,17 @@ from repro.goodruns.construction import (
 )
 from repro.goodruns.optimality import optimality_report
 from repro.model.system import System
+from repro.semantics.backend import DEFAULT_BACKEND, backend_names
 from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.terms.atoms import Principal
 from repro.terms.formulas import Believes, Formula, Truth
 
 from repro.fuzz.oracles import OracleFailure, _mentions_belief, sample_formulas
+
+#: The (backend, pattern_hide) variants the engine differential covers.
+ENGINE_VARIANTS = tuple(
+    (backend, hide) for backend in backend_names() for hide in (False, True)
+)
 
 
 def _run_constant(compiled: CompiledSystem, formula: Formula) -> bool:
@@ -248,17 +254,23 @@ def check_goodruns_construction(
             )
         )
 
-    # Engine differential: worklist and naive stages are byte-identical.
-    if default_engine:
-        naive = construct_good_runs(
-            system, assumptions, pattern_hide=pattern_hide, engine="naive"
+    # Engine differential: worklist and naive stages are byte-identical,
+    # under every (backend, hide) variant; this check's own reuses result.
+    for backend, hide in ENGINE_VARIANTS if default_engine else ():
+        worklist, naive = (
+            result if (engine, backend, hide) == (
+                "worklist", DEFAULT_BACKEND, pattern_hide)
+            else construct_good_runs(system, assumptions, pattern_hide=hide,
+                                     engine=engine, backend=backend)
+            for engine in ("worklist", "naive")
         )
-        if naive.stages != result.stages:
+        if naive.stages != worklist.stages:
             failures.append(
                 OracleFailure(
                     "goodruns_engines",
-                    "worklist stages diverge from the naive loop: "
-                    f"{[s.describe() for s in result.stages]} vs "
+                    "worklist stages diverge from the naive loop "
+                    f"({backend}, pattern_hide={hide}): "
+                    f"{[s.describe() for s in worklist.stages]} vs "
                     f"{[s.describe() for s in naive.stages]}",
                 )
             )

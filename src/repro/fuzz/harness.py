@@ -44,6 +44,7 @@ from repro.terms.formulas import Formula
 
 from repro.fuzz.generate import generate_base_system, randomize_interpretation
 from repro.fuzz.goodruns_oracles import (
+    ENGINE_VARIANTS,
     check_goodruns_construction,
     describe_assumptions,
     sample_assumption_vector,
@@ -64,6 +65,7 @@ from repro.fuzz.oracles import (
     check_ground_path_differential,
     check_hide_differential,
     check_mutation,
+    check_said_entries,
     classification_failure,
     sample_formulas,
     sample_goodrun_vector,
@@ -377,8 +379,8 @@ def _wf_classification(work: Workload) -> Verdict | None:
 
 
 def _differential(work: Workload) -> Verdict | None:
-    """Cache/interning, hide, and ground-path differentials on the
-    (possibly benign-mutated) well-formed system."""
+    """Cache/interning, hide, ground-path and said-entry differentials
+    on the (possibly benign-mutated) well-formed system."""
     formulas, points = work.sample
     if not (formulas and points):
         return None
@@ -394,10 +396,13 @@ def _differential(work: Workload) -> Verdict | None:
                 for run in system.runs
             ),
             "ground_path_differential": len(points),
+            # One said-entry walk per principal and run.
+            "said_entries": sum(len(r.all_principals) for r in system.runs),
         },
         check_cache_differential(system, formulas, points)
         + check_hide_differential(system, formulas, points)
-        + check_ground_path_differential(work.rng, system, formulas, points),
+        + check_ground_path_differential(work.rng, system, formulas, points)
+        + check_said_entries(system),
     )
 
 
@@ -478,11 +483,12 @@ GOODRUNS_ASSUMPTIONS = 4
 def _goodruns_construction(work: Workload) -> Verdict | None:
     """A random I1 assumption vector through the Theorem 2/3 pipeline.
 
-    The whole check — the construction, both engines, and the
-    brute-force optimality search — runs in its own ephemeral context
-    (the enumeration warms per-vector caches no later row wants), and
-    its telemetry (the per-stage ``goodruns.stage`` spans included) is
-    absorbed into the iteration's context.
+    The whole check — the construction, both engines under every
+    (backend, hide) variant, and the brute-force optimality search —
+    runs in its own ephemeral context (the enumeration warms
+    per-vector caches no later row wants), and its telemetry (the
+    per-stage ``goodruns.stage`` spans included) is absorbed into the
+    iteration's context.
     """
     system = work.system
     goodruns_ctx = context.fresh(f"fuzz-goodruns-{work.iteration}")
@@ -519,7 +525,8 @@ def _goodruns_construction(work: Workload) -> Verdict | None:
             script=describe_assumptions(minimal), trace=trace,
         )
 
-    return Verdict({"goodruns_construction": 1}, failures, shrunk)
+    return Verdict({"goodruns_construction": 1,
+                    "goodruns_engines": len(ENGINE_VARIANTS)}, failures, shrunk)
 
 
 def _engine_replay(work: Workload) -> Verdict:

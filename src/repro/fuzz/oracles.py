@@ -14,7 +14,8 @@ Four families of checks, each independent of the machinery it audits:
   and pattern hiding refines indistinguishability, so a top-level
   belief that holds under collapse-hide must also hold under
   pattern-hide.  The evaluator's walked hidden views must group the
-  points as the literal ``hidden_local_view`` does.
+  points as the literal ``hidden_local_view`` does, and its walked said
+  entries must equal the literal per-time ones.
 * **Path differential** — the ground-formula fast path must agree with
   the substitution path.
 """
@@ -28,6 +29,7 @@ from typing import Sequence
 from repro import context
 from repro.errors import SemanticsError
 from repro.model.runs import Run
+from repro.model.submsgs import said_submsgs
 from repro.model.system import System
 from repro.model.wellformed import violation_classes
 from repro.semantics.compiler import compiled_for
@@ -352,6 +354,23 @@ def check_hide_differential(
                     ))
                     break
     return failures
+
+
+def check_said_entries(system: System) -> list[OracleFailure]:
+    """The evaluator's walked said entries must equal the literal ones
+    (each time's sends, said under that time's keys and received set)
+    for every principal of every run, the environment included."""
+    evaluator = Evaluator(system)
+    return [
+        OracleFailure("said_entries", f"{principal}: walked said entries "
+                      "differ from the per-time ones", run_name=run.name)
+        for run in system.runs for principal in run.all_principals
+        if evaluator._said_entries(principal, run) != tuple(
+            (k, said_submsgs(run.keyset(principal, k),
+                             run.received_messages(principal, k), send.message))
+            for k in run.times for send in run.sends_performed_at(principal, k)
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,32 @@ class Run:
         before = self.history(principal, k - 1)
         return now[len(before):]
 
+    def sends_by_time(self, principal: Principal) -> Iterator[tuple[int, tuple]]:
+        """``(k, sends_performed_at(principal, k))`` at each time k with a
+        send: one walk over the states, by :meth:`performed`'s rule."""
+        env, before = principal == self.environment, None
+        for k, state in enumerate(self.states, self.start_time):
+            now = state.env if env else state.local(principal)
+            if now is before:  # an unchanged state performed nothing
+                continue
+            done = 0 if before is None else len(before.history)
+            new = now.history[done:]
+            if env and done and now.history[:done] != before.history:
+                new = now.actions_of(principal)[  # not an extension
+                    len(before.actions_of(principal)):]
+            elif env:
+                new = [action for who, action in new if who == principal]
+            before = now
+            sends = tuple(action for action in new if isinstance(action, Send))
+            if sends:
+                yield k, sends
+
     # -- message bookkeeping ----------------------------------------------------
 
     def received_messages(self, principal: Principal, k: int) -> frozenset[Message]:
         """Messages m with ``receive(m)`` in the principal's history at k."""
+        if principal != self.environment:  # the local state's cached set
+            return self.state(k).local(principal).received_messages
         return frozenset(
             action.message
             for action in self.history(principal, k)

@@ -150,10 +150,7 @@ def _check_send_conditions(run: Run) -> Iterator[Violation]:
     """WF3 for all principals; WF4/WF5 for system principals only."""
     for principal in run.all_principals:
         is_system = principal != run.environment
-        for k in run.times:
-            sends = run.sends_performed_at(principal, k)
-            if not sends:
-                continue
+        for k, sends in run.sends_by_time(principal):
             keys = run.keyset(principal, k)
             received = run.received_messages(principal, k)
             seen_of_received = seen_submsgs_all(keys, received)

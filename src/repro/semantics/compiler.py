@@ -70,10 +70,9 @@ from typing import Mapping
 
 from repro import context as _context
 from repro import perf
-from repro.errors import SemanticsError
 from repro.model.runs import Run
 from repro.model.system import Point, System
-from repro.semantics.evaluator import Evaluator
+from repro.semantics.evaluator import Evaluator, formula_at
 from repro.semantics.goodvectors import GoodRunVector
 from repro.terms.atoms import Principal, PublicKey
 from repro.terms.base import Message
@@ -99,7 +98,7 @@ from repro.terms.formulas import (
     Truth,
 )
 from repro.terms.messages import Combined, Encrypted
-from repro.terms.ops import free_parameters, is_ground, substitute
+from repro.terms.ops import free_parameters, substitute
 
 #: The node table's default: ``None`` there is a verdict (refused).
 _UNCOMPILED = object()
@@ -224,24 +223,7 @@ class CompiledSystem:
 
     def evaluate(self, formula: Formula, run: Run, k: int) -> bool:
         """``(r, k) |= φ`` — same contract as :meth:`Evaluator.evaluate`."""
-        if not isinstance(formula, Formula):
-            raise SemanticsError(f"cannot evaluate non-formula {formula!r}")
-        if not is_ground(formula):
-            parameters = free_parameters(formula)
-            assignment = {
-                parameter: run.param_map[parameter]
-                for parameter in parameters
-                if parameter in run.param_map
-            }
-            formula = substitute(formula, assignment)  # type: ignore[assignment]
-            left_over = free_parameters(formula)
-            if left_over:
-                missing = ", ".join(sorted(p.name for p in left_over))
-                raise SemanticsError(
-                    f"run {run.name!r} assigns no value to parameter(s) {missing}"
-                )
-        if not run.has_time(k):
-            raise SemanticsError(f"time {k} outside run {run.name!r}")
+        formula = formula_at(formula, run, k)
         index = self.point_index.get((run.name, k))
         if index is None or self.points[index][0] is not run:
             # A point outside the compiled system (a foreign run): a
@@ -543,16 +525,18 @@ class CompiledSystem:
         cached = self._belief_groups.get(principal)
         if cached is not None:
             return cached
-        view_of = self.interpreter._hidden_view
+        views_of = self.interpreter._hidden_views
         good = self.goodruns.good_runs(principal)
         members: dict[tuple, int] = {}
         possible: dict[tuple, int] = {}
-        for i, (run, k) in enumerate(self.points):
-            view = view_of(principal, run, k)
-            members[view] = members.get(view, 0) | (1 << i)
-            if good is not None and run.name not in good:
-                continue
-            possible[view] = possible.get(view, 0) | (1 << i)
+        bit = 1  # points are numbered run by run, oldest first
+        for run in self.system.runs:
+            kept = good is None or run.name in good
+            for view in views_of(principal, run):
+                members[view] = members.get(view, 0) | bit
+                if kept:
+                    possible[view] = possible.get(view, 0) | bit
+                bit <<= 1
         groups = tuple(
             (member_bits, possible.get(view, 0))
             for view, member_bits in members.items()

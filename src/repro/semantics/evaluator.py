@@ -102,7 +102,7 @@ class Evaluator:
         self.pattern_hide = pattern_hide
         self.tracer = tracer
         self._memo: dict[tuple[Formula, str, int], bool] = {}
-        self._hidden: dict[tuple[Principal, str, int], HiddenView] = {}
+        self._hidden: dict[tuple[Principal, str], list[HiddenView]] = {}
         #: The history-prefix node table the hidden views are named by.
         self._nodes: dict[tuple, int] = {}
         self._possible: dict[tuple, dict[HiddenView, list[Point]]] = {}
@@ -126,28 +126,7 @@ class Evaluator:
 
     def evaluate(self, formula: Formula, run: Run, k: int) -> bool:
         """``(r, k) |= φ`` after substituting the run's parameter values."""
-        if not isinstance(formula, Formula):
-            raise SemanticsError(f"cannot evaluate non-formula {formula!r}")
-        # Ground formulas — the common case in the soundness sweep — skip
-        # the substitution machinery entirely; ``is_ground`` is an O(1)
-        # memoized attribute of the interned term, not a term walk.
-        if not is_ground(formula):
-            parameters = free_parameters(formula)
-            assignment = {
-                parameter: run.param_map[parameter]
-                for parameter in parameters
-                if parameter in run.param_map
-            }
-            formula = substitute(formula, assignment)  # type: ignore[assignment]
-            left_over = free_parameters(formula)
-            if left_over:
-                missing = ", ".join(sorted(p.name for p in left_over))
-                raise SemanticsError(
-                    f"run {run.name!r} assigns no value to parameter(s) {missing}"
-                )
-        if not run.has_time(k):
-            raise SemanticsError(f"time {k} outside run {run.name!r}")
-        return self._eval(formula, run, k)
+        return self._eval(formula_at(formula, run, k), run, k)
 
     def holds(self, formula: Formula, point: Point) -> bool:
         run, k = point
@@ -275,7 +254,8 @@ class Evaluator:
     def _said_entries(
         self, principal: Principal, run: Run
     ) -> tuple[tuple[int, frozenset], ...]:
-        """(send time, said_submsgs) for every send the principal performed.
+        """(send time, said_submsgs) for every send the principal performed,
+        from one walk over the run's states (:meth:`Run.sends_by_time`).
 
         ``said_submsgs`` is computed with the key set and received set
         the principal had *at the time of the send* — acquiring a key
@@ -285,10 +265,7 @@ class Evaluator:
         cached = self._said.get(key)
         if cached is None:
             entries = []
-            for k in run.times:
-                sends = run.sends_performed_at(principal, k)
-                if not sends:
-                    continue
+            for k, sends in run.sends_by_time(principal):
                 keys = run.keyset(principal, k)
                 received = run.received_messages(principal, k)
                 for send in sends:
@@ -355,16 +332,8 @@ class Evaluator:
         run, so "a good key for one pair in one epoch cannot be a good
         key for another pair in another epoch".
         """
-        for principal in run.all_principals:
-            if principal == left or principal == right:
-                continue
-            for sent_at, components in self._said_entries(principal, run):
-                seen = self._seen_set(principal, run, sent_at)
-                for component in components:
-                    if isinstance(component, Encrypted) and component.key == key:
-                        if component not in seen:
-                            return False
-        return True
+        return self._only_made_by((left, right), run, lambda component: (
+            isinstance(component, Encrypted) and component.key == key))
 
     def _public_key_of(self, owner: Principal, key, run: Run) -> bool:
         """pk(P, K): only P ever *signs* with the private partner K⁻¹.
@@ -378,48 +347,45 @@ class Evaluator:
                 f"pk(...) needs a PublicKey constant, got {key!r}"
             )
         private = key.partner
-        for principal in run.all_principals:
-            if principal == owner:
-                continue
-            for sent_at, components in self._said_entries(principal, run):
-                seen = self._seen_set(principal, run, sent_at)
-                for component in components:
-                    if (
-                        isinstance(component, Encrypted)
-                        and component.key == private
-                        and component not in seen
-                    ):
-                        return False
-        return True
+        return self._only_made_by((owner,), run, lambda component: (
+            isinstance(component, Encrypted) and component.key == private))
 
     def _shared_secret(
         self, left: Principal, secret: Message, right: Principal, run: Run
     ) -> bool:
         """P <-X-> Q (secret): only P and Q ever *combine* with X."""
+        return self._only_made_by((left, right), run, lambda component: (
+            isinstance(component, Combined) and component.secret == secret))
+
+    def _only_made_by(self, makers: tuple, run: Run, matches) -> bool:
+        """Every principal but ``makers`` had seen each matching
+        component it said: it relayed a copy rather than making one."""
         for principal in run.all_principals:
-            if principal == left or principal == right:
+            if principal in makers:
                 continue
             for sent_at, components in self._said_entries(principal, run):
                 seen = self._seen_set(principal, run, sent_at)
                 for component in components:
-                    if isinstance(component, Combined) and component.secret == secret:
-                        if component not in seen:
-                            return False
+                    if matches(component) and component not in seen:
+                        return False
         return True
 
     # -- belief -----------------------------------------------------------------------------
 
-    def _hidden_view(self, principal: Principal, run: Run, k: int) -> HiddenView:
-        """``hide(r_P(k))``; a miss fills the whole run's views at once."""
-        key = (principal, run.name, k)
-        cached = self._hidden.get(key)
-        if cached is None:
-            run.state(k)  # an out-of-window time raises ModelError here
+    def _hidden_views(self, principal: Principal, run: Run) -> list[HiddenView]:
+        """``hide(r_P(k))`` at every time of the run, oldest first: one
+        :func:`hidden_run_views` walk per (principal, run), memoized."""
+        key = (principal, run.name)
+        views = self._hidden.get(key)
+        if views is None:
             views = hidden_run_views(run, principal, self.pattern_hide, self._nodes)
-            for time, view in zip(run.times, views):
-                self._hidden[(principal, run.name, time)] = view
-            cached = self._hidden[key]
-        return cached
+            self._hidden[key] = views
+        return views
+
+    def _hidden_view(self, principal: Principal, run: Run, k: int) -> HiddenView:
+        """``hide(r_P(k))``, indexed from the run's view list."""
+        run.state(k)  # an out-of-window time raises ModelError here
+        return self._hidden_views(principal, run)[k - run.start_time]
 
     def _view_index(
         self, principal: Principal, good: frozenset[str] | None
@@ -438,8 +404,7 @@ class Evaluator:
                     and not run.is_system_principal(principal)
                 ):
                     continue
-                for k in run.times:
-                    view = self._hidden_view(principal, run, k)
+                for k, view in zip(run.times, self._hidden_views(principal, run)):
                     cached.setdefault(view, []).append((run, k))
             self._possible[key] = cached
         return cached
@@ -479,6 +444,33 @@ class Evaluator:
 
     def points(self) -> Iterator[Point]:
         return self.system.points()
+
+
+def formula_at(formula: Formula, run: Run, k: int) -> Formula:
+    """The formula ``evaluate`` judges at (r, k): checked, with the run's
+    parameter values substituted (Section 8)."""
+    if not isinstance(formula, Formula):
+        raise SemanticsError(f"cannot evaluate non-formula {formula!r}")
+    # Ground formulas — the common case in the soundness sweep — skip
+    # the substitution machinery entirely; ``is_ground`` is an O(1)
+    # memoized attribute of the interned term, not a term walk.
+    if not is_ground(formula):
+        parameters = free_parameters(formula)
+        assignment = {
+            parameter: run.param_map[parameter]
+            for parameter in parameters
+            if parameter in run.param_map
+        }
+        formula = substitute(formula, assignment)  # type: ignore[assignment]
+        left_over = free_parameters(formula)
+        if left_over:
+            missing = ", ".join(sorted(p.name for p in left_over))
+            raise SemanticsError(
+                f"run {run.name!r} assigns no value to parameter(s) {missing}"
+            )
+    if not run.has_time(k):
+        raise SemanticsError(f"time {k} outside run {run.name!r}")
+    return formula
 
 
 def _principal(term: Message) -> Principal:

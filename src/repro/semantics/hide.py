@@ -186,7 +186,8 @@ def hidden_run_views(
     run: Run, principal: Principal, pattern: bool, nodes: dict
 ) -> list[HiddenView]:
     """:func:`hidden_local_view` at every time of the run, oldest first,
-    from one walk that hides each newly performed action once.
+    from one walk over ``run.states`` that hides each newly performed
+    action once.
 
     The hidden history is named by an interned node (``nodes`` maps
     ``(parent node, hidden action)`` to an int; ``0`` is the empty
@@ -194,15 +195,19 @@ def hidden_run_views(
     table are equal exactly when the literal views are.  The walk
     restarts from the root when the key set changes (a new key can make
     an earlier ciphertext readable) or the history does not extend the
-    previous one.  Pattern-hide numbering is carried along; the
+    previous one, and a state that is the previous time's object keeps
+    its view.  Pattern-hide numbering is carried along; the
     environment's buffers, numbered after its history, use a copy.
     """
     env = principal == run.environment
     views: list[HiddenView] = []
-    keys, history, node = None, (), 0
-    for k in run.times:
-        state = run.state(k).env if env else run.local(principal, k)
-        done = len(history)
+    keys, history, node, before = None, (), 0, None
+    for state in run.states:
+        state = state.env if env else state.local(principal)
+        if state is before:
+            views.append(views[-1])
+            continue
+        before, done = state, len(history)
         if state.keys != keys or state.history[:done] != history:
             keys, done, node, numbering = state.keys, 0, 0, {}
             hider = _hider(pattern, numbering)

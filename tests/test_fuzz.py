@@ -45,6 +45,7 @@ from repro.fuzz import harness
 from repro.fuzz import mutators as mutators_module
 from repro.fuzz import proof_mutators as proof_mutators_module
 from repro.fuzz.generate import iteration_rng
+from repro.fuzz.goodruns_oracles import ENGINE_VARIANTS
 from repro.fuzz.harness import GOODRUNS_ASSUMPTIONS, REPLAY_ASSUMPTIONS
 from repro.logic.engine import Inference
 from repro.logic.facts import Fact
@@ -588,7 +589,7 @@ class TestOracleSelection:
 
 
 def _skip_first_stratum(system, assumptions, pattern_hide=False,
-                        engine="worklist"):
+                        engine="worklist", backend="belief"):
     """A planted construction bug: the depth-1 strata never filter."""
     from repro.goodruns.construction import ConstructionResult
     from repro.semantics.compiler import compiled_for
@@ -661,6 +662,49 @@ class TestGoodrunsFamilyInHarness:
             c["failure"]["oracle"].startswith("goodruns_")
             for c in record["counterexamples"]
         )
+
+
+class TestGoodrunsEnginesUnderEveryVariant:
+    """The construction row compares the two engines under every
+    (backend, hide) variant, not only its own (belief, collapse)."""
+
+    @pytest.mark.parametrize("bug_backend,bug_hide", ENGINE_VARIANTS)
+    def test_worklist_bug_in_one_variant_is_caught(
+        self, monkeypatch, bug_backend, bug_hide
+    ):
+        from repro.goodruns.construction import (
+            ConstructionResult,
+            construct_good_runs,
+        )
+
+        def construct(system, assumptions, pattern_hide=False,
+                      engine="worklist", backend="belief"):
+            result = construct_good_runs(
+                system, assumptions, pattern_hide=pattern_hide,
+                engine=engine, backend=backend,
+            )
+            if (engine, backend, pattern_hide) != (
+                "worklist", bug_backend, bug_hide
+            ):
+                return result
+            # The bug: the worklist engine repeats its last stage.
+            return ConstructionResult(
+                result.vector, result.stages + result.stages[-1:]
+            )
+
+        monkeypatch.setattr(
+            "repro.fuzz.goodruns_oracles.construct_good_runs", construct
+        )
+        report = run_fuzz(FuzzConfig(
+            seed=0, iterations=4, oracles=("goodruns_construction",),
+        ))
+        assert report.counterexamples
+        for example in report.counterexamples:
+            assert example.failure.oracle == "goodruns_engines"
+            assert f"({bug_backend}, pattern_hide={bug_hide})" in (
+                example.failure.description)
+        assert report.oracle_checks["goodruns_engines"] == 4 * (
+            report.oracle_checks["goodruns_construction"])
 
 
 class TestHideMonotonicityPlantedBug:
@@ -762,6 +806,62 @@ class TestHideViewsPlantedBug:
         failures = check_hide_differential(self._system(), [], [])
         assert [f.oracle for f in failures] == ["hide_views"]
         assert failures[0].description.startswith("A (collapse-hide)")
+
+
+class TestSaidEntriesPlantedBugs:
+    """The said-entry oracle catches a walk that loses sends the
+    per-time definition counts."""
+
+    @staticmethod
+    def _walk_without_env_fallback(run, principal):
+        """The bug: the environment always takes the new global-history
+        entries, also when the history does not extend the previous one."""
+        from repro.model import Send
+
+        before = None
+        for k, state in enumerate(run.states, run.start_time):
+            if principal != run.environment:
+                now = state.local(principal).history
+                new = now if before is None else now[len(before):]
+            else:
+                now = state.env.history
+                start = 0 if before is None else len(before)
+                new = tuple(action for who, action in now[start:]
+                            if who == principal)
+            before = now
+            sends = tuple(a for a in new if isinstance(a, Send))
+            if sends:
+                yield k, sends
+
+    def test_real_walk_is_quiet(self):
+        from repro.fuzz.oracles import check_said_entries
+        from tests.test_semantics_evaluator import edge_system
+
+        assert check_said_entries(edge_system()) == []
+
+    @pytest.mark.parametrize("bug", ["env_fallback", "first_time"])
+    def test_lossy_walk_is_caught(self, monkeypatch, bug):
+        from repro.fuzz.oracles import check_said_entries
+        from repro.model import Run
+        from tests.test_semantics_evaluator import edge_system
+
+        real = Run.sends_by_time
+
+        def walk_from_second_time(run, principal):
+            # The bug: the walk skips the window's first time.
+            return ((k, sends) for k, sends in real(run, principal)
+                    if k > run.start_time)
+
+        monkeypatch.setattr(Run, "sends_by_time", {
+            "env_fallback": self._walk_without_env_fallback,
+            "first_time": walk_from_second_time,
+        }[bug])
+        failures = check_said_entries(edge_system())
+        assert failures and {f.oracle for f in failures} == {"said_entries"}
+        # In the edge runs the environment sends at 2, in a rewritten
+        # global history, and A has already sent at the first time, -2.
+        lost = {"env_fallback": {"Env"}, "first_time": {"A"}}[bug]
+        assert {f.description.split(":")[0] for f in failures} == lost
 
 
 def _plant_wf2_blindness(monkeypatch):

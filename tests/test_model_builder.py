@@ -176,6 +176,54 @@ class TestWellformedChecker:
 
 
 class TestRunAccessors:
+    @staticmethod
+    def _runs():
+        """A builder run, and a run built by hand from ``LocalState``s
+        that starts at -1 with a send in A's history and whose global
+        history at 1 does not extend the one at 0."""
+        builder = RunBuilder([A, B], keysets={A: [K], B: [K]})
+        builder.send(A, encrypted(N, K, A), B)
+        builder.receive(B)
+        builder.send(B, M, A)
+        builder.receive(A)
+
+        def state(env_history, a_history, b_history):
+            return GlobalState(EnvState(env_history), (
+                (A, LocalState(a_history)), (B, LocalState(b_history))))
+
+        by_hand = Run("by-hand", (
+            state(((A, Send(N, B)),), (Send(N, B),), ()),
+            state(((A, Send(N, B)), (B, Receive(N))), (Send(N, B),),
+                  (Receive(N),)),
+            state(((ENVIRONMENT, Send(M, A)), (B, Receive(N)),
+                   (A, Receive(M))), (Send(N, B), Receive(M)), (Receive(N),)),
+        ), start_time=-1)
+        return builder.build("built"), by_hand
+
+    def test_received_messages_are_the_history_receives(self):
+        for run in self._runs():
+            for principal in run.all_principals:
+                for k in run.times:
+                    assert run.received_messages(principal, k) == frozenset(
+                        action.message for action in run.history(principal, k)
+                        if isinstance(action, Receive)
+                    )
+                    if principal != run.environment:
+                        # The local state's cached set, not a rebuilt one.
+                        assert run.received_messages(principal, k) is (
+                            run.local(principal, k).received_messages)
+
+    def test_sends_by_time_walks_the_per_time_sends(self):
+        for run in self._runs():
+            for principal in run.all_principals:
+                assert list(run.sends_by_time(principal)) == [
+                    (k, run.sends_performed_at(principal, k))
+                    for k in run.times if run.sends_performed_at(principal, k)
+                ]
+        _built, by_hand = self._runs()
+        assert [k for k, _ in by_hand.sends_by_time(A)] == [-1]
+        assert [k for k, _ in by_hand.sends_by_time(ENVIRONMENT)] == [1]
+
     def test_performed(self):
         run = simple_run()
         assert run.performed(A, 1) == (Send(encrypted(N, K, A), B),)

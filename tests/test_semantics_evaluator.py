@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.errors import SemanticsError
-from repro.model import ENVIRONMENT, Interpretation, RunBuilder, system_of
-from repro.semantics import Evaluator, GoodRunVector
+from repro.errors import ModelError, SemanticsError
+from repro.model import (
+    ENVIRONMENT,
+    EnvState,
+    GlobalState,
+    Interpretation,
+    LocalState,
+    NewKey,
+    Receive,
+    Run,
+    RunBuilder,
+    Send,
+    system_of,
+)
+from repro.model.submsgs import said_submsgs
+from repro.semantics import Evaluator, GoodRunVector, hidden_local_view
+from repro.semantics.compiler import CompiledSystem
 from repro.terms import (
     And,
     Believes,
@@ -434,3 +448,126 @@ class TestBelief:
         ev = Evaluator(system)
         with pytest.raises(SemanticsError):
             ev.possible_points(Principal("Z"), run1, 0)
+
+
+def edge_run(name, payload):
+    """A run built by hand from states, at times -2..3, with the cases
+    the per-run walks must keep to the per-time definitions:
+
+    * a send already in A's history at the window's first time (-2);
+    * several actions at one time: B receives and sends at -1, and A
+      takes ``newkey(K2)`` and sends twice at 1 (a key acquired mid-run,
+      which makes B's ``{payload}_K2`` readable to A);
+    * an environment send at 0, and a global history at 2 that does not
+      extend the one at 1, with a new environment send in it;
+    * a stuttering step: the state at 3 is the state at 2.
+    """
+    sealed = encrypted(payload, K2, B)
+    locals_ = {
+        A: LocalState(history=(Send(N, B),), keys=frozenset({K})),
+        B: LocalState(keys=frozenset({K, K2})),
+    }
+    env = EnvState(history=((A, Send(N, B)),), keys=frozenset({K}))
+    steps = (
+        (),
+        ((B, Receive(N)), (B, Send(sealed, A))),
+        ((A, Receive(sealed)), (ENVIRONMENT, Send(M, B))),
+        ((A, NewKey(K2)), (A, Send(encrypted(M, K2, A), B)),
+         (A, Send(sealed, B))),
+    )
+    states = []
+    for step in steps:
+        for who, action in step:
+            env = env.record(who, action)
+            if who != ENVIRONMENT:
+                locals_[who] = locals_[who].after(action)
+        states.append(GlobalState(env, tuple(sorted(
+            locals_.items(), key=lambda item: item[0].name))))
+    env = EnvState(
+        history=env.history[1:] + ((ENVIRONMENT, Send(Nonce("J"), A)),),
+        keys=env.keys, buffers=((B, (encrypted(M, K2, A),)),),
+    )
+    states.append(states[-1].with_env(env))
+    states.append(states[-1])
+    return Run(name, tuple(states), start_time=-2)
+
+
+def edge_system():
+    """Two edge runs A tells apart only once it holds K2."""
+    return system_of([edge_run("edge-N", N), edge_run("edge-P", Nonce("P"))])
+
+
+def literal_said_entries(run, principal):
+    """``Evaluator._said_entries`` by its definition, time by time."""
+    return tuple(
+        (k, said_submsgs(run.keyset(principal, k),
+                         run.received_messages(principal, k), send.message))
+        for k in run.times
+        for send in run.sends_performed_at(principal, k)
+    )
+
+
+def _bit_indices(bits):
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+class TestWalkedKernels:
+    """The one-walk-per-run kernels against their per-time definitions."""
+
+    def test_said_entries_match_the_literal_ones(self):
+        system = edge_system()
+        evaluator = Evaluator(system)
+        for run in system.runs:
+            for principal in run.all_principals:
+                assert evaluator._said_entries(principal, run) == (
+                    literal_said_entries(run, principal)
+                )
+            sent_at = {
+                principal: [k for k, _ in evaluator._said_entries(principal, run)]
+                for principal in run.all_principals
+            }
+            assert sent_at == {A: [-2, 1, 1], B: [-1], ENVIRONMENT: [0, 2]}
+
+    @pytest.mark.parametrize("pattern", [False, True])
+    @pytest.mark.parametrize("good", [None, ["edge-N"]])
+    def test_belief_groups_match_the_literal_grouping(self, pattern, good):
+        system = edge_system()
+        vector = None if good is None else GoodRunVector.of(
+            {A: good, B: good})
+        compiled = CompiledSystem(system, vector, pattern_hide=pattern)
+        for principal in (A, B, ENVIRONMENT):
+            classes = {}
+            for i, (run, k) in enumerate(compiled.points):
+                view = hidden_local_view(run, principal, k, pattern)
+                classes.setdefault(view, set()).add(i)
+            kept = {
+                i for i, (run, _k) in enumerate(compiled.points)
+                if good is None or principal == ENVIRONMENT
+                or run.name in good
+            }
+            assert {
+                (_bit_indices(members), _bit_indices(possible))
+                for members, possible in compiled._belief_groups_for(principal)
+            } == {
+                (frozenset(points), frozenset(points & kept))
+                for points in classes.values()
+            }
+
+    def test_errors_keep_their_type_and_call(self):
+        system = edge_system()
+        run = system.runs[0]
+        evaluator = Evaluator(system)
+        for k in (run.start_time - 1, run.end_time + 1):
+            with pytest.raises(ModelError, match="outside run window"):
+                evaluator._hidden_view(A, run, k)
+        stranger = Principal("C")
+        for call in (
+            lambda: evaluator._hidden_view(stranger, run, 0),
+            lambda: evaluator._said_entries(stranger, run),
+            lambda: evaluator.evaluate(Said(stranger, N), run, 0),
+            lambda: CompiledSystem(system)._belief_groups_for(stranger),
+        ):
+            with pytest.raises(ModelError, match="C is not a system principal"):
+                call()
+        with pytest.raises(SemanticsError, match="C has no local state"):
+            evaluator.evaluate(Believes(stranger, Truth()), run, 0)

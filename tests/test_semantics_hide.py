@@ -26,6 +26,7 @@ from repro.terms import (
 )
 
 from tests.strategies import messages
+from tests.test_semantics_evaluator import edge_system
 
 A = Principal("A")
 B = Principal("B")
@@ -189,8 +190,9 @@ class TestHiddenRunViews:
     @pytest.mark.parametrize("pattern", [False, True])
     @pytest.mark.parametrize(
         "runs",
-        [(_late_key_run(N), _late_key_run(Nonce("N2"))), (_rewritten_run(),)],
-        ids=["mid-run-newkey", "history-not-extended"],
+        [(_late_key_run(N), _late_key_run(Nonce("N2"))), (_rewritten_run(),),
+         edge_system().runs],
+        ids=["mid-run-newkey", "history-not-extended", "hand-built-edges"],
     )
     def test_walk_matches_the_literal_views(self, runs, pattern):
         for principal in (A, B, ENVIRONMENT):
@@ -209,6 +211,21 @@ class TestHiddenRunViews:
             assert [[a == b for b in walked] for a in walked] == [
                 [a == b for b in literal] for a in literal
             ]
+
+    @pytest.mark.parametrize("pattern", [False, True])
+    def test_evaluator_view_lists_match_the_literal_views(self, pattern):
+        system = edge_system()
+        evaluator = Evaluator(system, pattern_hide=pattern)
+        for run in system.runs:
+            for principal in run.all_principals:
+                views = evaluator._hidden_views(principal, run)
+                assert [_expanded(view, evaluator._nodes) for view in views] == [
+                    hidden_local_view(run, principal, k, pattern)
+                    for k in run.times
+                ]
+                assert [
+                    evaluator._hidden_view(principal, run, k) for k in run.times
+                ] == views
 
     def test_newkey_reveals_an_earlier_ciphertext(self):
         runs = (_late_key_run(N), _late_key_run(Nonce("N2")))
