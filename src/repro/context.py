@@ -140,8 +140,7 @@ class EngineContext:
       threads through ephemeral contexts);
     * ``evaluators`` — the weak registry of live
       :class:`~repro.semantics.evaluator.Evaluator` instances, so
-      ``perf.clear_caches()``/``cache_sizes()`` can reach their
-      per-instance truth memos.
+      ``perf.cache_sizes()`` can reach their per-instance truth memos.
 
     Contexts are cheap: creating one allocates a handful of empty
     containers, which is what makes per-iteration and per-request
@@ -181,7 +180,7 @@ class EngineContext:
         self.compiled_systems = BoundedMemo("compiled_systems", min(memo_cap, 256))
         # High-water marks of the registered perf caches, maxed in by
         # perf.observe_cache_peaks(); survives the caches themselves
-        # dying (weakly-registered evaluator memos) or being cleared.
+        # dying (weakly-registered evaluator memos) or being evicted.
         self.cache_peaks: dict[str, int] = {}
         self._spans = None
         self._journal = None
@@ -265,16 +264,6 @@ class EngineContext:
                 peaks[name] = size
 
     # -- bookkeeping -----------------------------------------------------------
-
-    def clear_session_caches(self) -> None:
-        """Empty this context's caches (intern table, memos, evaluator
-        memos) without touching counters or spans."""
-        self.intern_table.clear()
-        self.hide_memo.clear()
-        self.seen_memo.clear()
-        self.compiled_systems.clear()
-        for evaluator in list(self.evaluators):
-            evaluator.clear_memos()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,10 +24,11 @@ checkable invariants:
   against the final (smaller) vector.
 * **engine agreement** — the worklist and naive engines produce
   byte-identical stage tuples, under every (backend, hide) variant.
-* **optimality** (Theorem 3) — on small systems with depth-1
-  run-constant assumptions (where I2 is vacuous and the theorem's
-  premises hold), the constructed vector equals the brute-force
-  maximum of all supporting vectors.
+* **optimality** (Theorem 3) — on small systems, the construction of
+  the sampled vector's depth-1 restriction (its belief-free,
+  run-constant assumptions, where I2 is vacuous and the theorem's
+  premises hold) equals the brute-force maximum of all supporting
+  vectors.
 """
 
 from __future__ import annotations
@@ -172,6 +173,28 @@ def _search_space(system: System) -> int:
     return (2 ** len(system.runs)) ** len(system.principals())
 
 
+def optimality_restriction(
+    system: System, assumptions: InitialAssumptions
+) -> InitialAssumptions | None:
+    """The vector the brute-force Theorem 3 check runs on: the depth-1
+    restriction of ``assumptions``, its belief-free, run-constant
+    assumptions (I1 holds, I2 is vacuous).  None when there are none,
+    or when the search space exceeds :data:`GOODRUNS_OPTIMALITY_CAP`.
+    """
+    if _search_space(system) > GOODRUNS_OPTIMALITY_CAP:
+        return None
+    # A belief-free body reads no vector: run-constancy at the top holds
+    # relative to every vector.
+    compiled = compiled_for(system)
+    kept: dict[Principal, list[Formula]] = {}
+    for principal, formula in assumptions.all_formulas():
+        assert isinstance(formula, Believes)
+        body = formula.body
+        if not _mentions_belief(body) and _run_constant(compiled, body):
+            kept.setdefault(principal, []).append(formula)
+    return InitialAssumptions.of(kept) if kept else None
+
+
 def _vectors_equal(a, b, system: System) -> bool:
     return a.leq(b, system) and b.leq(a, system)
 
@@ -275,20 +298,14 @@ def check_goodruns_construction(
                 )
             )
 
-    # Theorem 3 (brute force): only where its premises provably hold —
-    # depth ≤ 1 (I2 vacuous, bodies belief-free and run-constant by the
-    # support filter above) on small-enough search spaces.
-    if (
-        assumptions.max_depth <= 1
-        and assumptions.satisfies_i2()
-        and _search_space(system) <= GOODRUNS_OPTIMALITY_CAP
-        and all(
-            _run_constant(support_compiled, formula.body)
-            for _p, formula in assumptions.all_formulas()
-            if isinstance(formula, Believes)
-        )
-    ):
-        report = optimality_report(system, assumptions, pattern_hide)
+    # Theorem 3 (brute force): on the depth-1 restriction, where its
+    # premises provably hold, the construction is the maximum.
+    restricted = optimality_restriction(system, assumptions)
+    if restricted is not None:
+        constructed = construct(
+            system, restricted, pattern_hide=pattern_hide
+        ).vector
+        report = optimality_report(system, restricted, pattern_hide)
         if report.maximum is None:
             failures.append(
                 OracleFailure(
@@ -297,12 +314,12 @@ def check_goodruns_construction(
                     f"hold ({len(report.supporting)} supporting vectors)",
                 )
             )
-        elif not report.is_optimum(result.vector, system):
+        elif not report.is_optimum(constructed, system):
             failures.append(
                 OracleFailure(
                     "goodruns_optimal",
                     "constructed vector is not the brute-force maximum: "
-                    f"constructed {result.vector.describe()}, maximum "
+                    f"constructed {constructed.describe()}, maximum "
                     f"{report.maximum.describe()}",
                 )
             )

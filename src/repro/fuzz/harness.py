@@ -47,6 +47,7 @@ from repro.fuzz.goodruns_oracles import (
     ENGINE_VARIANTS,
     check_goodruns_construction,
     describe_assumptions,
+    optimality_restriction,
     sample_assumption_vector,
 )
 from repro.fuzz.logic_oracles import (
@@ -408,19 +409,44 @@ def _differential(work: Workload) -> Verdict | None:
 
 def _compiled_vs_interpreted(work: Workload) -> Verdict | None:
     """The compiled fast path must stay byte-identical to the
-    interpreter, under both hide variants."""
+    interpreter, at no vector and at a restricting good-run vector
+    (a compilation at a vector shares the top one's tables), under
+    both hide variants.
+
+    The vector comes from its own RNG, seeded by the campaign seed and
+    the iteration, so the rows after this one draw what they drew
+    before the vector case existed.
+    """
     formulas, points = work.sample
     if not (formulas and points):
         return None
+    vector = sample_goodrun_vector(
+        random.Random(f"compiled:{work.config.seed}:{work.iteration}"),
+        work.system,
+    )
+    failures = [
+        (goodruns, failure)
+        for goodruns in (None, vector)
+        for pattern_hide in (False, True)
+        for failure in check_compiled_differential(
+            work.system, formulas, points, goodruns=goodruns,
+            pattern_hide=pattern_hide,
+        )
+    ]
+
+    def shrunk(pair) -> Counterexample:
+        goodruns, failure = pair
+        script = describe_run(work.system.run(failure.run_name))
+        if goodruns is not None:
+            script.insert(0, f"vector: {goodruns.describe()}")
+        return Counterexample(
+            work.iteration, failure, script=script,
+            trace=_failure_trace(work.system, failure, goodruns),
+        )
+
     return Verdict(
-        {"compiled_vs_interpreted": len(formulas) * len(points) * 2},
-        [
-            failure
-            for pattern_hide in (False, True)
-            for failure in check_compiled_differential(
-                work.system, formulas, points, pattern_hide=pattern_hide
-            )
-        ],
+        {"compiled_vs_interpreted": len(formulas) * len(points) * 4},
+        failures, shrunk,
     )
 
 
@@ -484,11 +510,11 @@ def _goodruns_construction(work: Workload) -> Verdict | None:
     """A random I1 assumption vector through the Theorem 2/3 pipeline.
 
     The whole check — the construction, both engines under every
-    (backend, hide) variant, and the brute-force optimality search —
-    runs in its own ephemeral context (the enumeration warms
-    per-vector caches no later row wants), and its telemetry (the
-    per-stage ``goodruns.stage`` spans included) is absorbed into the
-    iteration's context.
+    (backend, hide) variant, and the brute-force optimality search on
+    the vector's depth-1 restriction — runs in its own ephemeral
+    context (the enumeration warms per-vector caches no later row
+    wants), and its telemetry (the per-stage ``goodruns.stage`` spans
+    included) is absorbed into the iteration's context.
     """
     system = work.system
     goodruns_ctx = context.fresh(f"fuzz-goodruns-{work.iteration}")
@@ -496,9 +522,9 @@ def _goodruns_construction(work: Workload) -> Verdict | None:
         assumptions = sample_assumption_vector(
             work.rng, system, GOODRUNS_ASSUMPTIONS
         )
-        failures = [] if assumptions is None else (
-            check_goodruns_construction(system, assumptions)
-        )
+        if assumptions is not None:
+            failures = check_goodruns_construction(system, assumptions)
+            restricted = optimality_restriction(system, assumptions)
     context.current().absorb(goodruns_ctx.telemetry())
     if assumptions is None:
         return None
@@ -526,7 +552,9 @@ def _goodruns_construction(work: Workload) -> Verdict | None:
         )
 
     return Verdict({"goodruns_construction": 1,
-                    "goodruns_engines": len(ENGINE_VARIANTS)}, failures, shrunk)
+                    "goodruns_engines": len(ENGINE_VARIANTS),
+                    "goodruns_optimal": int(restricted is not None)},
+                   failures, shrunk)
 
 
 def _engine_replay(work: Workload) -> Verdict:

@@ -22,17 +22,20 @@ Two engines compute the same stages under either semantics backend
 and the ``goodruns_construction`` fuzz family):
 
 * ``naive`` — the literal definition: compile the system against
-  ``G^{j-1}`` at every stage and re-evaluate every stratum formula.
-  It is the reference the worklist engine is checked against.
+  ``G^{j-1}`` at every stage and re-evaluate every stratum formula at
+  every surviving ``(r, 0)``.  It is the reference the worklist engine
+  is checked against.
 * ``worklist`` (default) — one :class:`~repro.semantics.vector_eval.
   VectorTruth` checker for the whole construction, compiled through
-  the backend.  Belief-free bodies and hidden-view classes are
-  computed once; a body is re-evaluated at stage j only if some
-  principal its beliefs reference had its good set change since the
-  body was last evaluated (the checker's dependency signature); stages
-  whose strata are empty, and every stage after the vector hits
-  bottom, are skipped outright (``goodruns.stage_skipped``).  See
-  DESIGN.md §12 for the invariants and the soundness argument.
+  the backend, reads each stratum body's whole-system bitset at
+  ``G^{j-1}``; stages whose strata are empty, and every stage after
+  the vector hits bottom, are skipped outright
+  (``goodruns.stage_skipped``).  See DESIGN.md §12 for the invariants
+  and the soundness argument.
+
+Both read compilations at a vector, which share the top compilation's
+vector-independent tables (belief-free leaves, view classes); neither
+has code of its own for the sharing.
 """
 
 from __future__ import annotations
@@ -160,36 +163,30 @@ def _filter_good(
     vector: GoodRunVector,
     body: Formula,
     good: frozenset[str],
-) -> tuple[frozenset[str], bool]:
-    """``{ r ∈ good : (r, 0) |= body rel vector }`` plus a reused flag.
+) -> frozenset[str]:
+    """``{ r ∈ good : (r, 0) |= body rel vector }``.
 
-    The bitset fast path serves any body the vector-truth checker can
-    analyze, provided every candidate run has a compiled time-0 point;
-    otherwise the checker's backend compiles the system at ``vector``
-    and evaluates per run — including its error behaviour (missing
-    time 0, unassigned parameters), in the same ``sorted(good)`` order
-    as the naive engine.
+    The bitset fast path serves any body the compiler answers, provided
+    every candidate run has a compiled time-0 point; otherwise the
+    compilation at ``vector`` evaluates per run — including its error
+    behaviour (missing time 0, unassigned parameters), in the same
+    ``sorted(good)`` order as the naive engine.
     """
-    reused = checker.is_cached(body, vector)
     bits = checker.truth_bits(body, vector)
     point_index = checker.compiled.point_index
     if bits is not None and all((name, 0) in point_index for name in good):
         perf.count("goodruns.body_bitset")
-        kept = frozenset(
+        return frozenset(
             name for name in sorted(good)
             if (bits >> point_index[(name, 0)]) & 1
         )
-        return kept, reused
     perf.count("goodruns.body_fallback")
     system = checker.system
-    evaluator = checker.backend.compile(
-        system, vector, pattern_hide=checker.pattern_hide
-    )
-    kept = frozenset(
+    evaluator = checker.at(vector)
+    return frozenset(
         name for name in sorted(good)
         if evaluator.evaluate(body, system.run(name), 0)
     )
-    return kept, False
 
 
 def _construct_worklist(
@@ -198,7 +195,7 @@ def _construct_worklist(
     pattern_hide: bool,
     backend: SemanticsBackend,
 ) -> ConstructionResult:
-    """The incremental G^j loop: one checker, work only where truth moves."""
+    """The G^j loop over one checker, skipping stages that cannot move."""
     checker = VectorTruth(system, pattern_hide=pattern_hide, backend=backend)
     all_names = frozenset(run.name for run in system.runs)
     principals = system.principals()
@@ -231,24 +228,17 @@ def _construct_worklist(
         updated: dict[Principal, frozenset[str]] = {}
         with spans.span("goodruns.stage", depth=depth,
                         engine="worklist") as attrs:
-            evaluated = reused = 0
             for principal in principals:
                 good = current[principal]
                 for formula in strata[principal]:
                     assert isinstance(formula, Believes)
-                    good, was_cached = _filter_good(
+                    good = _filter_good(
                         checker, previous_vector, formula.body, good
                     )
-                    if was_cached:
-                        reused += 1
-                        perf.count("goodruns.body_reused")
-                    else:
-                        evaluated += 1
-                        perf.count("goodruns.body_evaluated")
+                    perf.count("goodruns.body_evaluated")
                 updated[principal] = good
             attrs["survivors"] = sum(len(good) for good in updated.values())
-            attrs["evaluated"] = evaluated
-            attrs["reused"] = reused
+            attrs["evaluated"] = sum(map(len, strata.values()))
         current = updated
         stages.append(GoodRunVector.of(current))
         bottomed = not any(current.values())
@@ -283,7 +273,7 @@ def refine_once(
         good = all_names if good is None else good
         for formula in assumptions.normalized.get(principal, ()):
             assert isinstance(formula, Believes)
-            good, _ = _filter_good(checker, vector, formula.body, good)
+            good = _filter_good(checker, vector, formula.body, good)
         updated[principal] = good
     return GoodRunVector.of(updated)
 
@@ -309,14 +299,25 @@ def unsupported_assumptions(
     pattern_hide: bool = False,
     backend: str = DEFAULT_BACKEND,
 ) -> list[tuple[Principal, object, str]]:
-    """The (principal, formula, run name) triples where support fails."""
+    """The (principal, formula, run name) triples where support fails.
+
+    A formula's whole-system bitset answers every run with a time-0
+    point; a refused formula, or a run without one, is evaluated at
+    (r, 0) with the interpreter's verdict and error.
+    """
     _validate_assumptions(system, assumptions)
     evaluator = get_backend(backend).compile(
         system, vector, pattern_hide=pattern_hide
     )
     failures = []
     for principal, formula in assumptions.all_formulas():
+        bits = evaluator.truth_bits(formula)
         for run in system.runs:
-            if not evaluator.evaluate(formula, run, 0):
+            index = evaluator.point_index.get((run.name, 0))
+            if bits is None or index is None:
+                holds = evaluator.evaluate(formula, run, 0)
+            else:
+                holds = (bits >> index) & 1
+            if not holds:
                 failures.append((principal, formula, run.name))
     return failures

@@ -12,14 +12,12 @@ ones, and look for a maximum.  The search space is
 in the paper's examples — the coin-toss counterexample (Theorem 3's
 necessity) has two runs and three principals: 64 candidate vectors.
 
-The enumeration compiles the system **once** per ``(system,
-pattern_hide)`` — a single :class:`~repro.semantics.vector_eval.
-VectorTruth` checker answers every candidate vector by re-masking the
-top compilation's possibility sets, so belief-free subformulas and
-hidden-view classes are shared across all ``(2^|runs|)^|principals|``
-support checks instead of being recompiled per candidate.  Formulas
-the checker cannot analyze fall back to a per-vector interpreter with
-identical verdicts.
+Each candidate's support check is :func:`~repro.goodruns.construction.
+supports` at that vector, through the compilation at it, which shares
+the top compilation's tables: the system's hidden views, leaf bitsets
+and view classes are built once for all ``(2^|runs|)^|principals|``
+candidates, and each candidate computes only its belief and connective
+nodes.
 """
 
 from __future__ import annotations
@@ -29,11 +27,9 @@ from dataclasses import dataclass
 
 from repro.errors import AssumptionError
 from repro.goodruns.assumptions import InitialAssumptions
-from repro.goodruns.construction import _validate_assumptions
+from repro.goodruns.construction import _validate_assumptions, supports
 from repro.model.system import System
-from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
-from repro.semantics.vector_eval import VectorTruth
 
 #: Enumeration guard: refuse blow-ups beyond this many candidate vectors.
 MAX_CANDIDATES = 1 << 20
@@ -59,32 +55,6 @@ class OptimalityReport:
         )
 
 
-def _vector_supports(
-    checker: VectorTruth,
-    system: System,
-    vector: GoodRunVector,
-    assumptions: InitialAssumptions,
-    pattern_hide: bool,
-) -> bool:
-    """One candidate's support check against the shared checker."""
-    time0 = checker.time0_mask()
-    for _principal, formula in assumptions.all_formulas():
-        bits = None if time0 is None else checker.truth_bits(formula, vector)
-        if bits is None:
-            # Unanalyzable shape (or a run without a time-0 point):
-            # interpret against this vector — same verdicts and same
-            # error behaviour as the unshared path.
-            evaluator = Evaluator(system, vector, pattern_hide=pattern_hide)
-            if not all(
-                evaluator.evaluate(formula, run, 0) for run in system.runs
-            ):
-                return False
-            continue
-        if bits & time0 != time0:
-            return False
-    return True
-
-
 def enumerate_supporting_vectors(
     system: System,
     assumptions: InitialAssumptions,
@@ -105,11 +75,10 @@ def enumerate_supporting_vectors(
             f"optimality search space too large ({total} candidate vectors); "
             "use a smaller system"
         )
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
     supporting = []
     for choice in itertools.product(subsets, repeat=len(principals)):
         vector = GoodRunVector.of(dict(zip(principals, choice)))
-        if _vector_supports(checker, system, vector, assumptions, pattern_hide):
+        if supports(system, vector, assumptions, pattern_hide):
             supporting.append(vector)
     return tuple(supporting)
 
@@ -139,7 +108,6 @@ def optimality_report(
     for vector in supporting:
         if not vector.leq(candidate, system):  # pragma: no cover - impossible
             return OptimalityReport(supporting, None)
-    checker = VectorTruth(system, pattern_hide=pattern_hide)
-    if _vector_supports(checker, system, candidate, assumptions, pattern_hide):
+    if supports(system, candidate, assumptions, pattern_hide):
         return OptimalityReport(supporting, candidate)
     return OptimalityReport(supporting, None)

@@ -113,11 +113,21 @@ class LocalState:
         """A copy with one application datum set (replacing any old value)."""
         items = dict(self.data)
         items[name] = value
-        return LocalState(self.history, self.keys, tuple(sorted(items.items())))
+        return self._same_history(self.keys, tuple(sorted(items.items())))
 
     def with_keys(self, keys: Iterable[Key]) -> "LocalState":
         """A copy with extra keys added to the key set."""
-        return LocalState(self.history, self.keys | frozenset(keys), self.data)
+        return self._same_history(self.keys | frozenset(keys), self.data)
+
+    def _same_history(self, keys, data) -> "LocalState":
+        """A copy with this history, carrying the message sets derived
+        from it that this state has computed."""
+        clone = LocalState(self.history, keys, data)
+        for name in ("received_messages", "sent_messages"):
+            derived = self.__dict__.get(name)
+            if derived is not None:
+                clone.__dict__[name] = derived
+        return clone
 
 
 @dataclass(frozen=True)
@@ -293,6 +303,9 @@ class GlobalState:
                 keys=frozenset(keysets.get(principal, ())),
                 data=tuple(sorted(data.get(principal, {}).items())),
             )
+            # Nothing received yet: ``after`` carries this set along the
+            # principal's states, one set shared until its next receive.
+            state.__dict__["received_messages"] = frozenset()
             locals_.append((principal, state))
         locals_.sort(key=lambda kv: kv[0].name)
         return cls(EnvState(keys=frozenset(env_keys)), tuple(locals_))

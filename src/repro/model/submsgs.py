@@ -48,9 +48,7 @@ from repro.terms.messages import Combined, Encrypted, Forwarded, Group
 #: times resolves to one dict lookup per distinct key set.
 
 perf.register_cache(
-    "seen_submsgs",
-    lambda: _context.current().seen_memo.clear(),
-    lambda: len(_context.current().seen_memo),
+    "seen_submsgs", lambda: len(_context.current().seen_memo)
 )
 
 

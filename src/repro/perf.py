@@ -28,9 +28,9 @@ Usage::
     ...  # run a workload
     print(perf.hit_rates())
 
-``clear_caches()`` empties every registered cache (intern tables, memo
-dicts) — useful for measuring cold-vs-warm behaviour and for bounding
-memory in long-lived processes.
+``cache_sizes()`` reports every registered cache's entry count.  A
+context is the unit of cache lifetime: a workload that wants cold
+caches runs in a fresh one.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ from typing import Any, Callable
 from repro import context as _context
 
 
-#: Registered cache-clearing callbacks, keyed by cache name.  The
-#: registry itself is process-global — a layer registers once at import
-#: — but each callback resolves the current context's table at call
-#: time, so clearing/sizing always acts on the active session.
-_cache_clearers: dict[str, Callable[[], None]] = {}
-
-#: Registered cache-size probes, keyed by cache name.
+#: Registered cache-size probes, keyed by cache name.  The registry
+#: itself is process-global — a layer registers once at import — but
+#: each probe resolves the current context's table at call time, so
+#: sizing always acts on the active session.
 _cache_sizers: dict[str, Callable[[], int]] = {}
 
 
@@ -62,23 +59,9 @@ def reset_counters() -> None:
     _context.current().counters.clear()
 
 
-def register_cache(
-    name: str, clearer: Callable[[], None], sizer: Callable[[], int]
-) -> None:
-    """Register a cache so ``clear_caches``/``cache_sizes`` can see it."""
-    _cache_clearers[name] = clearer
+def register_cache(name: str, sizer: Callable[[], int]) -> None:
+    """Register a cache so ``cache_sizes`` can see it."""
     _cache_sizers[name] = sizer
-
-
-def clear_caches() -> None:
-    """Empty every registered cache (intern tables, memo dicts).
-
-    At-clear sizes are folded into the context's cache high-water marks
-    first, so a clear never erases the evidence of what the caches held.
-    """
-    observe_cache_peaks()
-    for clearer in _cache_clearers.values():
-        clearer()
 
 
 def cache_sizes() -> dict[str, int]:

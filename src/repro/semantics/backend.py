@@ -19,9 +19,10 @@ through.  A backend produces the two engine shapes the rest of the
 library consumes:
 
 * :meth:`SemanticsBackend.compile` — the context-cached, whole-system
-  :class:`~repro.semantics.compiler.CompiledSystem` (the hot-loop
-  shape, including the ``truth_bits`` fast path the sweep and
-  :class:`~repro.semantics.vector_eval.VectorTruth` use);
+  :class:`~repro.semantics.compiler.CompiledSystem` at no good-run
+  vector or at one (the hot-loop shape, including the ``truth_bits``
+  fast path the sweep and both good-runs engines use; a compilation at
+  a vector shares the top compilation's tables);
 * :meth:`SemanticsBackend.interpreter` — a per-point recursive
   evaluator with the :class:`~repro.semantics.evaluator.Evaluator`
   surface (the compiled engine's ``interpreter_class``), optionally

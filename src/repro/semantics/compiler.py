@@ -25,12 +25,23 @@ truth value over the *whole system*:
   belief check collapses to one subset test per class
   (``class & body == class``) — the per-(formula, viewclass) memo the
   interpreter's per-point loop could never amortize.  That check is
-  one method, :meth:`CompiledSystem.belief_bits`, with the possibility
-  sets masked by a good-run mask: compiled nodes pass ``full_mask``,
-  :class:`~repro.semantics.vector_eval.VectorTruth` the mask of its
-  query vector, and the epistemic engine overrides only this method.
+  one method, :meth:`CompiledSystem.belief_bits`, and the epistemic
+  engine overrides only this method.
 * ``ForAll`` expands over the vocabulary at compile time and ANDs the
   bitsets of all its expansions.
+
+**One compiler for every good-run vector.**  Only the possibility sets
+read the vector (§6: they are the view classes restricted to the
+principal's good runs, and ``hide`` never reads it).  So a compilation
+at a vector takes every other table from the system's *top*
+compilation (``goodruns=None``, from the context cache): the point
+numbering, run masks, principal uniformity, the leaf indices and the
+leaves' bitsets, and the view-class member bitsets.  It computes only
+connective, ``Controls``, ``ForAll`` and ``Believes`` nodes, through
+its own ``_builders`` entries for the leaf clauses, so the top
+compilation's walk carries no check for the sharing; and
+:meth:`CompiledSystem._belief_groups_for` is the one place a
+possibility set is restricted to the vector.
 
 Bitsets are cached per *interned* formula, so schema instances sharing
 subformulas compute them once.  The node table holds plain ints (and
@@ -53,14 +64,13 @@ parameters.  Tracing always takes the interpreter
 (:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
 inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
 (:mod:`repro.fuzz.oracles`) holds the two engines byte-identical
-across campaigns.
+across campaigns, at no vector and at a restricting one.
 
 Compiled state is session-owned: :func:`compiled_for` caches
 ``CompiledSystem`` instances on the current
 :class:`~repro.context.EngineContext` (``ctx.compiled_systems``), and
 the ``compiled_eval`` perf layer reports compile-cache hits/misses and
-registers with ``perf.clear_caches``/``cache_sizes`` like every other
-memoization layer.
+its size through ``cache_sizes`` like every other memoization layer.
 """
 
 from __future__ import annotations
@@ -104,10 +114,6 @@ from repro.terms.ops import free_parameters, substitute
 _UNCOMPILED = object()
 
 
-def _clear_compiled() -> None:
-    _context.current().compiled_systems.clear()
-
-
 def _compiled_size() -> int:
     return sum(
         len(compiled._nodes)
@@ -115,7 +121,7 @@ def _compiled_size() -> int:
     )
 
 
-perf.register_cache("compiled_eval", _clear_compiled, _compiled_size)
+perf.register_cache("compiled_eval", _compiled_size)
 
 
 class CompiledSystem:
@@ -158,6 +164,11 @@ class CompiledSystem:
         ForAll: ((), "_build_forall"),
     })
 
+    #: The leaf clauses: none reads the good-run vector, so a
+    #: compilation at a vector takes their nodes from the top one.
+    _SHARED_LEAVES = (Prim, Sees, Said, Says, Fresh, Has, SharedKey,
+                      SharedSecret, PublicKeyOf)
+
     def __init__(
         self,
         system: System,
@@ -167,6 +178,30 @@ class CompiledSystem:
         self.system = system
         self.goodruns = goodruns or GoodRunVector()
         self.pattern_hide = pattern_hide
+        #: Truth bitsets keyed by (interned) formula; ``None`` records
+        #: a formula the compiler refused.
+        self._nodes: dict[Formula, int | None] = {}
+        #: Belief groups per principal: tuple of (members, possible) bit
+        #: pairs — one entry per hidden-view class.
+        self._belief_groups: dict[Principal, tuple[tuple[int, int], ...]] = {}
+        #: ``compiled_eval.hit``/``.miss`` of the running walk, added to
+        #: the context's counters once per :meth:`truth_bits` call.
+        self._hits = self._misses = 0
+        self._interpreter: Evaluator | None = None
+        if goodruns is not None:
+            self._share_top()
+            return
+        #: The top compilation whose tables this one shares (``None``:
+        #: this is the top, at no vector).
+        self._top: CompiledSystem | None = None
+        #: Formula class -> (builder, first child field, second child
+        #: field), resolved from the class once per top compilation, so
+        #: a builder patched on the class applies to later systems;
+        #: functions, not bound methods, so no cycle holds ``self``.
+        self._builders = {
+            kind: (getattr(type(self), name), *(fields + (None, None))[:2])
+            for kind, (fields, name) in self._CLAUSES.items()
+        }
         #: Dense point numbering, in ``system.points()`` order.
         self.points: tuple[Point, ...] = tuple(system.points())
         self.point_index: dict[tuple[str, int], int] = {
@@ -180,40 +215,40 @@ class CompiledSystem:
             self._run_masks[run.name] = (
                 self._run_masks.get(run.name, 0) | (1 << i)
             )
-        #: Truth bitsets keyed by (interned) formula; ``None`` records
-        #: a formula the compiler refused.
-        self._nodes: dict[Formula, int | None] = {}
         #: Principal uniformity (state in every run), keyed by principal.
         self._uniform: dict[Principal, bool] = {}
-        #: Belief groups per principal: tuple of (members, possible) bit
-        #: pairs — one entry per hidden-view class.
-        self._belief_groups: dict[Principal, tuple[tuple[int, int], ...]] = {}
         #: (kind, principal) -> message -> point bitset, kind one of
         #: ``seen``/``has``/``said``/``says`` (see :meth:`_index`).
         self._indices: dict[tuple[str, Principal], dict[Message, int]] = {}
-        #: Formula class -> (builder, first child field, second child
-        #: field), resolved from the class once per compiled system, so
-        #: a builder patched on the class applies to later systems;
-        #: functions, not bound methods, so no cycle holds ``self``.
-        self._builders = {
-            kind: (getattr(type(self), name), *(fields + (None, None))[:2])
-            for kind, (fields, name) in self._CLAUSES.items()
-        }
-        #: ``compiled_eval.hit``/``.miss`` of the running walk, added to
-        #: the context's counters once per :meth:`truth_bits` call.
-        self._hits = self._misses = 0
-        self._interpreter: Evaluator | None = None
+
+    def _share_top(self) -> None:
+        """Take every table that does not read the vector, and the
+        builders, from the system's top compilation in the current
+        context, and send the leaf and ``Controls`` clauses to it: a
+        leaf's node is the top's, and ``Controls`` reads the top's
+        ``says`` index."""
+        top = compiled_for(self.system, None, self.pattern_hide, type(self))
+        self._top = top
+        self.points, self.point_index = top.points, top.point_index
+        self.full_mask, self._run_masks = top.full_mask, top._run_masks
+        self._uniform = top._uniform
+        self._builders = dict(top._builders)
+        cls = type(self)
+        for kind in self._SHARED_LEAVES:
+            self._builders[kind] = (cls._build_top_leaf, None, None)
+        self._builders[Controls] = (cls._build_top_controls, "body", None)
 
     # -- public API -----------------------------------------------------------
 
     @property
     def interpreter(self) -> Evaluator:
-        """The fallback interpreter (also the table-building kernel).
+        """The fallback interpreter at this compilation's vector.
 
-        Sharing the interpreter's memoized ``_seen_set``/
-        ``_said_entries``/``_past_submsgs``/``_hidden_view`` kernels
-        keeps the compiled tables byte-identical to the interpreted
-        semantics by construction.
+        The top compilation's interpreter is also the table-building
+        kernel: sharing its memoized ``_seen_set``/``_said_entries``/
+        ``_past_submsgs``/``_hidden_views`` kernels keeps the compiled
+        tables byte-identical to the interpreted semantics by
+        construction.
         """
         if self._interpreter is None:
             self._interpreter = self.interpreter_class(
@@ -509,6 +544,23 @@ class CompiledSystem:
                 bits |= self._run_masks[run.name]
         return bits
 
+    # -- at a vector: clauses on the top compilation's tables -----------------
+
+    def _build_top_leaf(self, formula: Formula) -> int | None:
+        """A leaf at a vector: the top compilation's node, built there
+        once for every vector."""
+        top = self._top
+        bits = top._nodes.get(formula, _UNCOMPILED)
+        if bits is _UNCOMPILED:
+            build = top._builders[type(formula)][0]
+            bits = top._nodes[formula] = build(top, formula)
+        return bits  # type: ignore[return-value]
+
+    def _build_top_controls(self, formula: Controls, body: int) -> int | None:
+        """``Controls`` at a vector: the top's clause over this
+        compilation's body bits."""
+        return self._top._build_controls(formula, body)
+
     # -- belief ---------------------------------------------------------------
 
     def _belief_groups_for(
@@ -517,44 +569,51 @@ class CompiledSystem:
         """(members, possible) bitset pairs, one per hidden-view class.
 
         ``members`` are the points of the *system* whose view under the
-        principal equals the class view; ``possible`` are the matching
-        points of the principal's *good runs* (the possibility set every
-        member shares).  An empty possibility set is kept: belief is
-        vacuously true there, exactly as in the interpreter.
+        principal equals the class view, grouped once, by the top
+        compilation; ``possible`` are the members in the principal's
+        *good runs* at this compilation's vector (the possibility set
+        every member shares; every member at the top).  This is the one
+        place a possibility set is restricted to the vector.  An empty
+        possibility set is kept: belief is vacuously true there, exactly
+        as in the interpreter.
         """
-        cached = self._belief_groups.get(principal)
-        if cached is not None:
-            return cached
-        views_of = self.interpreter._hidden_views
-        good = self.goodruns.good_runs(principal)
-        members: dict[tuple, int] = {}
-        possible: dict[tuple, int] = {}
-        bit = 1  # points are numbered run by run, oldest first
-        for run in self.system.runs:
-            kept = good is None or run.name in good
-            for view in views_of(principal, run):
-                members[view] = members.get(view, 0) | bit
-                if kept:
-                    possible[view] = possible.get(view, 0) | bit
-                bit <<= 1
-        groups = tuple(
-            (member_bits, possible.get(view, 0))
-            for view, member_bits in members.items()
-        )
+        groups = self._belief_groups.get(principal)
+        if groups is not None:
+            return groups
+        if self._top is None:
+            views_of = self.interpreter._hidden_views
+            members: dict[tuple, int] = {}
+            bit = 1  # points are numbered run by run, oldest first
+            for run in self.system.runs:
+                for view in views_of(principal, run):
+                    members[view] = members.get(view, 0) | bit
+                    bit <<= 1
+            groups = tuple((bits, bits) for bits in members.values())
+        else:
+            good = self.goodruns.good_runs(principal)
+            mask = self.full_mask
+            if good is not None:
+                # Names outside the system add no points, exactly as in
+                # the interpreter's possibility filter.
+                mask = 0
+                for name in good:
+                    mask |= self._run_masks.get(name, 0)
+            groups = tuple(
+                (bits, bits & mask)
+                for bits, _ in self._top._belief_groups_for(principal)
+            )
         self._belief_groups[principal] = groups
         return groups
 
-    def belief_bits(self, principal: Principal, body_bits: int,
-                    mask: int) -> int:
+    def belief_bits(self, principal: Principal, body_bits: int) -> int:
         """The points where ``principal`` believes a body true on
-        ``body_bits``, each possibility set restricted to ``mask``.
+        ``body_bits``.
 
         The paper's clause: per view class, the body holds on every
         point of the possibility set (vacuously when it is empty).
         """
         bits = 0
         for members, possible in self._belief_groups_for(principal):
-            possible &= mask
             if possible & body_bits == possible:
                 bits |= members
         return bits
@@ -563,7 +622,7 @@ class CompiledSystem:
         principal = formula.principal
         if not self.uniform_principal(principal):
             return None
-        return self.belief_bits(principal, body, self.full_mask)
+        return self.belief_bits(principal, body)
 
     # -- quantification -------------------------------------------------------
 
@@ -604,8 +663,10 @@ def compiled_for(
     serial, and the receiving process mints its own), so a hit is
     additionally verified by identity; a collision recompiles and
     overwrites, counted under ``compiled_eval.serial_collision``.
-    ``perf.clear_caches()`` / ``EngineContext.clear_session_caches()``
-    empty the cache (the ``compiled_eval`` layer).
+
+    A compilation at a vector shares its top compilation's tables, so
+    the top stays cached beside it even when inserting the vector's
+    evicted the cache wholesale: the next vector finds it.
     """
     ctx = _context.current()
     key = (system.serial, goodruns, pattern_hide, engine)
@@ -618,6 +679,10 @@ def compiled_for(
     perf.count("compiled_eval.system_miss")
     compiled = engine(system, goodruns, pattern_hide=pattern_hide)
     ctx.compiled_systems[key] = compiled
+    if compiled._top is not None:
+        ctx.compiled_systems[system.serial, None, pattern_hide, engine] = (
+            compiled._top
+        )
     from repro.obs import journal
 
     journal.record(

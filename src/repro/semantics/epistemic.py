@@ -62,11 +62,11 @@ and names its interpreter class.  The compiler's per-view-class
 the knowledge set (under the compiler's uniform-principal gate
 every member point is indistinguishable to P), ``possible`` is the
 good-run subset — so the guarded clause is *still one subset test per
-view class*.  Every caller of the belief check gets the guarded clause
-with it: the sweep's whole-system ``truth_bits`` fast path, and
-:class:`~repro.semantics.vector_eval.VectorTruth`, which compiles its
-top system through this backend, so the good-runs worklist engine
-serves it too.
+view class*.  Every compilation of this backend gets the guarded
+clause with it, at no vector and at any: the sweep's whole-system
+``truth_bits`` fast path, and both good-runs engines, whose
+compilations at a vector (:class:`~repro.semantics.vector_eval.
+VectorTruth` included) are this class's.
 """
 
 from __future__ import annotations
@@ -119,23 +119,22 @@ class CompiledEpistemicSystem(CompiledSystem):
 
     A :class:`CompiledSystem` subclass on purpose: the soundness
     sweep's fast path (``isinstance(engine, CompiledSystem)`` →
-    ``truth_bits`` against ``full_mask``) and ``VectorTruth`` apply to
-    this backend without a special case.
+    ``truth_bits``) and the compilations at a vector apply to this
+    backend without a special case.
     """
 
     interpreter_class = EpistemicEvaluator
 
-    def belief_bits(self, principal: Principal, body_bits: int,
-                    mask: int) -> int:
+    def belief_bits(self, principal: Principal, body_bits: int) -> int:
         """The guarded clause per view class: under the compiler's
         uniform-principal gate ``members`` is the principal's knowledge
-        set, and ``possible & mask`` its good-run (α) subset."""
+        set, and ``possible`` its good-run (α) subset."""
         bits = 0
         for members, possible in self._belief_groups_for(principal):
             # Non-empty α-subset: K_P(α ⊃ φ), identical to belief.
             # Empty: the guard K_P¬α ⊃ K_Pφ bites — subset-test the
             # whole view class (the knowledge set) instead.
-            target = possible & mask or members
+            target = possible or members
             if target & body_bits == target:
                 bits |= members
         return bits

@@ -54,20 +54,13 @@ from repro.terms.ops import free_parameters, is_ground, submessages_of_all, subs
 
 #: Live evaluators register with the *current engine context*
 #: (``ctx.evaluators``, a WeakSet) so their per-instance memo tables
-#: participate in the cache registry (``perf.clear_caches``/
-#: ``cache_sizes``) like every other memoization layer — per session,
-#: not per process.  Weak references: registration must not keep
-#: finished evaluators (and their systems) alive.
-
-
-def _clear_evaluator_memos() -> None:
-    for evaluator in list(_context.current().evaluators):
-        evaluator.clear_memos()
-
+#: participate in the cache registry (``cache_sizes``) like every other
+#: memoization layer — per session, not per process.  Weak references:
+#: registration must not keep finished evaluators (and their systems)
+#: alive.
 
 perf.register_cache(
     "eval_memo",
-    _clear_evaluator_memos,
     lambda: sum(
         len(evaluator._memo)
         for evaluator in list(_context.current().evaluators)
@@ -112,17 +105,6 @@ class Evaluator:
         _context.current().evaluators.add(self)
 
     # -- public API -------------------------------------------------------------
-
-    def clear_memos(self) -> None:
-        """Empty every per-instance memo table (the ``eval_memo`` layer's
-        clearer, also used by :meth:`EngineContext.clear_session_caches`)."""
-        self._memo.clear()
-        self._hidden.clear()
-        self._nodes.clear()
-        self._possible.clear()
-        self._said.clear()
-        self._seen.clear()
-        self._past.clear()
 
     def evaluate(self, formula: Formula, run: Run, k: int) -> bool:
         """``(r, k) |= φ`` after substituting the run's parameter values."""

@@ -44,11 +44,7 @@ HiddenView = tuple
 #: the same message re-hidden at every time step of every run costs one
 #: dict lookup after the first computation.
 
-perf.register_cache(
-    "hide",
-    lambda: _context.current().hide_memo.clear(),
-    lambda: len(_context.current().hide_memo),
-)
+perf.register_cache("hide", lambda: len(_context.current().hide_memo))
 
 
 def hide_message(keys: AbstractSet[Key], message: Message) -> Message:

@@ -32,8 +32,8 @@ which matters because Python string hashing is per-process randomized.
 
 The table is a plain dict the context owns, capped at ``memo_cap``
 entries and cleared wholesale on overflow (:func:`repro.context.evict`).
-A term built before an eviction (or ``repro.perf.clear_caches()``)
-stays equal and hash-equal to its rebuild, just not the same object.
+A term built before an eviction stays equal and hash-equal to its
+rebuild, just not the same object.
 """
 
 from __future__ import annotations
@@ -48,11 +48,7 @@ from repro import perf
 #: Immutable class metadata, not session state — deliberately global.
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
-perf.register_cache(
-    "intern",
-    lambda: _context.current().intern_table.clear(),
-    lambda: len(_context.current().intern_table),
-)
+perf.register_cache("intern", lambda: len(_context.current().intern_table))
 
 
 def _field_names(cls: type) -> tuple[str, ...]:

@@ -707,6 +707,100 @@ class TestGoodrunsEnginesUnderEveryVariant:
             report.oracle_checks["goodruns_construction"])
 
 
+def _drop_a_run_at_depth_one(system, assumptions, pattern_hide=False,
+                             engine="worklist", backend="belief"):
+    """A planted construction bug: a depth-1 fixpoint loses the first
+    good run of its first principal that has one."""
+    from repro.goodruns.construction import (
+        ConstructionResult,
+        construct_good_runs,
+    )
+    from repro.semantics.goodvectors import GoodRunVector
+
+    result = construct_good_runs(system, assumptions, pattern_hide=pattern_hide,
+                                 engine=engine, backend=backend)
+    if assumptions.max_depth != 1:
+        return result
+    entries = dict(result.vector.entries)
+    for principal, names in result.vector.entries:
+        if names:
+            entries[principal] = names - {min(names)}
+            break
+    vector = GoodRunVector.of(entries)
+    return ConstructionResult(vector, result.stages[:-1] + (vector,))
+
+
+class TestOptimalityOnTheDepthOneRestriction:
+    """Theorem 3's brute-force check runs on every sampled vector's
+    depth-1 restriction, the assumptions where its premises hold."""
+
+    def test_every_campaign_iteration_runs_the_check(self):
+        report = run_fuzz(FuzzConfig(
+            seed=0, iterations=4, oracles=("goodruns_construction",),
+        ))
+        assert report.ok, [c.to_json() for c in report.counterexamples]
+        assert report.oracle_checks["goodruns_optimal"] == 4
+
+    def test_restriction_keeps_the_belief_free_assumptions(self):
+        from repro.fuzz.goodruns_oracles import (
+            optimality_restriction,
+            sample_assumption_vector,
+        )
+        from repro.terms.ops import walk
+
+        system = generate_system(GeneratorConfig(seed=0, runs=3))
+        assumptions = sample_assumption_vector(random.Random(0), system, 4)
+        assert assumptions.max_depth == 2
+        restricted = optimality_restriction(system, assumptions)
+        assert restricted.max_depth == 1 and restricted.satisfies_i2()
+        kept = set(restricted.all_formulas())
+        assert kept == {
+            (principal, formula)
+            for principal, formula in assumptions.all_formulas()
+            if sum(isinstance(node, Believes) for node in walk(formula)) == 1
+        }
+
+    def test_dropped_run_in_a_depth_one_fixpoint_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fuzz.goodruns_oracles.construct_good_runs",
+            _drop_a_run_at_depth_one,
+        )
+        report = run_fuzz(FuzzConfig(
+            seed=0, iterations=4, oracles=("goodruns_construction",),
+        ))
+        assert report.counterexamples
+        for example in report.counterexamples:
+            assert example.failure.oracle == "goodruns_optimal"
+            assert "not the brute-force maximum" in example.failure.description
+
+
+class TestCompiledAtAVector:
+    """The compiled row holds a compilation at a restricting good-run
+    vector to the interpreter, not only the top compilation."""
+
+    def test_vector_blind_compilation_is_caught(self, monkeypatch):
+        from repro.semantics.compiler import CompiledSystem
+
+        honest = CompiledSystem._belief_groups_for
+
+        def ignores_vector(self, principal):
+            # The planted bug: possibility sets at a vector are the
+            # top compilation's, every run good.
+            return honest(self._top or self, principal)
+
+        monkeypatch.setattr(CompiledSystem, "_belief_groups_for",
+                            ignores_vector)
+        report = run_fuzz(FuzzConfig(seed=0, iterations=4,
+                                     oracles=("compiled",)))
+        assert report.counterexamples
+        for example in report.counterexamples:
+            assert example.failure.oracle == "compiled_vs_interpreted"
+            # Only the vector case sees it: the compilations at no
+            # vector, all the row compared before, stay clean.
+            assert example.script[0].startswith("vector: G(")
+            assert example.trace
+
+
 class TestHideMonotonicityPlantedBug:
     """The widened (nested-belief) hide oracle catches a weakened
     pattern refinement."""

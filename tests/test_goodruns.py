@@ -258,12 +258,23 @@ class TestUnifiedValidation:
         assert set(ENGINES) == {"worklist", "naive"}
 
 
+def _top_compilations(ctx) -> int:
+    """Compilations at no vector, from the context's journal: each
+    compilation at a vector takes its tables from one of these."""
+    return sum(
+        1 for event in ctx.journal.snapshot()
+        if event["kind"] == "compile" and not event["attrs"]["goodruns"]
+    )
+
+
 class TestSharedCompilation:
     """The brute-force search compiles the system at most once.
 
     Counted in a fresh (born-empty caches) scoped context so the
     assertion is about this search, not about what earlier tests left
-    in the session's compiled-system cache.
+    in the session's compiled-system cache.  Each candidate vector has
+    its own compilation (``compiled_eval.system_miss``), which takes
+    its tables from the one top compilation.
     """
 
     def test_enumeration_compiles_once(self):
@@ -275,10 +286,9 @@ class TestSharedCompilation:
             supporting = enumerate_supporting_vectors(
                 example.system, example.assumptions
             )
-            misses = ctx.counters["compiled_eval.system_miss"]
         assert supporting  # the search actually ran
         # One top compilation serves all (2^|runs|)^|principals| vectors.
-        assert misses <= 1
+        assert _top_compilations(ctx) <= 1
 
     def test_optimality_report_compiles_once(self):
         from repro import context
@@ -287,9 +297,38 @@ class TestSharedCompilation:
         ctx = context.fresh("test-goodruns-optimality")
         with context.use(ctx):
             report = optimality_report(example.system, example.assumptions)
-            misses = ctx.counters["compiled_eval.system_miss"]
         assert report.has_optimum
-        assert misses <= 1
+        assert _top_compilations(ctx) <= 1
+
+    def test_search_past_cache_eviction_walks_each_run_once(
+        self, monkeypatch
+    ):
+        """512 candidate vectors overflow the 256-entry compiled-system
+        cache, and still each (principal, run)'s hidden views are
+        walked once: the top compilation stays cached beside them."""
+        from collections import Counter
+
+        from repro import context
+        from repro.soundness import GeneratorConfig, generate_system
+        from tests.test_semantics_compiler import _counting_walks
+
+        system = generate_system(GeneratorConfig(seed=0, runs=3))
+        p0 = Prim(system.vocabulary.proposition("p0"))
+        assumptions = InitialAssumptions.of(
+            {principal: [Believes(principal, p0)]
+             for principal in system.principals()}
+        )
+        walks = _counting_walks(monkeypatch)
+        ctx = context.fresh("test-goodruns-eviction")
+        with context.use(ctx):
+            report = optimality_report(system, assumptions)
+        assert len(report.supporting) > 0
+        assert (2 ** len(system.runs)) ** len(system.principals()) > 256
+        assert ctx.counters["compiled_systems.evict"] >= 1
+        assert walks == Counter({
+            (principal, run.name): 1
+            for principal in system.principals() for run in system.runs
+        })
 
 
 class TestKnowingOnly:

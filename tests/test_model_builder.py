@@ -213,6 +213,28 @@ class TestRunAccessors:
                         assert run.received_messages(principal, k) is (
                             run.local(principal, k).received_messages)
 
+    def test_received_sets_are_carried_from_the_first_state(self):
+        """A builder run's states hold their received sets before any
+        query, one set shared along a principal's states until its next
+        receive; ``with_data`` and ``with_keys`` carry the parent's."""
+        builder = RunBuilder([A, B], keysets={A: [K], B: [K]})
+        builder.internal(A, "coin", data={"toss": "heads"})
+        builder.send(A, encrypted(N, K, A), B)
+        builder.receive(B)
+        run = builder.build("carried")
+        for principal in (A, B):
+            states = [run.local(principal, k) for k in run.times]
+            assert all("received_messages" in s.__dict__ for s in states)
+            for before, after in zip(states, states[1:]):
+                new = after.history[len(before.history):]
+                if not any(isinstance(action, Receive) for action in new):
+                    assert after.received_messages is before.received_messages
+        local = run.local(B, run.end_time)
+        for copy in (local.with_data("x", 1), local.with_keys([K2])):
+            assert copy.__dict__["received_messages"] is local.received_messages
+        assert LocalState(local.history).received_messages == (
+            local.received_messages)
+
     def test_sends_by_time_walks_the_per_time_sends(self):
         for run in self._runs():
             for principal in run.all_principals:

@@ -220,7 +220,7 @@ class TestEpistemicEngine:
 class _AlwaysBelievesSystem(CompiledEpistemicSystem):
     """The planted bug: a Believes clause that is true everywhere."""
 
-    def belief_bits(self, principal, body_bits, mask):
+    def belief_bits(self, principal, body_bits):
         return self.full_mask
 
 

@@ -562,9 +562,9 @@ class TestOneWalk:
             assert ctx.counters["compiled_eval.hit"] == hits + 1
             assert ctx.counters["compiled_eval.miss"] == misses
             assert refused in compiled._nodes
-            assert not checker.is_cached(refused, GoodRunVector())
+            assert compiled._nodes[refused] is None
             assert compiled.truth_bits(compiled_ok) is not None
-            assert checker.is_cached(compiled_ok, GoodRunVector())
+            assert compiled._nodes[compiled_ok] is not None
 
     def test_sweep_routes_non_ground_instances_per_point(self):
         """Parameterized instances skip the whole-system route and
@@ -848,3 +848,96 @@ class TestCompileCounters:
         with _context.scoped("after") as ctx:
             assert compiled.truth_bits(p) == compiled.run_mask("r1")
             assert _tally(ctx) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Compilations at a vector share the top compilation's tables
+# ---------------------------------------------------------------------------
+
+
+def _counting_walks(monkeypatch) -> Counter:
+    """Count ``hidden_run_views`` calls per (principal, run name)."""
+    from repro.semantics import evaluator as evaluator_module
+
+    walks = Counter()
+    honest = evaluator_module.hidden_run_views
+
+    def counting(run, principal, pattern_hide, nodes):
+        walks[principal, run.name] += 1
+        return honest(run, principal, pattern_hide, nodes)
+
+    monkeypatch.setattr(evaluator_module, "hidden_run_views", counting)
+    return walks
+
+
+class TestCompilationsAtAVector:
+    SYSTEM = generate_system(GeneratorConfig(seed=3, runs=4))
+    TEXTS = (
+        "P1 believes p0",
+        "P2 believes (P1 sees N1)",
+        "P1 believes (P2 believes (P3 sees N2)) & P3 said N2",
+        "~(P3 says N1) | P1 believes p0",
+        "P2 controls (P1 believes p0)",
+    )
+
+    def _formulas(self):
+        return [parse_formula(text, self.SYSTEM.vocabulary)
+                for text in self.TEXTS]
+
+    def _vectors(self):
+        P1, P2, _P3 = self.SYSTEM.principals()
+        names = [run.name for run in self.SYSTEM.runs]
+        return [GoodRunVector.of({P1: names[:size]}) for size in (0, 1, 2)] + [
+            GoodRunVector.of({P1: names[2:], P2: names[1:3]})]
+
+    def test_vectors_walk_no_view_and_build_no_index(self, monkeypatch):
+        """After the top compilation, each compilation at a vector
+        reads the top's view classes and leaf indices: no hidden-view
+        walk and no index of its own, and the interpreter's answers."""
+        system, formulas_ = self.SYSTEM, self._formulas()
+        expected = {
+            (vector, formula): sum(
+                1 << i for i, (run, k) in enumerate(system.points())
+                if interpreter.evaluate(formula, run, k)
+            )
+            for vector in self._vectors()
+            for interpreter in [Evaluator(system, vector)]
+            for formula in formulas_
+        }
+        walks = _counting_walks(monkeypatch)
+        with _context.scoped("vectors-share"):
+            top = compiled_for(system)
+            for formula in formulas_:
+                assert top.truth_bits(formula) is not None
+            walked, indices = Counter(walks), set(top._indices)
+            assert walked and set(walked.values()) == {1}
+            for vector in self._vectors():
+                compiled = compiled_for(system, vector)
+                assert compiled._top is top
+                assert "_indices" not in vars(compiled)
+                for formula in formulas_:
+                    assert compiled.truth_bits(formula) == (
+                        expected[vector, formula]), (formula, vector)
+            assert walks == walked
+            assert set(top._indices) == indices
+        # The vectors moved some verdicts: the tables are shared, not
+        # the answers.
+        assert any(
+            len({expected[vector, formula] for vector in self._vectors()}) > 1
+            for formula in formulas_
+        )
+
+    def test_vector_truth_answers_a_belief_under_controls(self):
+        """A belief under ``Controls`` at a restricting vector: one
+        bitset, equal to the interpreter at every point."""
+        system = self.SYSTEM
+        formula = parse_formula("P2 controls (P1 believes p0)",
+                                system.vocabulary)
+        P1 = system.principals()[0]
+        vector = GoodRunVector.of({P1: [run.name for run in system.runs[:2]]})
+        with _context.scoped("controls-at-vector"):
+            bits = VectorTruth(system).truth_bits(formula, vector)
+        assert bits is not None
+        interpreter = Evaluator(system, vector)
+        for i, (run, k) in enumerate(system.points()):
+            assert bool((bits >> i) & 1) == interpreter.evaluate(formula, run, k)

@@ -41,7 +41,6 @@ ALLOWLIST: frozenset[str] = frozenset(
         # -- context machinery (the owner of all session state) ------------
         "repro/context.py:_NAME_COUNTER",
         # -- import-time registries, read-only after import -----------------
-        "repro/perf.py:_cache_clearers",
         "repro/perf.py:_cache_sizers",
         "repro/terms/intern.py:_FIELD_NAMES",  # per-class metadata
         "repro/terms/parser.py:_SORT_NAMES",  # keyword table
