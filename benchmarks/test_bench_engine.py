@@ -3,9 +3,10 @@
 from repro.analysis import make_engine
 from repro.logic import (
     MessagePool,
+    ProofBuilder,
     is_tautology,
+    lift_one_level,
     prove_a4,
-    prove_message_meaning_lifted,
     standard_rules,
 )
 from repro.banlogic import ban_rules
@@ -37,11 +38,11 @@ def test_bench_checked_proof_construction(benchmark):
     """Building + checking the lifted message-meaning proof (A5+R2+A1)."""
     a, b, s = Principal("A"), Principal("B"), Principal("S")
     key, nonce = Key("K"), Nonce("N")
+    builder = ProofBuilder()
+    builder.axiom("A5", a, key, b, a, nonce, s)
+    a5 = builder.build()
 
-    def build():
-        return prove_message_meaning_lifted(a, a, key, b, a, nonce, s)
-
-    proof = benchmark(build)
+    proof = benchmark(lambda: lift_one_level(a5, a))
     assert proof.is_theorem()
 
 

@@ -704,7 +704,6 @@ class FuzzConfig:
 
 def run_fuzz(
     config: FuzzConfig,
-    progress=None,
     replay_rules: Sequence[Rule] | None = None,
 ) -> FuzzReport:
     """Run one fuzzing campaign; pure in ``config``.
@@ -753,8 +752,6 @@ def run_fuzz(
         context.current().absorb(telemetry)
         iteration_spans.extend(telemetry["spans"])
         report.iterations += 1
-        if progress is not None:
-            progress(report)
     report.elapsed_s = time.perf_counter() - started
     report.spans = summarize(iteration_spans)
     return report

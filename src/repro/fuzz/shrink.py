@@ -197,12 +197,11 @@ def shrink(start, candidates, still_fails, max_steps, errors):
     return current
 
 
-def shrink_run(
-    run: Run, still_fails: Callable[[Run], bool], max_steps: int = 400
-) -> Run:
-    """Greedily minimize a failing run under the three reductions; a
-    predicate raising :class:`ReproError` counts as not-failing."""
-    return shrink(run, _candidates, still_fails, max_steps, ReproError)
+def shrink_run(run: Run, still_fails: Callable[[Run], bool]) -> Run:
+    """Greedily minimize a failing run under the three reductions (up to
+    400 predicate calls); a predicate raising :class:`ReproError`
+    counts as not-failing."""
+    return shrink(run, _candidates, still_fails, 400, ReproError)
 
 
 def _proof_candidates(proof: Proof) -> Iterator[Proof]:
@@ -223,13 +222,12 @@ def _proof_candidates(proof: Proof) -> Iterator[Proof]:
 
 
 def shrink_proof(
-    proof: Proof,
-    still_fails: Callable[[Proof], bool],
-    max_steps: int = 200,
+    proof: Proof, still_fails: Callable[[Proof], bool]
 ) -> Proof:
-    """Greedily minimize a proof artifact while the predicate holds (a
-    predicate that raises counts as not-failing)."""
-    return shrink(proof, _proof_candidates, still_fails, max_steps, Exception)
+    """Greedily minimize a proof artifact while the predicate holds (up
+    to 200 predicate calls; a predicate that raises counts as
+    not-failing)."""
+    return shrink(proof, _proof_candidates, still_fails, 200, Exception)
 
 
 def drop_one(items: tuple) -> Iterator[tuple]:
@@ -238,14 +236,10 @@ def drop_one(items: tuple) -> Iterator[tuple]:
         yield items[:index] + items[index + 1:]
 
 
-def shrink_assumption_vector(
-    assumptions,
-    still_fails,
-    max_steps: int = 200,
-):
+def shrink_assumption_vector(assumptions, still_fails):
     """Greedily drop (principal, formula) entries from an
     :class:`~repro.goodruns.assumptions.InitialAssumptions` vector while
-    the failure persists.
+    the failure persists (up to 200 predicate calls).
 
     Each step removes one assumption formula (principals left with none
     disappear from the vector), the candidate is rebuilt through
@@ -264,7 +258,7 @@ def shrink_assumption_vector(
 
     return rebuild(shrink(
         tuple(assumptions.all_formulas()), drop_one,
-        lambda entries: still_fails(rebuild(entries)), max_steps, Exception,
+        lambda entries: still_fails(rebuild(entries)), 200, Exception,
     ))
 
 

@@ -1,8 +1,9 @@
 """The reformulated logic of authentication (Section 4).
 
 Axiom schemas A1-A21 with modus ponens and necessitation, checked
-Hilbert proofs, derived theorems, and a forward-chaining engine for
-protocol analysis.
+Hilbert proofs, and a forward-chaining engine for protocol analysis
+whose derivations certify into such proofs.  A theorem lifts under
+belief in one way, :func:`~repro.logic.certify.lift_one_level`.
 """
 
 from repro.logic.axioms import (
@@ -19,16 +20,9 @@ from repro.logic.certify import (
     certify,
     lift_implication,
     lift_one_level,
+    prove_a4,
     prove_projection,
     prove_reconstruction,
-)
-from repro.logic.derived import (
-    prove_a4,
-    prove_belief_conj_elim,
-    prove_belief_lift,
-    prove_jurisdiction_lifted,
-    prove_message_meaning_lifted,
-    prove_nonce_verification_lifted,
 )
 from repro.logic.engine import (
     Derivation,
@@ -67,14 +61,9 @@ __all__ = [
     "certify",
     "lift_implication",
     "lift_one_level",
+    "prove_a4",
     "prove_projection",
     "prove_reconstruction",
-    "prove_a4",
-    "prove_belief_conj_elim",
-    "prove_belief_lift",
-    "prove_jurisdiction_lifted",
-    "prove_message_meaning_lifted",
-    "prove_nonce_verification_lifted",
     "Derivation",
     "Engine",
     "Inference",

@@ -14,7 +14,12 @@ Machinery:
 * :func:`lift_implication` — from ⊢ (φ1 ∧ ... ∧ φn) ⊃ ψ produce
   ⊢ (Bπφ1 ∧ ... ∧ Bπφn) ⊃ Bπψ for any belief prefix π, by iterating
   necessitation, A4-chaining, and A1 (the formal content of "rules fire
-  uniformly inside belief prefixes").
+  uniformly inside belief prefixes").  It is the one lifting: a BAN
+  rule is :func:`lift_one_level` of its axiom (message meaning of A5,
+  jurisdiction of A15, nonce verification of A20).
+* :func:`prove_a4` — the derivation of A4 from a tautology, R2 and A1
+  that licenses the A4 chain (§4.2: "many properties follow from these
+  axioms, including A4").
 * :func:`prove_projection` — ⊢ φ ⊃ f for each normalized fact f of φ
   (conjunction elimination, pushed under beliefs with R2+A1).
 * :func:`prove_reconstruction` — the converse, ⊢ conj(facts of φ) ⊃ φ
@@ -83,6 +88,45 @@ def _compose(builder: ProofBuilder, ab: int, bc: int) -> int:
 
 def _identity(builder: ProofBuilder, formula: Formula) -> int:
     return builder.tautology(Implies(formula, formula))
+
+
+def prove_a4(p: Principal, phi: Formula, psi: Formula) -> Proof:
+    """A4: P believes φ ∧ P believes ψ ⊃ P believes (φ ∧ ψ).
+
+    Proof sketch: ⊢ φ ⊃ (ψ ⊃ φ∧ψ) (tautology); necessitate; close under
+    A1 twice; discharge with the deduction-style tautology glue.
+    """
+    b = ProofBuilder()
+    # Premise-style proof of the implication via tautological composition:
+    # we derive the implication directly rather than via premises, so the
+    # result is a theorem (usable under necessitation).
+    taut = b.tautology(Implies(phi, Implies(psi, And(phi, psi))))
+    nec = b.necessitate(taut, p)  # P believes (φ ⊃ (ψ ⊃ φ∧ψ))
+    a1_first = b.axiom("A1", p, phi, Implies(psi, And(phi, psi)))
+    # a1_first: (Bφ ∧ B(φ⊃(ψ⊃φ∧ψ))) ⊃ B(ψ⊃φ∧ψ)
+    a1_second = b.axiom("A1", p, psi, And(phi, psi))
+    # a1_second: (Bψ ∧ B(ψ⊃φ∧ψ)) ⊃ B(φ∧ψ)
+    b_phi = Believes(p, phi)
+    b_psi = Believes(p, psi)
+    b_imp = b.formula_at(nec)
+    b_mid = Believes(p, Implies(psi, And(phi, psi)))
+    goal = Implies(And(b_phi, b_psi), Believes(p, And(phi, psi)))
+    # Propositional glue: from ⊢ B(φ⊃(ψ⊃φ∧ψ)), ⊢ (Bφ ∧ B(..)) ⊃ B(ψ⊃φ∧ψ),
+    # and ⊢ (Bψ ∧ B(ψ⊃φ∧ψ)) ⊃ B(φ∧ψ), conclude the goal.
+    glue = b.tautology(
+        Implies(
+            b_imp,
+            Implies(
+                Implies(And(b_phi, b_imp), b_mid),
+                Implies(Implies(And(b_psi, b_mid), Believes(p, And(phi, psi))),
+                        goal),
+            ),
+        )
+    )
+    step = b.mp(nec, glue)
+    step = b.mp(a1_first, step)
+    step = b.mp(a1_second, step)
+    return b.build()
 
 
 def lift_one_level(base: Proof, principal: Principal,

@@ -1,12 +1,12 @@
 """Forward-chaining derivation over facts.
 
 The engine closes a fact set under pattern-directed rules, each of
-which is backed by an axiom instance (or a checked derived theorem) of
-Section 4.2 — or, for the BAN engine, by an inference rule of
+which is backed by an axiom instance of Section 4.2 (or of a flagged
+extra schema) — or, for the BAN engine, by an inference rule of
 Section 2.2.  Rules fire uniformly inside belief prefixes: if the
-axioms prove φ1 ∧ ... ∧ φn ⊃ ψ, then by necessitation and A1 the same
-implication holds under any chain of ``believes`` operators, which is
-exactly :func:`repro.logic.derived.prove_belief_lift`.
+axioms prove φ1 ∧ ... ∧ φn ⊃ ψ, then by necessitation, A4 and A1 the
+same implication holds under any chain of ``believes`` operators,
+which is exactly :func:`repro.logic.certify.lift_implication`.
 
 Every derived fact records the rule and premise facts that produced it,
 so a completed :class:`Derivation` can replay a human-readable proof

@@ -284,31 +284,6 @@ class ProofBuilder:
         halfway = self.mp(left, glue)
         return self.mp(right, halfway)
 
-    def believes_mp(self, principal: Principal, belief: int,
-                    belief_implication: int) -> int:
-        """From P believes φ and P believes (φ ⊃ ψ) conclude P believes ψ
-        via A1 and two modus ponens steps."""
-        phi_belief = self.formula_at(belief)
-        imp_belief = self.formula_at(belief_implication)
-        if not isinstance(phi_belief, Believes) or not isinstance(
-            imp_belief, Believes
-        ):
-            raise ProofError("believes_mp needs two belief formulas")
-        implication = imp_belief.body
-        if not isinstance(implication, Implies):
-            raise ProofError("believes_mp major premise must believe an implication")
-        joined = self.conj(belief, belief_implication)
-        axiom_index = self.axiom(
-            "A1", principal, phi_belief.body, implication.consequent
-        )
-        return self.mp(joined, axiom_index)
-
-    def lift(self, principal: Principal, belief: int, theorem: int) -> int:
-        """From P believes φ and ⊢ φ ⊃ ψ conclude P believes ψ
-        (necessitation of the theorem, then believes_mp)."""
-        believed_implication = self.necessitate(theorem, principal)
-        return self.believes_mp(principal, belief, believed_implication)
-
     def build(self, check: bool = True) -> Proof:
         proof = Proof(tuple(self._steps))
         if check:

@@ -1,9 +1,10 @@
 """The forward rules of the reformulated-logic engine (Section 4.2).
 
-Each rule is the forward reading of an axiom schema (or of a checked
-derived theorem — see :mod:`repro.logic.derived`), applied uniformly
-inside belief prefixes: if ⊢ φ1 ∧ ... ∧ φn ⊃ ψ then
-``P believes φ1, ..., P believes φn ⊢ P believes ψ`` by R2 + A1.
+Each rule is the forward reading of an axiom schema (a paper schema or
+a flagged extra), applied uniformly inside belief prefixes: if
+⊢ φ1 ∧ ... ∧ φn ⊃ ψ then ``P believes φ1, ..., P believes φn ⊢
+P believes ψ`` by R2, A4 and A1 — the lifting that
+:func:`repro.logic.certify.lift_one_level` builds as a checked proof.
 
 Two rules deserve comment:
 

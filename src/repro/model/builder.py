@@ -39,7 +39,6 @@ class RunBuilder:
         env_keys: the environment's initial key set.
         data: initial application data per system principal.
         environment: the distinguished environment principal.
-        enforce: check WF3-WF5 on every send (default True).
     """
 
     def __init__(
@@ -49,7 +48,6 @@ class RunBuilder:
         env_keys: Iterable[Key] = (),
         data: Mapping[Principal, Mapping[str, object]] | None = None,
         environment: Principal = ENVIRONMENT,
-        enforce: bool = True,
     ) -> None:
         principals = tuple(principals)
         if environment in principals:
@@ -61,7 +59,6 @@ class RunBuilder:
         self._environment = environment
         self._states: list[GlobalState] = [initial]
         self._epoch_index = 0
-        self._enforce = enforce
 
     # -- inspection ------------------------------------------------------------
 
@@ -115,11 +112,11 @@ class RunBuilder:
     ) -> None:
         """Perform ``send(message, recipient)`` as ``sender``.
 
-        Raises :class:`WellFormednessError` when enforcement is on and
-        the send would violate WF3 (any principal) or WF4/WF5 (system
-        principals).
+        Raises :class:`WellFormednessError` when the send would violate
+        WF3 (any principal) or WF4/WF5 (system principals), unless
+        ``unchecked`` is set.
         """
-        if self._enforce and not unchecked:
+        if not unchecked:
             self._check_send(sender, message)
         self._apply(sender, Send(message, recipient))
         # Feed the recipient's buffer (delivery happens at receive()).

@@ -150,15 +150,13 @@ def _format_node(node: TraceNode) -> str:
     )
 
 
-def render_why(root: TraceNode, max_depth: int | None = None) -> str:
+def render_why(root: TraceNode) -> str:
     """The indented proof-tree rendering ("why-false" when ✗ on top)."""
     lines: list[str] = []
     stack: list[tuple[TraceNode, int]] = [(root, 0)]
     while stack:
         node, depth = stack.pop()
         lines.append("  " * depth + _format_node(node))
-        if max_depth is not None and depth >= max_depth:
-            continue
         for child in reversed(node.children):
             stack.append((child, depth + 1))
     return "\n".join(lines)

@@ -36,7 +36,8 @@ principal's good runs, and ``hide`` never reads it).  So a compilation
 at a vector takes every other table from the system's *top*
 compilation (``goodruns=None``, from the context cache): the point
 numbering, run masks, principal uniformity, the leaf indices and the
-leaves' bitsets, and the view-class member bitsets.  It computes only
+leaves' bitsets, the ``ForAll`` expansions, and the view-class member
+bitsets.  It computes only
 connective, ``Controls``, ``ForAll`` and ``Believes`` nodes, through
 its own ``_builders`` entries for the leaf clauses, so the top
 compilation's walk carries no check for the sharing; and
@@ -61,8 +62,8 @@ order-dependent), a free parameter (its value is per run), a malformed
 ``pk(...)``, an unknown connective.  Refused ground formulas fall back
 to a private interpreter (``interpreter_class``) sharing the same
 parameters.  Tracing always takes the interpreter
-(:meth:`CompiledSystem.evaluate_traced`): trace fidelity is cheaper to
-inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
+(:func:`repro.obs.trace.trace_evaluation`): trace fidelity is cheaper
+to inherit than to re-emit.  The ``compiled_vs_interpreted`` fuzz oracle
 (:mod:`repro.fuzz.oracles`) holds the two engines byte-identical
 across campaigns, at no vector and at a restricting one.
 
@@ -127,12 +128,11 @@ perf.register_cache("compiled_eval", _compiled_size)
 class CompiledSystem:
     """Formulas compiled against one ``(system, goodruns, pattern_hide)``.
 
-    Presents the same ``evaluate(formula, run, k)`` / ``holds(formula,
-    point)`` surface as :class:`Evaluator`, so the hot loops (soundness
-    sweep, engine-replay audit, good-runs support checks) adopt it
-    without restructuring.  Obtain instances through
-    :func:`compiled_for`, which caches them on the current engine
-    context.
+    Presents the same ``evaluate(formula, run, k)`` surface as
+    :class:`Evaluator`, so the hot loops (soundness sweep, engine-replay
+    audit, good-runs support checks) adopt it without restructuring.
+    Obtain instances through :func:`compiled_for`, which caches them on
+    the current engine context.
     """
 
     #: The recursive evaluator with this engine's truth definition: the
@@ -220,18 +220,21 @@ class CompiledSystem:
         #: (kind, principal) -> message -> point bitset, kind one of
         #: ``seen``/``has``/``said``/``says`` (see :meth:`_index`).
         self._indices: dict[tuple[str, Principal], dict[Message, int]] = {}
+        #: ``ForAll`` -> its expansions over the vocabulary, once all of
+        #: them compiled (see :meth:`_build_forall`).
+        self._expansions: dict[ForAll, tuple[Formula, ...]] = {}
 
     def _share_top(self) -> None:
-        """Take every table that does not read the vector, and the
-        builders, from the system's top compilation in the current
-        context, and send the leaf and ``Controls`` clauses to it: a
-        leaf's node is the top's, and ``Controls`` reads the top's
-        ``says`` index."""
+        """Take every table that does not read the vector (the
+        ``ForAll`` expansions too), and the builders, from the system's
+        top compilation in the current context, and send the leaf and
+        ``Controls`` clauses to it: a leaf's node is the top's, and
+        ``Controls`` reads the top's ``says`` index."""
         top = compiled_for(self.system, None, self.pattern_hide, type(self))
         self._top = top
         self.points, self.point_index = top.points, top.point_index
         self.full_mask, self._run_masks = top.full_mask, top._run_masks
-        self._uniform = top._uniform
+        self._uniform, self._expansions = top._uniform, top._expansions
         self._builders = dict(top._builders)
         cls = type(self)
         for kind in self._SHARED_LEAVES:
@@ -273,24 +276,6 @@ class CompiledSystem:
         if bits is None:
             return self.interpreter._eval(formula, run, k)
         return bool((bits >> index) & 1)
-
-    def holds(self, formula: Formula, point: Point) -> bool:
-        run, k = point
-        return self.evaluate(formula, run, k)
-
-    def evaluate_traced(self, formula: Formula, run: Run, k: int, tracer) -> bool:
-        """Evaluate with an explanation tracer attached.
-
-        Tracing runs through a fresh interpreter sharing this compiled
-        system's parameters: the trace records are identical to the
-        interpreted engine's by construction (cheaper than teaching
-        every compiled clause to emit them).
-        """
-        traced = self.interpreter_class(
-            self.system, self.goodruns,
-            pattern_hide=self.pattern_hide, tracer=tracer,
-        )
-        return traced.evaluate(formula, run, k)
 
     def truth_bits(self, formula: Formula) -> int | None:
         """The formula's whole-system truth bitset, or ``None`` when the
@@ -627,15 +612,28 @@ class CompiledSystem:
     # -- quantification -------------------------------------------------------
 
     def _build_forall(self, formula: ForAll) -> int | None:
-        constants = self.system.vocabulary.constants(formula.variable.value_sort)
-        bits = self.full_mask
-        for constant in constants:
-            expansion = self._compile(
-                substitute(formula.body, {formula.variable: constant})
+        """The AND of the expansions' bitsets.  The expansions do not
+        read the vector, so once all of them compiled they are kept in
+        the top compilation's table, which every vector shares; until
+        then each is substituted just before it compiles."""
+        expansions = self._expansions.get(formula)
+        if expansions is None:
+            variable = formula.variable
+            expansions = (
+                substitute(formula.body, {variable: constant})
+                for constant in self.system.vocabulary.constants(
+                    variable.value_sort
+                )
             )
-            if expansion is None:
+        compiled = []
+        bits = self.full_mask
+        for expansion in expansions:
+            expansion_bits = self._compile(expansion)
+            if expansion_bits is None:
                 return None
-            bits &= expansion
+            compiled.append(expansion)
+            bits &= expansion_bits
+        self._expansions[formula] = tuple(compiled)
         # With another parameter free, every expansion compiles only
         # over an empty domain, and the verdict is still per run.
         return None if free_parameters(formula) else bits

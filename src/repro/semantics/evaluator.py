@@ -13,7 +13,7 @@ audits both derivation engines against it.
 
 from __future__ import annotations
 
-from typing import Iterator, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro import context as _context
 from repro import perf
@@ -109,10 +109,6 @@ class Evaluator:
     def evaluate(self, formula: Formula, run: Run, k: int) -> bool:
         """``(r, k) |= φ`` after substituting the run's parameter values."""
         return self._eval(formula_at(formula, run, k), run, k)
-
-    def holds(self, formula: Formula, point: Point) -> bool:
-        run, k = point
-        return self.evaluate(formula, run, k)
 
     # -- the truth definition ------------------------------------------------------
 
@@ -421,11 +417,6 @@ class Evaluator:
             if not self._eval(body, other_run, other_k):
                 return False
         return True
-
-    # -- convenience ------------------------------------------------------------------------
-
-    def points(self) -> Iterator[Point]:
-        return self.system.points()
 
 
 def formula_at(formula: Formula, run: Run, k: int) -> Formula:

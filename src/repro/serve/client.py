@@ -4,11 +4,11 @@ Used by the benchmark's serve load process (``perfbench/serve_load.py``),
 the test-suite, and anyone scripting against a local daemon without
 wanting an HTTP library.  Two shapes:
 
-* :func:`request` / :func:`post_json` / :func:`get` — one connection
-  per call, framed by the daemon closing the socket;
 * :class:`ServeClient` — a persistent keep-alive connection framed on
   ``Content-Length`` (the daemon always sends it), with reconnect-once
-  on a dead socket and reuse counters for the benchmark.
+  on a dead socket and reuse counters for the benchmark;
+* :func:`request` / :func:`post_json` / :func:`get` — one exchange on
+  a fresh :class:`ServeClient` that is closed after it.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ def _decode_body(headers: dict, body: bytes) -> Any:
 
 
 def _format_request(host: str, port: int, method: str, path: str,
-                    body: bytes, keep_alive: bool) -> bytes:
+                    body: bytes) -> bytes:
     head = (
         f"{method} {path} HTTP/1.1\r\n"
         f"Host: {host}:{port}\r\n"
-        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "Connection: keep-alive\r\n"
     )
     if body:
         head += ("Content-Type: application/json\r\n"
@@ -157,8 +157,7 @@ class ServeClient:
         body = b""
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-        wire = _format_request(self.host, self.port, method, path, body,
-                               keep_alive=True)
+        wire = _format_request(self.host, self.port, method, path, body)
         for attempt in (0, 1):
             reconnected = self._sock is None
             if reconnected:
@@ -192,52 +191,14 @@ def request(
     payload: Any | None = None,
     timeout: float = 60.0,
 ) -> tuple[int, Any]:
-    """One HTTP exchange; returns ``(status, decoded body)``.
+    """One HTTP exchange on a fresh :class:`ServeClient`, closed after
+    it; returns ``(status, decoded body)``.
 
     JSON bodies decode to Python values; anything else (``/metrics``)
     comes back as ``str``.
     """
-    body = b""
-    if payload is not None:
-        body = json.dumps(payload).encode("utf-8")
-    head = (
-        f"{method} {path} HTTP/1.1\r\n"
-        f"Host: {host}:{port}\r\n"
-        "Connection: close\r\n"
-    )
-    if body:
-        head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
-    head += "\r\n"
-
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(head.encode("latin-1") + body)
-        raw = bytearray()
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            raw.extend(chunk)
-
-    header_end = raw.find(b"\r\n\r\n")
-    if header_end < 0:
-        raise ServeClientError("no header terminator in daemon response")
-    header_block = raw[:header_end].decode("latin-1")
-    lines = header_block.split("\r\n")
-    try:
-        status = int(lines[0].split(" ")[1])
-    except (IndexError, ValueError):
-        raise ServeClientError(f"malformed status line {lines[0]!r}")
-    headers = {}
-    for line in lines[1:]:
-        name, _sep, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    response_body = bytes(raw[header_end + 4:])
-    if headers.get("content-type", "").startswith("application/json"):
-        try:
-            return status, json.loads(response_body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeClientError(f"daemon sent invalid JSON: {exc}")
-    return status, response_body.decode("utf-8", errors="replace")
+    with ServeClient(host, port, timeout) as connection:
+        return connection.request(method, path, payload)
 
 
 def post_json(host: str, port: int, path: str, payload: Any,

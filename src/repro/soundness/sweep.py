@@ -49,18 +49,14 @@ from repro.terms.messages import Encrypted, combined, encrypted, forwarded, grou
 from repro.terms.ops import walk
 
 
-def pool_from_system(
-    system: System,
-    synthesize: bool = True,
-    max_messages: int = 60,
-    max_formulas: int = 12,
-) -> InstancePool:
+def pool_from_system(system: System) -> InstancePool:
     """Build an instantiation pool from a system's traffic.
 
     Messages are the sub-closure of everything actually sent, topped up
-    (when ``synthesize`` is set) with fresh ciphertexts, combinations,
-    forwardings, and groups over the vocabulary, so that schemas over
-    shapes nobody happened to send still get instances.
+    with fresh ciphertexts, combinations, forwardings, and groups over
+    the vocabulary, so that schemas over shapes nobody happened to send
+    still get instances.  The pool keeps the first 60 messages and the
+    first 12 formulas.
     """
     principals = tuple(system.principals())
     keys = tuple(system.vocabulary.constants(Sort.KEY))
@@ -74,7 +70,7 @@ def pool_from_system(
                     seen.setdefault(node, None)
     messages = list(seen)
 
-    if synthesize and principals and keys:
+    if principals and keys:
         base: tuple[Message, ...] = tuple(nonces[:2]) or (keys[0],)
         p, q = principals[0], principals[-1]
         k = keys[0]
@@ -91,7 +87,7 @@ def pool_from_system(
                     group(x, base[-1], inner),
                 ]
             )
-    messages = list(dict.fromkeys(messages))[:max_messages]
+    messages = list(dict.fromkeys(messages))[:60]
 
     formulas: list[Formula] = []
     props = tuple(system.vocabulary.constants(Sort.PROPOSITION))
@@ -116,7 +112,7 @@ def pool_from_system(
 
         x = Parameter("x", Sort.KEY)
         formulas.append(ForAll(x, Has(principals[0], x)))
-    formulas = list(dict.fromkeys(formulas))[:max_formulas]
+    formulas = list(dict.fromkeys(formulas))[:12]
 
     return InstancePool(
         principals=principals,

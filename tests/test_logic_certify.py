@@ -15,6 +15,7 @@ from repro.logic import (
     lift_implication,
     lift_one_level,
     normalize_to_facts,
+    prove_a4,
     prove_projection,
     prove_reconstruction,
     standard_rules,
@@ -24,17 +25,23 @@ from repro.protocols import corpus, kerberos, wide_mouth_frog, x509
 from repro.terms import (
     And,
     Believes,
+    Controls,
     Fresh,
     Has,
     Implies,
     Key,
     Nonce,
+    Not,
+    Or,
     Prim,
     PrimitiveProposition,
     Principal,
+    Said,
+    Says,
     Sees,
     SharedKey,
 )
+from repro.terms.messages import Encrypted
 
 A = Principal("A")
 B = Principal("B")
@@ -97,8 +104,63 @@ class TestLifting:
     def test_lift_rejects_premiseful(self):
         builder = ProofBuilder()
         builder.premise(Implies(P, Q))
-        with pytest.raises(ProofError):
+        with pytest.raises(ProofError, match="premise-free"):
             lift_one_level(builder.build(), A)
+        # A theorem that is not an implication has nothing to lift.
+        builder = ProofBuilder()
+        builder.tautology(Or(P, Not(P)))
+        with pytest.raises(ProofError, match="implication theorem"):
+            lift_one_level(builder.build(), A)
+
+
+class TestOneLifting:
+    """§4.2's one argument: every axiom is believed (R2) and A1 closes
+    belief under modus ponens, with A4 joining the believed premises."""
+
+    def test_a4_checks_and_concludes(self):
+        proof = prove_a4(A, P, Q)
+        proof.check()
+        assert proof.conclusion == Implies(
+            And(Believes(A, P), Believes(A, Q)), Believes(A, And(P, Q))
+        )
+        assert proof.is_theorem()
+
+    @pytest.mark.parametrize("axiom, args, rule", [
+        pytest.param(
+            "A5", (B, K, S, B, N, S),
+            Implies(
+                And(Believes(B, SharedKey(B, K, S)),
+                    Believes(B, Sees(B, Encrypted(N, K, S)))),
+                Believes(B, Said(S, N)),
+            ),
+            id="message_meaning",
+        ),
+        pytest.param(
+            "A15", (S, P),
+            Implies(
+                And(Believes(B, Controls(S, P)), Believes(B, Says(S, P))),
+                Believes(B, P),
+            ),
+            id="jurisdiction",
+        ),
+        pytest.param(
+            "A20", (S, N),
+            Implies(
+                And(Believes(B, Fresh(N)), Believes(B, Said(S, N))),
+                Believes(B, Says(S, N)),
+            ),
+            id="nonce_verification",
+        ),
+    ])
+    def test_ban_rule_is_its_axiom_lifted(self, axiom, args, rule):
+        """The BAN rule inside B's beliefs is lift_one_level of a
+        one-step proof of its axiom."""
+        builder = ProofBuilder()
+        builder.axiom(axiom, *args)
+        proof = lift_one_level(builder.build(), B)
+        proof.check()
+        assert proof.is_theorem()
+        assert proof.conclusion == rule
 
 
 class TestProjectionReconstruction:

@@ -124,22 +124,6 @@ class TestBuilderMacros:
         proof = builder.build()
         assert proof.steps[conj].formula == And(P, Q)
 
-    def test_believes_mp(self):
-        builder = ProofBuilder()
-        belief = builder.premise(Believes(A, P))
-        belief_imp = builder.premise(Believes(A, Implies(P, Q)))
-        result = builder.believes_mp(A, belief, belief_imp)
-        proof = builder.build()
-        assert proof.steps[result].formula == Believes(A, Q)
-
-    def test_lift(self):
-        builder = ProofBuilder()
-        belief = builder.premise(Believes(A, And(P, Q)))
-        theorem = builder.tautology(Implies(And(P, Q), P))
-        result = builder.lift(A, belief, theorem)
-        proof = builder.build()
-        assert proof.steps[result].formula == Believes(A, P)
-
     def test_splice_reoffsets_references(self):
         inner = ProofBuilder()
         premise_free = inner.tautology(Implies(P, Or(P, Q)))
@@ -217,22 +201,6 @@ class TestProofErrorDiscipline:
         )
         with pytest.raises(ProofError, match="out of range"):
             Proof(steps).check()
-
-    def test_believes_mp_requires_belief_formulas(self):
-        builder = ProofBuilder()
-        plain = builder.premise(P)
-        belief = builder.premise(Believes(A, Implies(P, Q)))
-        with pytest.raises(ProofError, match="needs two belief formulas"):
-            builder.believes_mp(A, plain, belief)
-
-    def test_believes_mp_major_must_believe_implication(self):
-        builder = ProofBuilder()
-        belief = builder.premise(Believes(A, P))
-        not_implication = builder.premise(Believes(A, Q))
-        with pytest.raises(
-            ProofError, match="must believe an implication"
-        ):
-            builder.believes_mp(A, belief, not_implication)
 
     def test_builder_formula_at_out_of_range(self):
         builder = ProofBuilder()

@@ -46,8 +46,14 @@ from repro.logic.axioms import Schema
 from repro.model import ENVIRONMENT, Interpretation, RunBuilder, system_of
 from repro.model.actions import NewKey
 from repro.obs import journal
-from repro.obs.trace import Tracer, render_why, trace_records
+from repro.obs.trace import (
+    Tracer,
+    render_why,
+    trace_evaluation,
+    trace_records,
+)
 from repro.semantics import Evaluator
+from repro.semantics.backend import get_backend
 from repro.semantics.compiler import CompiledSystem, compiled_for
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.vector_eval import VectorTruth
@@ -315,6 +321,9 @@ def _two_run_belief_system():
 
 
 class TestTracerParity:
+    """Tracing takes the backend's interpreter (``trace_evaluation``, as
+    serve and fuzz do), whichever engine answered the verdict."""
+
     def test_golden_why_false_tree_identical_under_both_engines(self):
         system, runs, who, p = _two_run_belief_system()
         belief = Believes(who, p)
@@ -324,20 +333,19 @@ class TestTracerParity:
             system, tracer=interpreted_tracer
         ).evaluate(belief, runs[0], 0)
 
-        compiled_tracer = Tracer()
-        compiled_verdict = CompiledSystem(system).evaluate_traced(
-            belief, runs[0], 0, compiled_tracer
+        traced_verdict, traced_root = trace_evaluation(
+            system, belief, runs[0], 0
         )
 
         assert interpreted_verdict is False
-        assert compiled_verdict is False
+        assert traced_verdict is False
+        assert CompiledSystem(system).evaluate(belief, runs[0], 0) is False
 
         interpreted_root = interpreted_tracer.roots[0]
-        compiled_root = compiled_tracer.roots[0]
         interpreted_render = render_why(interpreted_root)
-        assert interpreted_render == render_why(compiled_root)
+        assert interpreted_render == render_why(traced_root)
         assert list(trace_records(interpreted_root, schema="X")) == list(
-            trace_records(compiled_root, schema="X")
+            trace_records(traced_root, schema="X")
         )
         # And it is the golden tree, not merely an identical pair.
         first = interpreted_render.splitlines()[0]
@@ -347,12 +355,13 @@ class TestTracerParity:
     def test_traced_verdicts_match_untraced_compiled(self):
         system, runs, who, p = _two_run_belief_system()
         compiled = CompiledSystem(system)
+        backend = get_backend()
         for formula in (p, Believes(who, p)):
             for run in runs:
                 for k in run.times:
-                    traced = compiled.evaluate_traced(
-                        formula, run, k, Tracer()
-                    )
+                    traced = backend.interpreter(
+                        system, tracer=Tracer()
+                    ).evaluate(formula, run, k)
                     assert traced == compiled.evaluate(formula, run, k)
 
 
@@ -926,6 +935,46 @@ class TestCompilationsAtAVector:
             len({expected[vector, formula] for vector in self._vectors()}) > 1
             for formula in formulas_
         )
+
+    def test_vectors_take_the_forall_expansions_from_the_top(
+        self, monkeypatch
+    ):
+        """After the top compilation compiles a ``ForAll``, compilations
+        at two restricting vectors substitute nothing: they read the
+        top's expansions, and answer as the interpreter does."""
+        from repro.semantics import compiler as compiler_module
+
+        system = self.SYSTEM
+        P1, _P2, P3 = system.principals()
+        x = Parameter("x", Sort.NONCE)
+        formula = ForAll(x, Believes(P1, Not(Said(P3, x))))
+        vectors = self._vectors()[1:3]
+        substitutions = []
+        honest = compiler_module.substitute
+
+        def counting(message, assignment):
+            substitutions.append(message)
+            return honest(message, assignment)
+
+        monkeypatch.setattr(compiler_module, "substitute", counting)
+        with _context.scoped("forall-at-vectors"):
+            top = compiled_for(system).truth_bits(formula)
+            assert top is not None and substitutions
+            substitutions.clear()
+            answers = {
+                vector: compiled_for(system, vector).truth_bits(formula)
+                for vector in vectors
+            }
+        assert substitutions == []
+        # The vectors moved the verdict: the expansions are shared, not
+        # the answers.
+        assert len({top, *answers.values()}) == 3
+        for vector in vectors:
+            interpreter = Evaluator(system, vector)
+            assert answers[vector] == sum(
+                1 << i for i, (run, k) in enumerate(system.points())
+                if interpreter.evaluate(formula, run, k)
+            ), vector
 
     def test_vector_truth_answers_a_belief_under_controls(self):
         """A belief under ``Controls`` at a restricting vector: one
