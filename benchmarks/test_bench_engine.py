@@ -1,8 +1,6 @@
 """Micro-benchmarks for the proof system and derivation engines."""
 
-from repro.analysis import make_engine
 from repro.logic import (
-    MessagePool,
     ProofBuilder,
     is_tautology,
     lift_one_level,
@@ -13,7 +11,6 @@ from repro.banlogic import ban_rules
 from repro.logic.engine import Engine
 from repro.protocols import kerberos, wide_mouth_frog
 from repro.terms import (
-    Implies,
     Key,
     Nonce,
     Not,
@@ -96,9 +93,9 @@ def test_bench_certify_kerberos_goal(benchmark):
     from repro.logic import certify
     from repro.terms import Believes
 
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     report = analyze(kerberos.at_protocol())
-    goal = Believes(ctx.b, ctx.good)
+    goal = Believes(ctx.B, ctx.good)
 
     proof = benchmark(lambda: certify(report.derivation, goal))
     proof.check()
@@ -111,7 +108,7 @@ def test_bench_proof_checking(benchmark):
     from repro.logic import certify
     from repro.terms import Believes
 
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     report = analyze(kerberos.at_protocol())
-    proof = certify(report.derivation, Believes(ctx.b, ctx.good))
+    proof = certify(report.derivation, Believes(ctx.B, ctx.good))
     benchmark(proof.check)

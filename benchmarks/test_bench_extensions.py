@@ -19,13 +19,13 @@ from repro.terms import (
 def quantified_kerberos() -> IdealizedProtocol:
     """Kerberos with A's trust stated once for *all* keys:
     ``A believes ∀K. (S controls A <-K-> B)`` (the Section 8 example)."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     protocol = kerberos.at_protocol()
     x = Parameter("x", Sort.KEY)
     quantified = Believes(
-        ctx.a, ForAll(x, Controls(ctx.s, SharedKey(ctx.a, x, ctx.b)))
+        ctx.A, ForAll(x, Controls(ctx.S, SharedKey(ctx.A, x, ctx.B)))
     )
-    old = Believes(ctx.a, Controls(ctx.s, ctx.good))
+    old = Believes(ctx.A, Controls(ctx.S, ctx.good))
     assumptions = tuple(
         quantified if assumption == old else assumption
         for assumption in protocol.assumptions
@@ -52,10 +52,10 @@ def test_e11_quantified_analysis(benchmark):
 
 def test_e11_parameter_evaluation(benchmark):
     """E11: run-valued parameters resolve per run before evaluation."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     parameter = ctx.vocabulary.parameter("Ksession", Sort.KEY)
-    builder = RunBuilder([ctx.a, ctx.b], keysets={ctx.a: [ctx.kab]})
-    run = builder.build("param-run", params={parameter: ctx.kab})
+    builder = RunBuilder([ctx.A, ctx.B], keysets={ctx.A: [ctx.Kab]})
+    run = builder.build("param-run", params={parameter: ctx.Kab})
     system = system_of([run], vocabulary=ctx.vocabulary)
     formula = parse_formula("A has ?Ksession", ctx.vocabulary)
 
@@ -71,7 +71,7 @@ def test_e13_x509_public_keys(benchmark):
 
     def run_both():
         return analyze(x509.at_protocol()), analyze(
-            x509.at_protocol(repaired=True)
+            x509.at_protocol("repaired")
         )
 
     flawed, repaired = benchmark(run_both)

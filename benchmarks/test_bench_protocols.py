@@ -22,7 +22,7 @@ def test_e8_forwarding_protocol(benchmark):
 def test_e8_forwarding_semantics(benchmark):
     """E8 (semantic half): said_submsgs shields the courier; A14 holds
     the misusing environment accountable."""
-    ctx = forwarding.make_context()
+    ctx = forwarding.terms()
     system = forwarding.build_system()
     honest = system.run("courier-honest")
     misuse = system.run("courier-misuse")
@@ -30,7 +30,7 @@ def test_e8_forwarding_semantics(benchmark):
     def evaluate():
         evaluator = Evaluator(system)
         shielded = not evaluator.evaluate(
-            Said(ctx.c, ctx.good), honest, honest.end_time
+            Said(ctx.C, ctx.good), honest, honest.end_time
         )
         accountable = evaluator.evaluate(
             Said(ENVIRONMENT, ctx.good), misuse, misuse.end_time
@@ -60,9 +60,9 @@ def test_e10_needham_schroeder_pair(benchmark):
 
     def run_all():
         reports = []
-        for dubious in (False, True):
-            reports.append(analyze(needham_schroeder.ban_protocol(dubious)))
-            reports.append(analyze(needham_schroeder.at_protocol(dubious)))
+        for variant in (None, "dubious"):
+            reports.append(analyze(needham_schroeder.ban_protocol(variant)))
+            reports.append(analyze(needham_schroeder.at_protocol(variant)))
         return reports
 
     reports = benchmark(run_all)
@@ -84,7 +84,7 @@ def test_e14_replay_verdicts(benchmark):
     from repro.protocols import needham_schroeder as ns
     from repro.terms import Fresh, Says
 
-    ctx = ns.make_context()
+    ctx = ns.terms()
     system = ns.build_system()
     replay = system.run("ns-normal-replay-2")
 
@@ -92,7 +92,7 @@ def test_e14_replay_verdicts(benchmark):
         evaluator = Evaluator(system)
         end = replay.end_time
         return (
-            evaluator.evaluate(Says(ctx.s, ctx.good), replay, end),
+            evaluator.evaluate(Says(ctx.S, ctx.good), replay, end),
             evaluator.evaluate(Fresh(ctx.good), replay, end),
         )
 

@@ -18,14 +18,14 @@ from repro.terms import Believes, Said, Says, Sees
 
 def test_e12_stability_audit(benchmark):
     """E12: annotation formulas are stable along the Kerberos system."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     system = kerberos.build_system()
     formulas = [
-        Sees(ctx.a, ctx.outer),
-        Sees(ctx.b, ctx.inner),
-        Said(ctx.s, ctx.good),
-        Says(ctx.s, ctx.good),
-        Believes(ctx.a, ctx.good),
+        Sees(ctx.A, ctx.outer),
+        Sees(ctx.B, ctx.inner),
+        Said(ctx.S, ctx.good),
+        Says(ctx.S, ctx.good),
+        Believes(ctx.A, ctx.good),
     ]
 
     def audit():
@@ -39,7 +39,7 @@ def test_e12_stability_audit(benchmark):
 def test_bench_hide(benchmark):
     """Hiding every local state of a run (the inner loop of belief
     evaluation): one walk per principal."""
-    run = kerberos.build_run()
+    run = kerberos.build_system().run("kerberos-normal")
 
     def hide_all():
         nodes = {}
@@ -59,9 +59,9 @@ def test_bench_hide(benchmark):
 
 def test_bench_belief_evaluation(benchmark):
     """Evaluating a belief formula across the two-run Kerberos system."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     system = kerberos.build_system()
-    formula = Believes(ctx.b, ctx.good)
+    formula = Believes(ctx.B, ctx.good)
     run = system.run("kerberos-normal")
 
     def evaluate():
@@ -73,7 +73,7 @@ def test_bench_belief_evaluation(benchmark):
 
 def test_bench_shared_key_check(benchmark):
     """The good-key clause quantifies over every principal's sends."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     system = kerberos.build_system()
     run = system.run("kerberos-normal")
 
@@ -86,11 +86,11 @@ def test_bench_shared_key_check(benchmark):
 
 def test_bench_memoized_reevaluation(benchmark):
     """Warm-cache evaluation: the memo table makes repeats cheap."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     system = kerberos.build_system()
     run = system.run("kerberos-normal")
     evaluator = Evaluator(system)
-    formula = Believes(ctx.b, ctx.good)
+    formula = Believes(ctx.B, ctx.good)
     evaluator.evaluate(formula, run, run.end_time)  # warm
 
     result = benchmark(
@@ -103,10 +103,10 @@ def test_bench_hide_variants_agree_on_protocol_goals(benchmark):
     """Collapse vs pattern hide: evaluating the Kerberos goals under
     both hide variants (they agree on the corpus goals; they differ
     exactly on the A11 nesting edge, see EXPERIMENTS.md)."""
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     system = kerberos.build_system()
     run = system.run("kerberos-normal")
-    goal = Believes(ctx.b, ctx.good)
+    goal = Believes(ctx.B, ctx.good)
 
     def both():
         collapse = Evaluator(system).evaluate(goal, run, run.end_time)
@@ -157,12 +157,9 @@ def test_bench_goodrun_construction_on_protocol_system(benchmark):
     from repro.goodruns import construct_good_runs
     from repro.soundness import assumptions_vector
 
-    protocol_assumptions = assumptions_vector(
-        __import__("repro.protocols.kerberos", fromlist=["at_protocol"])
-        .at_protocol()
-    )
+    protocol_assumptions = assumptions_vector(kerberos.at_protocol())
     system = kerberos.build_system()
     assumptions = protocol_assumptions.restrict_to(system)
 
     result = benchmark(lambda: construct_good_runs(system, assumptions))
-    assert result.vector.good_runs(kerberos.make_context().a)
+    assert result.vector.good_runs(kerberos.terms().A)

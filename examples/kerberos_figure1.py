@@ -45,7 +45,8 @@ def main() -> None:
     print("=" * 72)
     print("Step 3: a concrete execution in the model of computation")
     print("=" * 72)
-    run = kerberos.build_run()
+    system = kerberos.build_system()
+    run = system.run("kerberos-normal")
     print(f"built {run}; well-formed (WF0-WF5) by construction")
     for k in run.times:
         for principal in run.principals:
@@ -56,7 +57,6 @@ def main() -> None:
     print("=" * 72)
     print("Step 4: semantic audit against the possible-worlds semantics")
     print("=" * 72)
-    system = kerberos.build_system()
     vector = construct_good_runs(
         system, assumptions_vector(at_protocol).restrict_to(system)
     ).vector
@@ -70,7 +70,7 @@ def main() -> None:
     print()
     print("audit consistent:", audit.consistent)
 
-    ctx = kerberos.make_context()
+    ctx = kerberos.terms()
     evaluator = Evaluator(system, vector)
     lost = system.run("kerberos-lost-msg3")
     belief = ctx.good
@@ -79,7 +79,7 @@ def main() -> None:
     print(
         "in the run where message 3 is lost, B never comes to believe "
         "the key:",
-        not evaluator.evaluate(Believes(ctx.b, belief), lost, lost.end_time),
+        not evaluator.evaluate(Believes(ctx.B, belief), lost, lost.end_time),
     )
 
 
@@ -93,8 +93,8 @@ def _certification_appendix() -> None:
     print("Appendix: certifying B's key belief as a Hilbert proof")
     print("=" * 72)
     at_report = analyze(kerberos.at_protocol())
-    ctx = kerberos.make_context()
-    proof = certify(at_report.derivation, Believes(ctx.b, ctx.good))
+    ctx = kerberos.terms()
+    proof = certify(at_report.derivation, Believes(ctx.B, ctx.good))
     proof.check()
     print(f"checked proof with {len(proof.steps)} steps; premises:")
     for premise in proof.premises:

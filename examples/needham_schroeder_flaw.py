@@ -26,9 +26,9 @@ def logical_half() -> None:
     print("=" * 72)
     print("Logical finding: B's goal fails without the dubious assumption")
     print("=" * 72)
-    for dubious in (False, True):
-        report = analyze(ns.ban_protocol(with_dubious_assumption=dubious))
-        label = "with" if dubious else "without"
+    for variant in (None, "dubious"):
+        report = analyze(ns.ban_protocol(variant))
+        label = "with" if variant else "without"
         print(f"\n--- {label} 'B believes fresh(A <-Kab-> B)' ---")
         for result in report.goal_results:
             print(f"  {result}")
@@ -36,22 +36,22 @@ def logical_half() -> None:
 
 def replay_attack_run():
     """The environment replays an old ticket in a new epoch."""
-    ctx = ns.make_context()
+    ctx = ns.terms()
     builder = RunBuilder(
-        [ctx.a, ctx.b, ctx.s],
-        keysets={ctx.a: [ctx.kas], ctx.b: [ctx.kbs],
-                 ctx.s: [ctx.kas, ctx.kbs]},
+        [ctx.A, ctx.B, ctx.S],
+        keysets={ctx.A: [ctx.Kas], ctx.B: [ctx.Kbs],
+                 ctx.S: [ctx.Kas, ctx.Kbs]},
     )
     # Past epoch: the original protocol ran; the environment wiretapped
     # the ticket (modeled as S also addressing a copy to the network).
-    builder.newkey(ctx.s, ctx.kab)
-    builder.send(ctx.s, ctx.ticket, ENVIRONMENT)
+    builder.newkey(ctx.S, ctx.Kab)
+    builder.send(ctx.S, ctx.ticket, ENVIRONMENT)
     builder.receive(ENVIRONMENT)
     builder.mark_epoch()
     # Present epoch: the attacker replays the stale ticket to B.
-    builder.send(ENVIRONMENT, ctx.ticket, ctx.b)
-    builder.receive(ctx.b)
-    builder.newkey(ctx.b, ctx.kab)
+    builder.send(ENVIRONMENT, ctx.ticket, ctx.B)
+    builder.receive(ctx.B)
+    builder.newkey(ctx.B, ctx.Kab)
     return ctx, builder.build("ns-replay")
 
 
@@ -65,9 +65,9 @@ def concrete_half() -> None:
     evaluator = Evaluator(system)
     end = run.end_time
     checks = [
-        ("B sees the ticket", Sees(ctx.b, ctx.ticket), True),
-        ("S said the key was good (once)", Said(ctx.s, ctx.good), True),
-        ("S says it *in this epoch*", Says(ctx.s, ctx.good), False),
+        ("B sees the ticket", Sees(ctx.B, ctx.ticket), True),
+        ("S said the key was good (once)", Said(ctx.S, ctx.good), True),
+        ("S says it *in this epoch*", Says(ctx.S, ctx.good), False),
         ("the certificate is fresh", Fresh(ctx.good), False),
     ]
     for label, formula, expected in checks:

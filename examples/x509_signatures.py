@@ -16,19 +16,17 @@ from repro.protocols import x509
 from repro.terms import Believes, Says
 
 
-def show(repaired: bool) -> None:
-    label = "sign-then-encrypt (repaired)" if repaired else \
+def show(variant: str | None) -> None:
+    label = "sign-then-encrypt (repaired)" if variant else \
         "signed ciphertext (the standard's defect)"
     print("=" * 72)
     print(label)
     print("=" * 72)
-    ctx = x509.make_context()
-    message = ctx.repaired_message if repaired else ctx.flawed_message
-    print(f"  A -> B : {message}")
+    print(f"  A -> B : {x509.terms(variant).message}")
     for logic in ("ban", "at"):
         protocol = (
-            x509.ban_protocol(repaired) if logic == "ban"
-            else x509.at_protocol(repaired)
+            x509.ban_protocol(variant) if logic == "ban"
+            else x509.at_protocol(variant)
         )
         report = analyze(protocol)
         print(f"  [{logic}]")
@@ -38,15 +36,15 @@ def show(repaired: bool) -> None:
 
 
 def main() -> None:
-    show(repaired=False)
-    show(repaired=True)
+    show(None)
+    show("repaired")
 
     print("=" * 72)
     print("Certifying the repaired attribution as a Hilbert proof")
     print("=" * 72)
-    ctx = x509.make_context()
-    report = analyze(x509.at_protocol(repaired=True))
-    goal = Believes(ctx.b, Says(ctx.a, ctx.yab))
+    ctx = x509.terms()
+    report = analyze(x509.at_protocol("repaired"))
+    goal = Believes(ctx.B, Says(ctx.A, ctx.yab))
     proof = certify(report.derivation, goal)
     proof.check()
     axioms = sorted(

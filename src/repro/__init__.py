@@ -16,8 +16,9 @@ The library contains, built from scratch:
 * :mod:`repro.goodruns` — the iterative good-run construction, support
   and optimality, the coin-toss counterexample (Section 7);
 * :mod:`repro.protocols` — Kerberos (Figure 1), Needham-Schroeder,
-  Otway-Rees, Yahalom, Wide-Mouthed Frog, Andrew RPC, and a courier
-  protocol, each idealized for both logics;
+  Otway-Rees, Yahalom, Wide-Mouthed Frog, Andrew RPC, CCITT X.509 and a
+  courier protocol, each a spec file idealized for both logics, with
+  concrete runs;
 * :mod:`repro.analysis` — the annotation procedure and BAN-vs-AT
   comparison;
 * :mod:`repro.soundness` — the empirical Theorem 1 sweep, the

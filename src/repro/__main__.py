@@ -77,30 +77,39 @@ def _cmd_corpus(_args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    module = PROTOCOLS[args.name]
+    family = PROTOCOLS[args.name]
     protocol = (
-        module.ban_protocol() if args.logic == "ban" else module.at_protocol()
+        family.ban_protocol() if args.logic == "ban" else family.at_protocol()
     )
     report = analyze(protocol)
-    goals = {result.goal.label: result.goal for result in report.goal_results}
+    results = {result.goal.label: result for result in report.goal_results}
     for label in (args.explain, args.certify):
-        if label is not None and label not in goals:
+        if label is not None and label not in results:
             print(f"no goal labelled {label!r}", file=sys.stderr)
             return 2
+    if args.certify is not None:
+        from repro.logic.certify import CertificationError, certify
+
+        if not results[args.certify].achieved:
+            print(f"goal {args.certify!r} was not derived; nothing to "
+                  "certify", file=sys.stderr)
+            return 2
+        try:
+            proof = certify(report.derivation,
+                            results[args.certify].goal.formula)
+        except CertificationError as error:
+            print(error, file=sys.stderr)
+            return 2
+        proof.check()
     print(report.pretty())
     if args.explain is not None:
         print()
         print(f"derivation of {args.explain}:")
         print(report.explain_goal(args.explain))
     if args.certify is not None:
-        from repro.logic import certify
-
-        goal = goals[args.certify]
-        proof = certify(report.derivation, goal.formula)
-        proof.check()
         print()
         print(
-            f"certified {goal.label}: {len(proof.steps)}-step Hilbert "
+            f"certified {args.certify}: {len(proof.steps)}-step Hilbert "
             f"proof from {len(proof.premises)} premises (checked)"
         )
         print(proof.pretty())

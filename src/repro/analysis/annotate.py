@@ -13,7 +13,7 @@ state of affairs after that step has been taken".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ProtocolError
 from repro.banlogic.rules import ban_rules
@@ -21,8 +21,7 @@ from repro.logic.engine import Derivation, Engine, MessagePool
 from repro.logic.facts import Fact
 from repro.logic.rules import standard_rules
 from repro.protocols.base import Goal, IdealizedProtocol, MessageStep, NewKeyStep
-from repro.terms.formulas import Believes, Formula, Has, Sees
-from repro.terms.ops import walk
+from repro.terms.formulas import Formula, Has, Sees
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,6 @@ class AnalysisReport:
     @property
     def all_as_expected(self) -> bool:
         return all(result.as_expected for result in self.goal_results)
-
-    @property
-    def achieved_goals(self) -> tuple[Goal, ...]:
-        return tuple(r.goal for r in self.goal_results if r.achieved)
 
     def explain_goal(self, label: str) -> str:
         for result in self.goal_results:

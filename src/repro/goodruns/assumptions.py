@@ -20,7 +20,7 @@ the construction stratifies the normalized formulas by belief depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -32,7 +32,6 @@ from repro.terms.formulas import (
     Believes,
     Formula,
     belief_depth,
-    strip_beliefs,
 )
 from repro.terms.ops import has_belief_under_negation
 
@@ -118,9 +117,6 @@ class InitialAssumptions:
     @property
     def principals(self) -> tuple[Principal, ...]:
         return tuple(principal for principal, _ in self.entries)
-
-    def assumptions_for(self, principal: Principal) -> tuple[Formula, ...]:
-        return self._map.get(principal, ())
 
     def all_formulas(self) -> Iterator[tuple[Principal, Formula]]:
         for principal, formulas in self.entries:

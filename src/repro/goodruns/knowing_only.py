@@ -23,13 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.goodruns.assumptions import InitialAssumptions
 from repro.model.builder import RunBuilder
 from repro.model.system import Interpretation, System
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
 from repro.terms.atoms import Principal
-from repro.terms.formulas import Believes, Formula, Not, Or, Prim
+from repro.terms.formulas import Believes, Formula, Or, Prim
 from repro.terms.vocabulary import Vocabulary
 
 RUN_P = "run-p"

@@ -18,8 +18,8 @@ they are flagged ``extra`` and evaluated separately in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.errors import ProofError
 from repro.terms.atoms import Key, Principal, PrivateKey, PublicKey, decryption_key

@@ -38,12 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ProofError, ReproError
-from repro.logic.axioms import build_axiom
 from repro.logic.engine import Derivation
 from repro.logic.facts import Fact, normalize_to_facts
 from repro.logic.proof import Proof, ProofBuilder
-from repro.terms.atoms import Key, Principal, PrivateKey, decryption_key
-from repro.terms.base import Message
+from repro.terms.atoms import Principal
 from repro.terms.formulas import (
     And,
     Believes,

@@ -16,11 +16,11 @@ tree for any conclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import EngineError
 from repro.logic.facts import Fact, FactIndex, normalize_to_facts
-from repro.terms.atoms import Key, Parameter, Principal, Sort
+from repro.terms.atoms import Parameter, Sort
 from repro.terms.base import Message
 from repro.terms.formulas import Formula
 from repro.terms.messages import Combined, Encrypted, Forwarded, Group
@@ -111,9 +111,6 @@ class Derivation:
 
     index: FactIndex
     origins: dict[Fact, tuple[str, tuple[Fact, ...]]] = field(default_factory=dict)
-
-    def holds_fact(self, fact: Fact) -> bool:
-        return fact in self.index
 
     def holds(self, formula: Formula) -> bool:
         """True iff every normalized fact of the formula was derived."""

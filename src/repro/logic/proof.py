@@ -18,8 +18,7 @@ not pointwise truth).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 from repro.errors import ProofError
 from repro.logic.axioms import schema

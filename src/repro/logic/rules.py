@@ -25,10 +25,9 @@ from typing import Iterator
 
 from repro.logic.engine import Inference, MessagePool, Rule
 from repro.logic.facts import Fact, FactIndex
-from repro.terms.atoms import Key, Principal, PrivateKey, PublicKey, Sort, decryption_key
+from repro.terms.atoms import Key, Principal, PrivateKey, decryption_key
 from repro.terms.base import Message
 from repro.terms.formulas import (
-    Believes,
     Controls,
     ForAll,
     Formula,

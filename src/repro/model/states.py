@@ -14,7 +14,7 @@ indistinguishability, so value equality is load-bearing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 

@@ -1,21 +1,15 @@
 """The protocol corpus: idealized protocols from the BAN89/AT91 papers.
 
-Every protocol module exposes ``ban_protocol()`` and ``at_protocol()``
-(the two idealization styles) and, where a concrete execution matters
-to an experiment, ``build_system()`` producing model runs for semantic
-auditing.
+Each family is a spec file, ``specs/<module>.proto``, read by
+:class:`~repro.protocols.loader.ProtocolFamily`.  The family object at
+``repro.protocols.<module>`` gives ``ban_protocol()`` and
+``at_protocol()`` (the two idealization styles), ``build_system()`` (its
+concrete runs, attacks included, for semantic auditing) and ``terms()``
+(its vocabulary and named terms), each taking one ``variant``.
 """
 
-from repro.protocols import (
-    andrew_rpc,
-    forwarding,
-    kerberos,
-    needham_schroeder,
-    otway_rees,
-    wide_mouth_frog,
-    x509,
-    yahalom,
-)
+from pathlib import Path
+
 from repro.protocols.base import (
     Goal,
     IdealizedProtocol,
@@ -23,8 +17,20 @@ from repro.protocols.base import (
     NewKeyStep,
     Step,
 )
+from repro.protocols.loader import ProtocolFamily
 
-#: Protocol name -> module: the choices of ``repro analyze`` and of the
+SPECS = Path(__file__).with_name("specs")
+
+kerberos = ProtocolFamily(SPECS / "kerberos.proto")
+needham_schroeder = ProtocolFamily(SPECS / "needham_schroeder.proto")
+otway_rees = ProtocolFamily(SPECS / "otway_rees.proto")
+yahalom = ProtocolFamily(SPECS / "yahalom.proto")
+wide_mouth_frog = ProtocolFamily(SPECS / "wide_mouth_frog.proto")
+andrew_rpc = ProtocolFamily(SPECS / "andrew_rpc.proto")
+forwarding = ProtocolFamily(SPECS / "forwarding.proto")
+x509 = ProtocolFamily(SPECS / "x509.proto")
+
+#: Protocol name -> family: the choices of ``repro analyze`` and of the
 #: serve daemon's ``kind: protocol`` requests.
 PROTOCOLS = {
     "kerberos": kerberos,
@@ -40,30 +46,12 @@ PROTOCOLS = {
 
 def corpus() -> tuple[IdealizedProtocol, ...]:
     """Every idealized protocol in the library, both logics, all variants."""
-    return (
-        kerberos.ban_protocol(),
-        kerberos.at_protocol(),
-        needham_schroeder.ban_protocol(),
-        needham_schroeder.ban_protocol(with_dubious_assumption=True),
-        needham_schroeder.at_protocol(),
-        needham_schroeder.at_protocol(with_dubious_assumption=True),
-        otway_rees.ban_protocol(),
-        otway_rees.at_protocol(),
-        yahalom.ban_protocol(),
-        yahalom.at_protocol(),
-        wide_mouth_frog.ban_protocol(),
-        wide_mouth_frog.at_protocol(),
-        andrew_rpc.ban_protocol(),
-        andrew_rpc.ban_protocol(repaired=True),
-        andrew_rpc.at_protocol(),
-        andrew_rpc.at_protocol(repaired=True),
-        forwarding.ban_protocol(),
-        forwarding.at_protocol(),
-        x509.ban_protocol(),
-        x509.ban_protocol(repaired=True),
-        x509.at_protocol(),
-        x509.at_protocol(repaired=True),
-    )
+    protocols: list[IdealizedProtocol] = []
+    for family in PROTOCOLS.values():
+        variants = (None,) + family.variants
+        for build in (family.ban_protocol, family.at_protocol):
+            protocols.extend(build(variant) for variant in variants)
+    return tuple(protocols)
 
 
 __all__ = [
@@ -72,6 +60,7 @@ __all__ = [
     "MessageStep",
     "NewKeyStep",
     "PROTOCOLS",
+    "ProtocolFamily",
     "Step",
     "andrew_rpc",
     "corpus",

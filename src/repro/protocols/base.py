@@ -13,7 +13,7 @@ Schroeder's missing freshness for B) as much as the successes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 from repro.errors import ProtocolError

@@ -26,7 +26,7 @@ from repro.model.submsgs import said_submsgs, seen_submsgs_all
 from repro.model.system import Point, System
 from repro.semantics.goodvectors import GoodRunVector
 from repro.semantics.hide import HiddenView, hidden_run_views
-from repro.terms.atoms import Principal, PrivateKey, PublicKey
+from repro.terms.atoms import Principal, PublicKey
 from repro.terms.base import Message
 from repro.terms.formulas import (
     And,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.errors import ProofError, ReproError
+from repro.errors import ReproError
 
 #: Cap on the failing points echoed back in a whole-system verdict.
 MAX_FAILURES_LISTED = 10
@@ -250,12 +250,13 @@ def _execute_protocol(request: AnalysisRequest, report_for) -> dict[str, Any]:
                          "nothing to certify"
             }
         else:
+            from repro.logic.certify import CertificationError
             from repro.logic.certify import certify as _certify
 
             try:
                 proof = _certify(report.derivation, result.goal.formula)
                 proof.check()
-            except ProofError as exc:  # pragma: no cover - defensive
+            except CertificationError as exc:
                 document["certificate"] = {"error": str(exc)}
             else:
                 document["certificate"] = {

@@ -21,9 +21,9 @@ from repro.errors import ModelError, WellFormednessError
 from repro.model.builder import RunBuilder
 from repro.model.runs import ENVIRONMENT, Run
 from repro.model.system import Interpretation, System
-from repro.terms.atoms import Key, Nonce, Principal, PrivateKey, PublicKey
+from repro.terms.atoms import Key, Principal, PrivateKey, PublicKey
 from repro.terms.base import Message
-from repro.terms.formulas import Formula, Fresh, Has, SharedKey
+from repro.terms.formulas import SharedKey
 from repro.terms.messages import combined, encrypted, forwarded, group
 from repro.terms.vocabulary import Vocabulary
 

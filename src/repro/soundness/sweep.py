@@ -29,7 +29,7 @@ from repro.semantics.backend import DEFAULT_BACKEND, get_backend
 from repro.semantics.compiler import CompiledSystem
 from repro.semantics.evaluator import Evaluator
 from repro.semantics.goodvectors import GoodRunVector
-from repro.terms.atoms import Key, Nonce, Principal, PrimitiveProposition, Sort
+from repro.terms.atoms import Principal, PrimitiveProposition, Sort
 from repro.terms.base import Message
 from repro.terms.formulas import (
     Believes,
@@ -43,7 +43,6 @@ from repro.terms.formulas import (
     Says,
     Sees,
     SharedKey,
-    SharedSecret,
 )
 from repro.terms.messages import Encrypted, combined, encrypted, forwarded, group
 from repro.terms.ops import walk

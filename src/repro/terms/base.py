@@ -43,12 +43,6 @@ class Message(metaclass=InternMeta):
     rather than poking at fields generically.
     """
 
-    def is_formula(self) -> bool:
-        """Return True iff this message belongs to the sublanguage ``F_T``."""
-        from repro.terms.formulas import Formula
-
-        return isinstance(self, Formula)
-
     # -- interned identity ---------------------------------------------------
 
     def __hash__(self) -> int:

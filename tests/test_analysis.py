@@ -72,7 +72,7 @@ class TestPool:
     def test_pool_covers_steps_and_goals(self):
         protocol = kerberos.at_protocol()
         pool = build_pool(protocol)
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         assert ctx.inner in pool.messages
         assert ctx.good in pool.messages
-        assert ctx.ts in pool.messages
+        assert ctx.Ts in pool.messages

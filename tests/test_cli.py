@@ -132,6 +132,24 @@ class TestCLI:
     def test_certify_unknown_goal(self, capsys):
         assert main(["analyze", "kerberos", "--certify", "nope"]) == 2
 
+    def test_certify_underived_goal(self, capsys):
+        assert main(["analyze", "kerberos", "--logic", "at",
+                     "--certify", "A-said-not-forwarded"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("goal 'A-said-not-forwarded' was not "
+                                "derived; nothing to certify\n")
+
+    def test_certify_refused_certificate(self, capsys):
+        """BAN-only rules (here BAN-FRESH) have no axiomatic certificate."""
+        assert main(["analyze", "kerberos", "--logic", "ban",
+                     "--certify", "A-key"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "rule 'BAN-FRESH' has no axiomatic certificate")
+        assert captured.err.count("\n") == 1
+
     def test_trace_schema(self, tmp_path, capsys):
         import json
 

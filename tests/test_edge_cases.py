@@ -228,19 +228,17 @@ class TestAnnotationRendering:
 
 class TestRuntimeMisc:
     def test_internal_action_with_data(self):
-        from repro.runtime import Scenario, ScriptInternal, execute
+        from repro.model import RunBuilder
 
-        scenario = Scenario.create("internal", [A, B]).with_actions(
-            [ScriptInternal(A, "tick", (("count", 1),))]
-        )
-        run = execute(scenario)
+        builder = RunBuilder([A, B])
+        builder.internal(A, "tick", {"count": 1})
+        run = builder.build("internal")
         assert run.local(A, run.end_time).datum("count") == 1
 
     def test_scenario_params(self):
-        from repro.runtime import Scenario, execute
+        from repro.model import RunBuilder
         from repro.terms import Parameter
 
         parameter = Parameter("Kp", Sort.KEY)
-        scenario = Scenario.create("p", [A, B], params={parameter: K})
-        run = execute(scenario)
+        run = RunBuilder([A, B]).build("p", params={parameter: K})
         assert run.value_of(parameter) == K

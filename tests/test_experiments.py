@@ -131,17 +131,19 @@ class TestE8Forwarding:
         assert report.all_as_expected
 
     def test_courier_semantics(self):
-        ctx = forwarding.make_context()
-        run = forwarding.build_honest_run()
-        ev = Evaluator(system_of([run], vocabulary=ctx.vocabulary))
+        ctx = forwarding.terms()
+        system = forwarding.build_system()
+        run = system.run("courier-honest")
+        ev = Evaluator(system)
         end = run.end_time
-        assert ev.evaluate(Says(ctx.s, ctx.good), run, end)
-        assert not ev.evaluate(Said(ctx.c, ctx.good), run, end)
+        assert ev.evaluate(Says(ctx.S, ctx.good), run, end)
+        assert not ev.evaluate(Said(ctx.C, ctx.good), run, end)
 
     def test_misuse_accountability(self):
-        ctx = forwarding.make_context()
-        run = forwarding.build_misuse_run()
-        ev = Evaluator(system_of([run], vocabulary=ctx.vocabulary))
+        ctx = forwarding.terms()
+        system = forwarding.build_system()
+        run = system.run("courier-misuse")
+        ev = Evaluator(system)
         assert ev.evaluate(Said(ENVIRONMENT, ctx.good), run, run.end_time)
 
 
@@ -173,15 +175,15 @@ class TestE11Extensions:
     """E11: parameters and universal quantification (Section 8)."""
 
     def test_quantified_trust_assumption(self):
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         x = Parameter("x", Sort.KEY)
         quantified = Believes(
-            ctx.a, ForAll(x, _controls(ctx.s, SharedKey(ctx.a, x, ctx.b)))
+            ctx.A, ForAll(x, _controls(ctx.S, SharedKey(ctx.A, x, ctx.B)))
         )
         protocol = kerberos.at_protocol()
         adjusted = _replace_assumption(
             protocol,
-            Believes(ctx.a, _controls(ctx.s, ctx.good)),
+            Believes(ctx.A, _controls(ctx.S, ctx.good)),
             quantified,
         )
         report = analyze(adjusted)
@@ -191,10 +193,10 @@ class TestE11Extensions:
     def test_parameterized_run_evaluation(self):
         from repro.model import RunBuilder
 
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         parameter = ctx.vocabulary.parameter("Kfresh", Sort.KEY)
-        builder = RunBuilder([ctx.a, ctx.b], keysets={ctx.a: [ctx.kab]})
-        run = builder.build("param-run", params={parameter: ctx.kab})
+        builder = RunBuilder([ctx.A, ctx.B], keysets={ctx.A: [ctx.Kab]})
+        run = builder.build("param-run", params={parameter: ctx.Kab})
         system = system_of([run], vocabulary=ctx.vocabulary)
         ev = Evaluator(system)
         formula = parse_formula("A has ?Kfresh", ctx.vocabulary)
@@ -205,18 +207,18 @@ class TestE12Stability:
     """E12: stability of annotation formulas (Sections 2.3 / 4.3)."""
 
     def test_sees_assertions_stable_on_kerberos_system(self):
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         system = kerberos.build_system()
         ev = Evaluator(system)
-        assert is_stable(ev, Sees(ctx.a, ctx.outer))
-        assert is_stable(ev, Said(ctx.s, ctx.good))
-        assert is_stable(ev, Says(ctx.s, ctx.good))
+        assert is_stable(ev, Sees(ctx.A, ctx.outer))
+        assert is_stable(ev, Said(ctx.S, ctx.good))
+        assert is_stable(ev, Says(ctx.S, ctx.good))
 
     def test_goal_beliefs_stable(self):
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         system = kerberos.build_system()
         ev = Evaluator(system)
-        assert is_stable(ev, Believes(ctx.a, ctx.good))
+        assert is_stable(ev, Believes(ctx.A, ctx.good))
 
 
 def _controls(principal, body):
@@ -253,7 +255,7 @@ class TestE13PublicKeys:
         from repro.protocols import x509
 
         flawed = analyze(x509.at_protocol())
-        repaired = analyze(x509.at_protocol(repaired=True))
+        repaired = analyze(x509.at_protocol("repaired"))
         assert flawed.all_as_expected and repaired.all_as_expected
         flawed_out = {r.goal.label: r.achieved for r in flawed.goal_results}
         fixed_out = {r.goal.label: r.achieved for r in repaired.goal_results}
@@ -291,12 +293,12 @@ class TestE14ConcreteAttacks:
         from repro.protocols import needham_schroeder as ns
         from repro.terms import Fresh, Says
 
-        ctx = ns.make_context()
+        ctx = ns.terms()
         system = ns.build_system()
         evaluator = Evaluator(system)
         replay = system.run("ns-normal-replay-2")
         end = replay.end_time
-        assert not evaluator.evaluate(Says(ctx.s, ctx.good), replay, end)
+        assert not evaluator.evaluate(Says(ctx.S, ctx.good), replay, end)
         assert not evaluator.evaluate(Fresh(ctx.good), replay, end)
 
     def test_dubious_assumption_is_a_preconception(self):
@@ -307,15 +309,15 @@ class TestE14ConcreteAttacks:
         from repro.semantics import GoodRunVector
         from repro.terms import Fresh
 
-        ctx = ns.make_context()
+        ctx = ns.terms()
         system = ns.build_system()
         normal = system.run("ns-normal")
         end = normal.end_time
-        belief = Believes(ctx.b, Fresh(ctx.good))
+        belief = Believes(ctx.B, Fresh(ctx.good))
         knowledge = Evaluator(system)
         assert not knowledge.evaluate(belief, normal, end)
         trusting = Evaluator(
             system,
-            GoodRunVector.of({ctx.b: ["ns-normal", "ns-normal-wiretap-2"]}),
+            GoodRunVector.of({ctx.B: ["ns-normal", "ns-normal-wiretap-2"]}),
         )
         assert trusting.evaluate(belief, normal, end)

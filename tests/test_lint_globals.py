@@ -1,4 +1,5 @@
-"""CI gate: no new module-level mutable containers in ``src/repro``.
+"""CI gate: no new module-level mutable containers, and no unused
+imports, in ``src/repro``.
 
 PR 5 moved all per-session engine state onto
 :class:`repro.context.EngineContext`; this wraps ``tools/lint_globals.py``
@@ -102,6 +103,27 @@ class TestLintDetection:
             "    table = {}\n"
         )
         assert self._scan(tmp_path, source) == []
+
+    def test_flags_unused_import(self, tmp_path):
+        source = (
+            "from __future__ import annotations\n"
+            "import os\n"
+            "from typing import TYPE_CHECKING, Iterable\n"
+            "if TYPE_CHECKING:\n"
+            "    from pathlib import Path\n"
+            "def size(items: Iterable, where: 'Path') -> int:\n"
+            "    return len(items)\n"
+        )
+        assert self._scan(tmp_path, source) == [
+            "repro/offender.py:2: 'os' is imported but never read"
+        ]
+
+    def test_init_modules_may_reexport(self, tmp_path):
+        pkg = tmp_path / "repro"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("from os import path\n")
+        violations, _used = lint_globals.check(src_root=tmp_path)
+        assert violations == []
 
 
 class TestServeCoverage:

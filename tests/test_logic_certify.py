@@ -75,8 +75,6 @@ class TestLifting:
         )
 
     def test_lift_two_premises(self):
-        base = self.base([P, Implies(P, Q)], Q)
-        # not a tautology-shaped base; use a real tautology instead:
         builder = ProofBuilder()
         builder.tautology(Implies(_conj([P, Q]), And(P, Q)))
         lifted = lift_one_level(builder.build(), B)
@@ -267,8 +265,8 @@ class TestCertifyCorpus:
     def test_kerberos_premises_are_protocol_inputs(self):
         protocol = kerberos.at_protocol()
         report = analyze(protocol)
-        ctx = kerberos.make_context()
-        proof = certify(report.derivation, Believes(ctx.b, ctx.good))
+        ctx = kerberos.terms()
+        proof = certify(report.derivation, Believes(ctx.B, ctx.good))
         allowed = set()
         for assumption in protocol.assumptions:
             for fact in normalize_to_facts(assumption):
@@ -285,19 +283,19 @@ class TestCertifyCorpus:
         """Depth-2 conclusions (relayed beliefs) certify too."""
         protocol = wide_mouth_frog.at_protocol()
         report = analyze(protocol)
-        ctx = wide_mouth_frog.make_context()
-        goal = Believes(ctx.b, Believes(ctx.a, ctx.good))
+        ctx = wide_mouth_frog.terms()
+        goal = Believes(ctx.B, Believes(ctx.A, ctx.good))
         proof = certify(report.derivation, goal)
         proof.check()
 
     def test_x509_signature_chain_certifies(self):
         """Public-key steps (A5p, asymmetric A8/A11) certify."""
-        protocol = x509.at_protocol(repaired=True)
+        protocol = x509.at_protocol("repaired")
         report = analyze(protocol)
-        ctx = x509.make_context()
+        ctx = x509.terms()
         from repro.terms import Says
 
-        goal = Believes(ctx.b, Says(ctx.a, ctx.yab))
+        goal = Believes(ctx.B, Says(ctx.A, ctx.yab))
         proof = certify(report.derivation, goal)
         proof.check()
         axioms_used = {
@@ -322,9 +320,9 @@ class TestCertificationBoundaries:
         from repro.protocols import kerberos
 
         report = analyze(kerberos.ban_protocol())
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         with pytest.raises(CertificationError):
-            certify(report.derivation, Believes(ctx.b, ctx.good))
+            certify(report.derivation, Believes(ctx.B, ctx.good))
 
     def test_unknown_rule_certificate_raises(self):
         from repro.logic.certify import _base_certificate

@@ -1,6 +1,6 @@
 """Tests for the concrete protocol systems (runtime-generated runs).
 
-Each corpus protocol with a ``build_system()`` gets: well-formedness,
+Each corpus family's ``build_system()`` gets: well-formedness,
 an engine-vs-semantics audit, and — where a published attack exists —
 the attack's semantic verdicts.
 """
@@ -57,7 +57,7 @@ class TestAndrewReplayAttack:
     plants a stale key."""
 
     def test_flawed_variant(self):
-        ctx = andrew_rpc.make_context()
+        ctx = andrew_rpc.terms()
         system = andrew_rpc.build_system()
         assert system.is_wellformed()
         evaluator = Evaluator(system)
@@ -65,17 +65,17 @@ class TestAndrewReplayAttack:
         end = replay.end_time
         # A receives the replayed message 4 — but B never said it in
         # this epoch, and the new-key assertion is stale:
-        assert evaluator.evaluate(Said(ctx.b, ctx.good_new), replay, end)
-        assert not evaluator.evaluate(Says(ctx.b, ctx.good_new), replay, end)
-        assert not evaluator.evaluate(Fresh(ctx.good_new), replay, end)
+        assert evaluator.evaluate(Said(ctx.B, ctx.goodNew), replay, end)
+        assert not evaluator.evaluate(Says(ctx.B, ctx.goodNew), replay, end)
+        assert not evaluator.evaluate(Fresh(ctx.goodNew), replay, end)
 
     def test_repaired_variant_normal_run(self):
-        ctx = andrew_rpc.make_context()
-        system = andrew_rpc.build_system(repaired=True)
+        ctx = andrew_rpc.terms("repaired")
+        system = andrew_rpc.build_system("repaired")
         evaluator = Evaluator(system)
         normal = system.run("andrew-repaired-normal")
         end = normal.end_time
-        assert evaluator.evaluate(Says(ctx.b, ctx.good_new), normal, end)
+        assert evaluator.evaluate(Says(ctx.B, ctx.goodNew), normal, end)
 
     def test_audit(self):
         protocol = andrew_rpc.at_protocol()
@@ -91,12 +91,12 @@ class TestWMFReplayAttack:
     timestamp from the previous epoch."""
 
     def test_replay_is_stale(self):
-        ctx = wide_mouth_frog.make_context()
+        ctx = wide_mouth_frog.terms()
         system = wide_mouth_frog.build_system()
         evaluator = Evaluator(system)
         replay = system.run("wmf-normal-replay-1")
         end = replay.end_time
-        relayed = Believes(ctx.a, ctx.good)
-        assert evaluator.evaluate(Said(ctx.s, relayed), replay, end)
-        assert not evaluator.evaluate(Says(ctx.s, relayed), replay, end)
-        assert not evaluator.evaluate(Fresh(ctx.ts), replay, end)
+        relayed = Believes(ctx.A, ctx.good)
+        assert evaluator.evaluate(Said(ctx.S, relayed), replay, end)
+        assert not evaluator.evaluate(Says(ctx.S, relayed), replay, end)
+        assert not evaluator.evaluate(Fresh(ctx.Ts), replay, end)

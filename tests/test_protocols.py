@@ -33,7 +33,7 @@ class TestProtocolStructures:
                 name="bad",
                 logic="ban",
                 description="",
-                vocabulary=kerberos.make_context().vocabulary,
+                vocabulary=kerberos.terms().vocabulary,
                 principals=(A,),
                 steps=(MessageStep(A, B, Nonce("N")),),
                 assumptions=(),
@@ -46,14 +46,14 @@ class TestProtocolStructures:
             NewKeyStep(A, Nonce("N"))
 
     def test_unknown_logic_rejected(self):
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         with pytest.raises(ProtocolError):
             IdealizedProtocol(
                 name="bad",
                 logic="cpl",
                 description="",
                 vocabulary=ctx.vocabulary,
-                principals=(ctx.a,),
+                principals=(ctx.A,),
                 steps=(),
                 assumptions=(),
                 goals=(),
@@ -92,7 +92,7 @@ class TestKerberos:
     def test_concrete_run_wellformed(self):
         from repro.model import check_run
 
-        assert check_run(kerberos.build_run()) == []
+        assert check_run(kerberos.build_system().run("kerberos-normal")) == []
 
     def test_build_system(self):
         system = kerberos.build_system()
@@ -111,7 +111,7 @@ class TestNeedhamSchroeder:
 
     def test_dubious_assumption_repairs(self):
         report = analyze(
-            needham_schroeder.ban_protocol(with_dubious_assumption=True)
+            needham_schroeder.ban_protocol("dubious")
         )
         outcomes = {r.goal.label: r.achieved for r in report.goal_results}
         assert outcomes["B-key"]
@@ -125,7 +125,7 @@ class TestNeedhamSchroeder:
 class TestAndrewRPC:
     def test_weakness_and_repair(self):
         flawed = analyze(andrew_rpc.ban_protocol())
-        repaired = analyze(andrew_rpc.ban_protocol(repaired=True))
+        repaired = analyze(andrew_rpc.ban_protocol("repaired"))
         flawed_out = {r.goal.label: r.achieved for r in flawed.goal_results}
         fixed_out = {r.goal.label: r.achieved for r in repaired.goal_results}
         assert flawed_out["A-said"] and not flawed_out["A-new-key"]
@@ -134,40 +134,38 @@ class TestAndrewRPC:
 
 class TestForwardingSemantics:
     def test_honest_forwarding_run(self):
-        from repro.model import system_of
         from repro.semantics import Evaluator
         from repro.terms import Said
 
-        ctx = forwarding.make_context()
-        run = forwarding.build_honest_run()
-        system = system_of([run], vocabulary=ctx.vocabulary)
+        ctx = forwarding.terms()
+        system = forwarding.build_system()
+        run = system.run("courier-honest")
         ev = Evaluator(system)
         end = run.end_time
-        assert ev.evaluate(Said(ctx.s, ctx.good), run, end)
-        assert not ev.evaluate(Said(ctx.c, ctx.good), run, end)
+        assert ev.evaluate(Said(ctx.S, ctx.good), run, end)
+        assert not ev.evaluate(Said(ctx.C, ctx.good), run, end)
 
     def test_plain_relay_still_shields_courier(self):
         """Even without forwarding syntax, the courier cannot open the
         ciphertext, so said_submsgs never descends into it."""
-        from repro.model import system_of
         from repro.semantics import Evaluator
         from repro.terms import Said
 
-        ctx = forwarding.make_context()
-        run = forwarding.build_plain_relay_run()
-        system = system_of([run], vocabulary=ctx.vocabulary)
+        ctx = forwarding.terms()
+        system = forwarding.build_system()
+        run = system.run("courier-plain")
         ev = Evaluator(system)
-        assert not ev.evaluate(Said(ctx.c, ctx.good), run, run.end_time)
+        assert not ev.evaluate(Said(ctx.C, ctx.good), run, run.end_time)
 
     def test_misuse_is_accountable(self):
         """A14 in the model: 'forwarding' a never-seen statement says it."""
-        from repro.model import ENVIRONMENT, system_of
+        from repro.model import ENVIRONMENT
         from repro.semantics import Evaluator
         from repro.terms import Said
 
-        ctx = forwarding.make_context()
-        run = forwarding.build_misuse_run()
-        system = system_of([run], vocabulary=ctx.vocabulary)
+        ctx = forwarding.terms()
+        system = forwarding.build_system()
+        run = system.run("courier-misuse")
         ev = Evaluator(system)
         assert ev.evaluate(Said(ENVIRONMENT, ctx.good), run, run.end_time)
 
@@ -183,17 +181,112 @@ class TestComparisonTable:
         assert "kerberos" in text and "A-key" in text
 
     def test_mismatch_detection(self):
-        ctx = kerberos.make_context()
+        ctx = kerberos.terms()
         bogus = IdealizedProtocol(
             name="bogus",
             logic="at",
             description="no steps, impossible goal",
             vocabulary=ctx.vocabulary,
-            principals=(ctx.a,),
+            principals=(ctx.A,),
             steps=(),
             assumptions=(),
-            goals=(Goal("impossible", Believes(ctx.a, ctx.good)),),
+            goals=(Goal("impossible", Believes(ctx.A, ctx.good)),),
         )
         table = compare_corpus((bogus,))
         assert not table.all_as_expected
         assert len(table.mismatches()) == 1
+
+
+class TestSpecLoader:
+    """The loader refuses malformed spec files at the offending line."""
+
+    BASE = [
+        "protocol demo",
+        "principals A B S",
+        "keys Kas Kab",
+        "nonces Ts",
+        "let good = A <-Kab-> B",
+        "assume A believes fresh(Ts)",
+        "A -> S : (A, B)",
+        "goal A-key: A believes good",
+        "logic ban",
+        "goal B-key: B believes good",
+        "logic at",
+    ]
+
+    #: (case, faulty line, inserted before BASE[index], error message)
+    REFUSALS = [
+        ("unknown-directive", "asume A believes fresh(Ts)", 6,
+         "unknown directive 'asume'"),
+        ("undeclared-name", "assume A believes fresh(Tx)", 6,
+         "undeclared identifier: 'Tx'"),
+        ("let-shadows-constant", "let Kas = (A, B)", 5,
+         "let 'Kas' shadows a declared constant"),
+        ("repeated-goal-label", "goal A-key: A believes fresh(Ts)", 10,
+         "goal label 'A-key' repeated"),
+        ("undeclared-principal", "X -> S : (A, B)", 7,
+         "'X' is not a declared principal"),
+        ("undeclared-variant", None, None,
+         "demo declares no variant 'bogus'"),
+    ]
+
+    def _family(self, tmp_path, lines):
+        from repro.protocols import ProtocolFamily
+
+        path = tmp_path / "demo.proto"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ProtocolFamily(path)
+
+    def test_base_spec_loads(self, tmp_path):
+        protocol = self._family(tmp_path, self.BASE).ban_protocol()
+        assert [goal.label for goal in protocol.goals] == ["A-key", "B-key"]
+        assert protocol.principals == (Principal("A"), Principal("B"),
+                                       Principal("S"))
+
+    @pytest.mark.parametrize("case, line, index, message", REFUSALS,
+                             ids=[case[0] for case in REFUSALS])
+    def test_refusal_names_file_and_line(self, tmp_path, case, line,
+                                         index, message):
+        lines, variant, number = list(self.BASE), "bogus", 1
+        if line is not None:
+            lines.insert(index, line)
+            variant, number = None, index + 1
+        family = self._family(tmp_path, lines)
+        with pytest.raises(ProtocolError) as caught:
+            family.ban_protocol(variant)
+        assert str(caught.value) == f"demo.proto:{number}: {message}"
+
+    def test_runs_cover_only_listed_variants(self):
+        from repro.protocols import x509
+
+        with pytest.raises(ProtocolError, match="do not cover variant"):
+            x509.build_system("repaired")
+        with pytest.raises(ProtocolError, match="declares no variant"):
+            kerberos.build_system("repaired")
+
+    def test_names_match_the_specs(self):
+        from repro.protocols import PROTOCOLS
+
+        assert {name: family.name for name, family in PROTOCOLS.items()} == {
+            name: name for name in PROTOCOLS
+        }
+
+    def test_import_reads_no_spec(self):
+        """``import repro`` (CLI and daemon included) opens no spec
+        file; building a protocol does."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "opened = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open' and "
+            "str(args[0]).endswith('.proto') and opened.append(args[0]))\n"
+            "import repro, repro.__main__, repro.serve\n"
+            "before = len(opened)\n"
+            "repro.protocols.kerberos.ban_protocol()\n"
+            "print(before, len(opened))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.split() == ["0", "1"]

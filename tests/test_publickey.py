@@ -145,16 +145,16 @@ class TestX509:
     @pytest.mark.parametrize("logic", ["ban", "at"])
     def test_repair_works(self, logic):
         protocol = (
-            x509.ban_protocol(repaired=True)
+            x509.ban_protocol("repaired")
             if logic == "ban"
-            else x509.at_protocol(repaired=True)
+            else x509.at_protocol("repaired")
         )
         report = analyze(protocol)
         outcomes = {r.goal.label: r.achieved for r in report.goal_results}
         assert outcomes["B-attributes-secret"]
 
     def test_at_proof_uses_signature_axiom(self):
-        report = analyze(x509.at_protocol(repaired=True))
+        report = analyze(x509.at_protocol("repaired"))
         tree = report.explain_goal("B-attributes-secret")
         assert "A5p" in tree
 
@@ -173,14 +173,14 @@ class TestX509AttackSystem:
     def test_attacker_never_sees_the_secret(self):
         from repro.model import ENVIRONMENT, system_of
 
-        ctx = x509.make_context()
+        ctx = x509.terms()
         system = x509.build_system()
         evaluator = Evaluator(system)
         attack = system.run("x509-resign-attack")
         end = attack.end_time
         # B holds a message validly signed by the attacker containing a
         # secret the attacker has never seen:
-        assert evaluator.evaluate(Sees(ctx.b, ctx.blob), attack, end)
+        assert evaluator.evaluate(Sees(ctx.B, ctx.blob), attack, end)
         assert not evaluator.evaluate(Sees(ENVIRONMENT, ctx.yab), attack, end)
 
     def test_signature_attributes_only_the_blob(self):
@@ -189,22 +189,22 @@ class TestX509AttackSystem:
         E4 incompleteness boundary, and exactly the standard's defect."""
         from repro.model import ENVIRONMENT
 
-        ctx = x509.make_context()
+        ctx = x509.terms()
         system = x509.build_system()
         evaluator = Evaluator(system)
         attack = system.run("x509-resign-attack")
         end = attack.end_time
         assert evaluator.evaluate(Said(ENVIRONMENT, ctx.blob), attack, end)
         # A, who built the blob, genuinely said its contents:
-        assert evaluator.evaluate(Said(ctx.a, ctx.yab), attack, end)
+        assert evaluator.evaluate(Said(ctx.A, ctx.yab), attack, end)
 
     def test_a_remains_sole_signer_of_its_key(self):
         """pk(A, Ka) survives the attack: the intruder signed with its
         own key, not A's."""
-        ctx = x509.make_context()
+        ctx = x509.terms()
         system = x509.build_system()
         evaluator = Evaluator(system)
         attack = system.run("x509-resign-attack")
         assert evaluator.evaluate(
-            PublicKeyOf(ctx.a, ctx.ka_pub), attack, 0
+            PublicKeyOf(ctx.A, ctx.Ka), attack, 0
         )

@@ -149,6 +149,27 @@ class TestRoundTrip:
             assert certificate["premises"] > 0
             assert "B believes" in certificate["pretty"]
 
+    def test_goal_without_certificate_is_answered_not_refused(self):
+        """An achieved BAN goal has no axiomatic certificate, like a goal
+        that was not derived: both get a 200 whose certificate carries
+        the error."""
+        @_serve_test(ServeConfig())
+        async def daemon(daemon, host, port):
+            for logic, goal, error in (
+                ("ban", "A-key", "rule 'BAN-FRESH' has no axiomatic"),
+                ("at", "A-said-not-forwarded",
+                 "goal 'A-said-not-forwarded' was not derived"),
+            ):
+                status, body = await _post(
+                    {"kind": "protocol", "protocol": "kerberos",
+                     "logic": logic, "goal": goal, "certify": True},
+                    host, port,
+                )
+                assert status == 200, body
+                assert body["certificate"] == {
+                    "error": body["certificate"]["error"]}
+                assert body["certificate"]["error"].startswith(error)
+
     def test_schema_violations_get_400(self):
         @_serve_test(ServeConfig())
         async def daemon(daemon, host, port):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""AST lint: no new module-level mutable containers in ``src/repro``.
+"""AST lint: no new module-level mutable containers, and no unused
+imports, in ``src/repro``.
 
 PR 5 moved every piece of per-session engine state — intern table,
 semantic-kernel memos, perf counters, span buffer, evaluator registry —
@@ -21,6 +22,10 @@ Allowlisted globals fall into two honest categories:
 
 Anything else — in particular a cache or memo keyed on workload data —
 belongs on the ``EngineContext``.
+
+The same walk rejects an imported name the module never reads (in code
+or in a quoted annotation).  ``__init__.py`` modules are exempt: their
+imports are re-exports.
 
 Run directly (``python tools/lint_globals.py``) or via the pytest
 wrapper (``tests/test_lint_globals.py``); both fail on any violation,
@@ -122,6 +127,36 @@ def _module_level_targets(module: ast.Module):
                 yield stmt.target.id, stmt.value, stmt.lineno
 
 
+def _read_names(module: ast.Module) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    try:
+                        names |= _read_names(ast.parse(part.value, mode="eval"))
+                    except SyntaxError:  # a Literal["..."] value, say
+                        pass
+    return names
+
+
+def _unused_imports(module: ast.Module):
+    """Yield ``(name, lineno)`` for every imported name never read."""
+    read = _read_names(module)
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "*" and name not in read:
+                    yield name, node.lineno
+
+
 def check(src_root: Path | None = None) -> tuple[list[str], set[str]]:
     """Scan ``src/repro`` and return (violations, used allowlist keys)."""
     if src_root is None:
@@ -144,6 +179,11 @@ def check(src_root: Path | None = None) -> tuple[list[str], set[str]]:
                 "per-session state belongs on repro.context.EngineContext "
                 "(or add to tools/lint_globals.py ALLOWLIST with a reason)"
             )
+        if path.name != "__init__.py":
+            for name, lineno in _unused_imports(tree):
+                violations.append(
+                    f"{rel}:{lineno}: {name!r} is imported but never read"
+                )
     return violations, used
 
 
@@ -162,7 +202,7 @@ def main() -> int:
         return 1
     print(
         f"lint_globals: clean ({len(used)} allowlisted registries, "
-        "no stray module-level mutable state)"
+        "no stray module-level mutable state, no unused imports)"
     )
     return 0
 
